@@ -20,9 +20,7 @@ from .factors import (
     SpectralDecomposition,
     associated_factors,
     canonical_correlations,
-    cca_on_factors,
     estimate_covariances,
-    extract_factors,
     regularity_diagnostic,
     svd_cross,
 )

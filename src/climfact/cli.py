@@ -174,6 +174,14 @@ def _load_panel(config, key, required=False):
         ) from None
 
 
+def _permutation(section):
+    """Permutation-null settings of a factors or fira section, or None."""
+    permutation = section.get("permutation", False)
+    if not permutation:
+        return None
+    return permutation if isinstance(permutation, dict) else {}
+
+
 def _anomaly_series(config, series):
     window = tuple(config.get("baseline", {}).get(
         "reference_window", cl.DEFAULT_REFERENCE_WINDOW))
@@ -197,6 +205,11 @@ def _shock_table(config, grids):
     threshold = section.get("threshold", "auto")
     if threshold == "auto":
         threshold = cl.default_threshold(scalar, window)
+        if threshold <= 0.0:
+            raise DataError(
+                f"auto threshold over {window[0]}-{window[1]} is "
+                f"{threshold!r}; shocks need a strictly positive threshold"
+            )
     variants = tuple(section.get("variants", ("all",)))
     table = cl.shock_variants(
         scalar, threshold,
@@ -408,16 +421,13 @@ def cmd_factors(args, config):
         series = _anomaly_series(config, series)
     panel = _load_panel(config, "sectors", required=True)
 
-    permutation = section.get("permutation", False)
-    perm_cfg = None
-    if permutation:
-        perm_cfg = permutation if isinstance(permutation, dict) else {}
+    permutation = _permutation(section)
     rng = np.random.default_rng(_seed(args, config))
     result = af.associated_factors(
         panel, series,
         tol=section.get("tol", 0.1),
         k=section.get("k"),
-        permutation=perm_cfg, rng=rng,
+        permutation=permutation, rng=rng,
     )
     diagnostic = af.regularity_diagnostic(panel, series)
 
@@ -442,7 +452,7 @@ def cmd_factors(args, config):
             "flagged": diagnostic.flagged,
             "tail_fraction": diagnostic.tail_fraction,
         },
-        "permutation": perm_cfg if permutation else None,
+        "permutation": permutation,
         "seed": _seed(args, config),
     })
     _say(args, f"factors: K={result.k}, rho_1={result.rho[0]:.4f} -> {out}")
@@ -463,14 +473,10 @@ def cmd_fira(args, config):
     design = fr.build_design(series, y=panel if s > 0 else None,
                              z=controls, lags=(q, s, l),
                              standardize=section.get("standardize", False))
-    permutation = section.get("permutation", False)
-    perm_cfg = None
-    if permutation:
-        perm_cfg = permutation if isinstance(permutation, dict) else {}
     fitted = fr.fit_fira(design, panel,
                          h_max=section.get("h_max", 12),
                          tol=section.get("tol", 0.1), k=section.get("k"),
-                         permutation=perm_cfg,
+                         permutation=_permutation(section),
                          rng=np.random.default_rng(_seed(args, config)))
 
     shock_reports = []

@@ -25,6 +25,20 @@ _PANEL = {
     "additionalProperties": False,
 }
 
+# true runs the null at its defaults; an object overrides n and level
+_PERMUTATION = {
+    "anyOf": [
+        {"type": "boolean"},
+        {"type": "object",
+         "properties": {
+             "n": {"type": "integer", "minimum": 1},
+             "level": {"type": "number", "exclusiveMinimum": 0,
+                       "exclusiveMaximum": 1},
+         },
+         "additionalProperties": False},
+    ]
+}
+
 SCHEMA = {
     "type": "object",
     "properties": {
@@ -81,7 +95,6 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "variables": {"type": "array", "items": {"type": "string"}},
-                "region": {"type": "string"},
                 "write_grids": {"type": "boolean"},
             },
             "additionalProperties": False,
@@ -133,19 +146,7 @@ SCHEMA = {
                 "use_anomalies": {"type": "boolean"},
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "k": {"type": "integer", "minimum": 1},
-                "permutation": {
-                    "anyOf": [
-                        {"type": "boolean"},
-                        {"type": "object",
-                         "properties": {
-                             "n": {"type": "integer", "minimum": 1},
-                             "level": {"type": "number",
-                                       "exclusiveMinimum": 0,
-                                       "exclusiveMaximum": 1},
-                         },
-                         "additionalProperties": False},
-                    ]
-                },
+                "permutation": _PERMUTATION,
             },
             "required": ["variable"],
             "additionalProperties": False,
@@ -162,19 +163,7 @@ SCHEMA = {
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "k": {"type": "integer", "minimum": 1},
                 "standardize": {"type": "boolean"},
-                "permutation": {
-                    "anyOf": [
-                        {"type": "boolean"},
-                        {"type": "object",
-                         "properties": {
-                             "n": {"type": "integer", "minimum": 1},
-                             "level": {"type": "number",
-                                       "exclusiveMinimum": 0,
-                                       "exclusiveMaximum": 1},
-                         },
-                         "additionalProperties": False},
-                    ]
-                },
+                "permutation": _PERMUTATION,
                 "shocks": {
                     "type": "array",
                     "minItems": 1,

@@ -106,7 +106,6 @@ def cross_singular_triplets(yc, xc, tol=0.1, k=None):
     r = r[:k]
     alpha = vecs[:, :k]
     beta = (cross.T @ alpha) / r
-    alpha, beta = _fix_signs(alpha, beta)
     return r, alpha, beta
 
 
@@ -163,6 +162,56 @@ def gram_eigensystem(xc, rel_tol=1e-12, max_components=None):
     return lam, scores
 
 
+def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None):
+    """Null singular-value quantiles from time-index shuffles of the panel."""
+    if rng is None:
+        rng = np.random.default_rng(42)
+    T = yc.shape[0]
+    k_max = min(yc.shape[1], xc.shape[1], T - 1)
+    null = np.empty((n_shuffles, k_max))
+    for s in range(n_shuffles):
+        perm = rng.permutation(T)
+        cross = yc[perm].T @ xc / (T - 1)
+        vals = np.linalg.eigvalsh(cross @ cross.T)[::-1]
+        null[s] = np.sqrt(np.clip(vals[:k_max], 0.0, None))
+    return np.quantile(null, level, axis=0)
+
+
+def two_stage(y, v, tol=0.1, k=None, permutation=None, rng=None):
+    """Associated factors between the rows of y (T, p) and v (T, D).
+
+    Cross-covariance SVD of the centered data (cutoff tol * r_1, or k
+    components), an optional permutation cut (dict with optional n and
+    level; ignored when k is given), CCA on the raw projections y @ alpha
+    and v @ beta, then the sign fix. Returns (r, rho, a, b_hat,
+    y_factors, x_factors): retained singular values, canonical
+    correlations, a (K, p), b_hat (K, D) and the canonical coordinates
+    of y and v.
+    """
+    yc, _ = center_columns(y)
+    vc, _ = center_columns(v)
+    r, alpha, beta = cross_singular_triplets(yc, vc, tol=tol, k=k)
+    if permutation is not None and k is None:
+        cut = permutation_cutoffs(
+            yc, vc,
+            n_shuffles=permutation.get("n", 199),
+            level=permutation.get("level", 0.95),
+            rng=rng,
+        )
+        above = r > cut[: len(r)]
+        keep = int(np.argmin(above)) if not above.all() else len(r)
+        if keep == 0:
+            raise ZeroCrossCovariance(
+                "no component clears the permutation null"
+            )
+        r, alpha, beta = r[:keep], alpha[:, :keep], beta[:, :keep]
+    y_proj = y @ alpha
+    x_proj = v @ beta
+    rho, u, w = canonical_correlations(y_proj, x_proj)
+    a_cols, u, w = _fix_signs(alpha @ u, u, w)
+    return r, rho, a_cols.T, (beta @ w).T, y_proj @ u, x_proj @ w
+
+
 # -- domain-facing types ---------------------------------------------------
 
 
@@ -182,8 +231,6 @@ class CovarianceOperators:
     cross_hat: np.ndarray = field(repr=False)  # (p, D) rows = C_YX(e_j)
     yc: np.ndarray = field(repr=False)
     xc_hat: np.ndarray = field(repr=False)
-    y_mean: np.ndarray = field(repr=False)
-    x_mean_hat: np.ndarray = field(repr=False)
 
     @property
     def n_sectors(self):
@@ -198,10 +245,6 @@ class CovarianceOperators:
         if surface.domain is not self.domain:
             raise NonConformable("surface lives on a different domain")
         return self.cross_hat @ hat_vector(surface)
-
-    def apply_cyx(self, y):
-        """C_YX(y): the surface E[<Y, y> X] for a price-side vector y."""
-        return surface_from_hat(self.domain, np.asarray(y, dtype=float) @ self.cross_hat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,19 +262,6 @@ class SpectralDecomposition:
 
     def beta_surface(self, k):
         return surface_from_hat(self.domain, self.beta_hat[:, k])
-
-
-@dataclass(frozen=True, eq=False)
-class FactorProjections:
-    """Raw coordinates of both datasets in the singular direction bases."""
-
-    y_proj: np.ndarray
-    x_proj: np.ndarray
-    alpha: np.ndarray
-    beta_hat: np.ndarray = field(repr=False)
-    domain: object = None
-    sector_ids: tuple = ()
-    times: np.ndarray = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,21 +294,26 @@ class AssociatedFactorSet:
 # -- operations ------------------------------------------------------------
 
 
-def estimate_covariances(panel, series):
-    """Sample covariance operators of an aligned panel/surface pair."""
+def _aligned(panel, series):
+    """Truncate to the common window; the sample must exceed p + 1."""
     (panel, series), _ = align(panel, series)
     T, p = panel.values.shape
     if T < p + 2:
         raise InsufficientSample(f"need T >= p + 2, got T={T} with p={p}")
-    yc, y_mean = center_columns(panel.values)
-    xhat = hat_matrix(series)
-    xc, x_mean = center_columns(xhat)
+    return panel, series
+
+
+def estimate_covariances(panel, series):
+    """Sample covariance operators of an aligned panel/surface pair."""
+    panel, series = _aligned(panel, series)
+    T = len(panel.times)
+    yc, _ = center_columns(panel.values)
+    xc, _ = center_columns(hat_matrix(series))
     c_y = yc.T @ yc / (T - 1)
     cross = yc.T @ xc / (T - 1)
     return CovarianceOperators(
         sector_ids=panel.sector_ids, times=panel.times, domain=series.domain,
         c_y=c_y, cross_hat=cross, yc=yc, xc_hat=xc,
-        y_mean=y_mean, x_mean_hat=x_mean,
     )
 
 
@@ -288,52 +323,6 @@ def svd_cross(operators, tol=0.1, k=None):
         operators.yc, operators.xc_hat, tol=tol, k=k
     )
     return SpectralDecomposition(r, alpha, beta, operators.domain)
-
-
-def extract_factors(panel, series, decomposition, k=None):
-    """Project the raw panel and frames onto the singular directions."""
-    (panel, series), _ = align(panel, series)
-    alpha = decomposition.alpha
-    beta = decomposition.beta_hat
-    if k is not None:
-        alpha, beta = alpha[:, :k], beta[:, :k]
-    y_proj = panel.values @ alpha
-    x_proj = hat_matrix(series) @ beta
-    return FactorProjections(
-        y_proj=y_proj, x_proj=x_proj, alpha=alpha, beta_hat=beta,
-        domain=series.domain, sector_ids=panel.sector_ids, times=panel.times,
-    )
-
-
-def cca_on_factors(projections):
-    """Conventional CCA on the factor coordinates, mapped back to data space."""
-    rho, u, v = canonical_correlations(projections.y_proj, projections.x_proj)
-    a_cols, u, v = _fix_signs(projections.alpha @ u, u, v)
-    a = a_cols.T                           # (K, p)
-    b = (projections.beta_hat @ v).T       # (K, D)
-    y_factors = projections.y_proj @ u
-    x_factors = projections.x_proj @ v
-    return AssociatedFactorSet(
-        rho=rho, a=a, b_hat=b,
-        y_factors=y_factors, x_factors=x_factors,
-        sector_ids=projections.sector_ids, times=projections.times,
-        domain=projections.domain,
-    )
-
-
-def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None):
-    """Null singular-value quantiles from time-index shuffles of the panel."""
-    if rng is None:
-        rng = np.random.default_rng(42)
-    T = yc.shape[0]
-    k_max = min(yc.shape[1], xc.shape[1], T - 1)
-    null = np.empty((n_shuffles, k_max))
-    for s in range(n_shuffles):
-        perm = rng.permutation(T)
-        cross = yc[perm].T @ xc / (T - 1)
-        vals = np.linalg.eigvalsh(cross @ cross.T)[::-1]
-        null[s] = np.sqrt(np.clip(vals[:k_max], 0.0, None))
-    return np.quantile(null, level, axis=0)
 
 
 def drop_degenerate_sectors(panel):
@@ -370,31 +359,15 @@ def associated_factors(panel, series, tol=0.1, k=None, permutation=None,
     components whose singular value falls below the null quantile are
     dropped on top of the relative cutoff.
     """
-    panel = drop_degenerate_sectors(panel)
-    operators = estimate_covariances(panel, series)
-    decomposition = svd_cross(operators, tol=tol, k=k)
-    keep = decomposition.k
-    if permutation and k is None:
-        cut = permutation_cutoffs(
-            operators.yc, operators.xc_hat,
-            n_shuffles=permutation.get("n", 199),
-            level=permutation.get("level", 0.95),
-            rng=rng,
-        )
-        r = decomposition.singular_values
-        above = r > cut[: len(r)]
-        keep = int(np.argmin(above)) if not above.all() else len(r)
-        if keep == 0:
-            raise ZeroCrossCovariance(
-                "no component clears the permutation null"
-            )
-    projections = extract_factors(panel, series, decomposition, k=keep)
-    result = cca_on_factors(projections)
+    panel, series = _aligned(drop_degenerate_sectors(panel), series)
+    r, rho, a, b_hat, y_factors, x_factors = two_stage(
+        panel.values, hat_matrix(series), tol=tol, k=k,
+        permutation=permutation, rng=rng,
+    )
     return AssociatedFactorSet(
-        rho=result.rho, a=result.a, b_hat=result.b_hat,
-        y_factors=result.y_factors, x_factors=result.x_factors,
-        sector_ids=result.sector_ids, times=result.times, domain=result.domain,
-        singular_values=decomposition.singular_values[:keep],
+        rho=rho, a=a, b_hat=b_hat, y_factors=y_factors, x_factors=x_factors,
+        sector_ids=panel.sector_ids, times=panel.times, domain=series.domain,
+        singular_values=r,
     )
 
 

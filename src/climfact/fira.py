@@ -21,7 +21,6 @@ from .errors import (
     EmptyFootprint,
     InsufficientSample,
     NonConformable,
-    ZeroCrossCovariance,
 )
 from .grid import EARTH_RADIUS_KM, Surface, SurfaceSeries
 from .ingest import SectorPanel, common_window
@@ -38,7 +37,6 @@ class DesignBlock:
 
     source: str        # 'x', 'y' or 'z'
     lag: int
-    kind: str          # 'surface' or 'vector'
     start: int
     stop: int
     scale: float = 1.0
@@ -60,21 +58,8 @@ class LaggedDesign:
     def __len__(self):
         return len(self.times)
 
-    def block(self, source, lag):
-        for b in self.blocks:
-            if b.source == source and b.lag == lag:
-                return b
-        raise KeyError(f"no block {source!r} lag {lag}")
-
     def inner_product(self, i, j):
         return float(self.matrix[i] @ self.matrix[j])
-
-
-def _block_columns(obj, lag, rows):
-    """Hat coordinates of one source at one lag for the given design rows."""
-    if isinstance(obj, SurfaceSeries):
-        return af.hat_matrix(obj)[rows - lag], "surface"
-    return obj.values[rows - lag], "vector"
 
 
 def build_design(x, y=None, z=None, lags=(0, 0, 0), standardize=False):
@@ -113,8 +98,10 @@ def build_design(x, y=None, z=None, lags=(0, 0, 0), standardize=False):
     blocks = []
     offset = 0
     for name, obj, lag_range in sources:
+        full = (af.hat_matrix(obj) if isinstance(obj, SurfaceSeries)
+                else obj.values)
         for lag in lag_range:
-            cols, kind = _block_columns(obj, lag, rows)
+            cols = full[rows - lag]
             scale = 1.0
             if standardize:
                 total_var = float(np.var(cols, axis=0, ddof=1).sum())
@@ -122,7 +109,7 @@ def build_design(x, y=None, z=None, lags=(0, 0, 0), standardize=False):
                     scale = 1.0 / np.sqrt(total_var)
             columns.append(cols * scale)
             blocks.append(DesignBlock(
-                source=name, lag=lag, kind=kind,
+                source=name, lag=lag,
                 start=offset, stop=offset + cols.shape[1], scale=scale,
             ))
             offset += cols.shape[1]
@@ -172,7 +159,7 @@ def fit_fira(design, panel, h_max=12, tol=0.1, k=None, permutation=None,
     """
     if not isinstance(panel, SectorPanel):
         raise NonConformable("fit_fira needs a sector panel")
-    if permutation and rng is None:
+    if permutation is not None and rng is None:
         rng = np.random.default_rng(42)
     d0 = design.times[0]
     y0 = panel.times[0]
@@ -193,26 +180,10 @@ def fit_fira(design, panel, h_max=12, tol=0.1, k=None, permutation=None,
         y = panel.values[yrows:yrows + n]
         v = design.matrix[drows:drows + n]
         try:
-            yc, _ = af.center_columns(y)
-            vc, _ = af.center_columns(v)
-            r, alpha, beta = af.cross_singular_triplets(yc, vc, tol=tol, k=k)
-            if permutation and k is None:
-                cut = af.permutation_cutoffs(
-                    yc, vc, n_shuffles=permutation.get("n", 199),
-                    level=permutation.get("level", 0.95), rng=rng,
-                )
-                above = r > cut[: len(r)]
-                keep = int(np.argmin(above)) if not above.all() else len(r)
-                if keep == 0:
-                    raise ZeroCrossCovariance(
-                        "no component clears the permutation null"
-                    )
-                r, alpha, beta = r[:keep], alpha[:, :keep], beta[:, :keep]
-            rho, u, vrot = af.canonical_correlations(y @ alpha, v @ beta)
-            a_cols, u, vrot = af._fix_signs(alpha @ u, u, vrot)
-            per_h.append(FiraHorizon(
-                h=h, rho=rho, a=a_cols.T, b_hat=(beta @ vrot).T, nobs=n,
-            ))
+            _, rho, a, b_hat, _, _ = af.two_stage(
+                y, v, tol=tol, k=k, permutation=permutation, rng=rng,
+            )
+            per_h.append(FiraHorizon(h=h, rho=rho, a=a, b_hat=b_hat, nobs=n))
         except Exception as exc:
             failures.append((h, type(exc).__name__, str(exc)))
             per_h.append(None)

@@ -218,9 +218,6 @@ class SurfaceSeries:
     def __len__(self):
         return len(self.times)
 
-    def frame(self, i):
-        return Surface(self.domain, self.values[i])
-
     def valid_matrix(self):
         """(T, n_valid) view of the valid cells, row-major cell order."""
         return self.values[:, self.domain.mask]

@@ -78,10 +78,6 @@ class SectorPanel:
 class ControlPanel(SectorPanel):
     """Monthly matrix of control series; same completeness rule as sectors."""
 
-    @property
-    def series_ids(self):
-        return self.sector_ids
-
 
 # -- gridded input -------------------------------------------------------
 
@@ -124,6 +120,7 @@ def _infer_axis(centers, axis, step=None):
 
 def _load_gridded_csv(path, variable, step, weighting):
     rows = []
+    blanks = []        # len(rows) at each skipped blank line
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -138,6 +135,7 @@ def _load_gridded_csv(path, variable, step, weighting):
         name = variable or header[3].strip()
         for lineno, row in enumerate(reader, start=2):
             if not row:
+                blanks.append(len(rows))
                 continue
             if len(row) != 4:
                 raise ParseError(
@@ -170,6 +168,18 @@ def _load_gridded_csv(path, variable, step, weighting):
     i_idx = np.round((lats - (lat_min + step_lat / 2)) / step_lat).astype(int)
     j_idx = np.round((lons - (lon_min + step_lon / 2)) / step_lon).astype(int)
     cube = np.full((len(axis), n_lat, n_lon), np.nan)
+    seen = np.zeros(cube.shape, dtype=bool)
+    seen[t_idx, i_idx, j_idx] = True
+    if np.count_nonzero(seen) < len(vals):
+        flat = np.ravel_multi_index((t_idx, i_idx, j_idx), cube.shape)
+        repeat = np.ones(len(flat), dtype=bool)
+        repeat[np.unique(flat, return_index=True)[1]] = False
+        k = int(np.argmax(repeat))
+        raise ParseError(
+            f"duplicate row for {times[k]} at ({lats[k]}, {lons[k]})",
+            path=path,
+            line=k + 2 + int(np.searchsorted(blanks, k, side="right")),
+        )
     cube[t_idx, i_idx, j_idx] = vals
 
     kwargs = dict(bounds=(lat_min, lat_max, lon_min, lon_max),

@@ -281,9 +281,6 @@ class BatteryResult:
     results: dict
     failures: tuple
 
-    def keys(self):
-        return list(self.results)
-
 
 def run_battery(panel, shocks, spec=None, extra_endogenous=None,
                 controls=None, sectors=None, threads=1):

@@ -13,7 +13,7 @@ import numpy as np
 from . import months
 from .climatology import ScalarSeries
 from .grid import SurfaceSeries, build_domain
-from .ingest import ControlPanel, SectorPanel
+from .ingest import SectorPanel
 
 # Euro-area-like monthly normals for the four bundled variables
 # (temperature degC, precipitation mm/m2, solar radiation W/m2,
@@ -132,23 +132,7 @@ def var_irf_path(phi, b, h_max):
     return out
 
 
-def var1_panel(T, phi, b, rng, start="2001-01", names=None):
-    """Wrap a VAR(1) simulation as (SectorPanel, shock values array)."""
-    W, x = var1_simulate(T, phi, b, rng)
-    times = months.month_range(start, start)[0] + np.arange(T)
-    if names is None:
-        names = tuple(f"S{j:02d}" for j in range(W.shape[1]))
-    return SectorPanel(times, names, W), x
-
-
 # -- factor-model fixtures ---------------------------------------------------
-
-
-def random_mask(domain_shape, rng, keep=0.8):
-    mask = rng.random(domain_shape) < keep
-    if not mask.any():
-        mask[0, 0] = True
-    return mask
 
 
 def _orthonormal(n, k, rng):
@@ -270,9 +254,3 @@ def fira_demo_instance(rng, p=8, T=252, step=0.5, planted_sector=2,
     ids = tuple(f"CP{j:03d}" for j in range(p))
     panel = SectorPanel(series.times, ids, y)
     return panel, series, g
-
-
-def white_noise_controls(T, m, rng, start="2001-01", prefix="Z"):
-    times = months.month_range(start, start)[0] + np.arange(T)
-    ids = tuple(f"{prefix}{j}" for j in range(m))
-    return ControlPanel(times, ids, rng.normal(size=(T, m)))

@@ -94,6 +94,13 @@ class TestBaseline:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+        # anomaly.region was once accepted and then ignored
+        config = _write_config(tmp_path, {
+            "grids": [], "anomaly": {"region": "EA"}}, "region.json")
+        code = cli.main(["anomaly", "--config", config,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "'region' was unexpected" in capsys.readouterr().err
 
 
 class TestAnomaly:
@@ -165,6 +172,27 @@ class TestShocks:
         assert (out / "shocks_all.csv").exists()
         # positive-filtered events must also appear in the all filter
         assert report["events"]["positive"] == report["events"]["all"]
+
+    def test_nonpositive_auto_threshold_is_data_error(self, tmp_path,
+                                                      capsys):
+        data = tmp_path / "cooled"
+        synth_config = _write_config(tmp_path, {
+            "synth": {"kind": "normals", "step": 4.0, "warming": -0.5},
+        }, "synth.json")
+        assert cli.main(["synth", "--config", synth_config,
+                         "--out", str(data), "--quiet"]) == 0
+        config = _write_config(tmp_path, {
+            "grids": [{"name": "temperature",
+                       "path": str(data / "temperature.csv")}],
+            "shocks": {"variable": "temperature", "threshold": "auto"},
+        })
+        with pytest.warns(UserWarning, match="degenerate threshold"):
+            code = cli.main(["shocks", "--config", config,
+                             "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "2001-2021" in err and "threshold" in err
+        assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +348,21 @@ class TestFactorsAndFira:
             rows = list(csv.DictReader(fh))
         assert all(float(r["response"]) == 0.0 for r in rows)
         assert (out / "fira_shock_1.svg").read_text().startswith("<svg")
+
+    def test_permutation_true_runs_the_default_null(self, demo, tmp_path):
+        loadings = {}
+        for name, permutation in (("true", True),
+                                  ("explicit", {"n": 199, "level": 0.95})):
+            doc = self._base_config(demo)
+            doc["factors"] = {"variable": "temperature_anomaly",
+                              "use_anomalies": False, "tol": 0.01,
+                              "permutation": permutation}
+            config = _write_config(tmp_path, doc, f"{name}.json")
+            out = tmp_path / name
+            assert cli.main(["factors", "--config", config, "--out",
+                             str(out), "--quiet"]) == 0
+            loadings[name] = (out / "factor_loadings.csv").read_bytes()
+        assert loadings["true"] == loadings["explicit"]
 
     def test_center_outside_domain_is_exit_3(self, demo, tmp_path):
         doc = self._base_config(demo)

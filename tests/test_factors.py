@@ -6,9 +6,7 @@ from climfact.errors import SingularFactorCovariance, ZeroCrossCovariance
 from climfact.factors import (
     associated_factors,
     canonical_correlations,
-    cca_on_factors,
     estimate_covariances,
-    extract_factors,
     hat_matrix,
     regularity_diagnostic,
     svd_cross,
@@ -175,35 +173,6 @@ class TestSvdCross:
 
 
 class TestExtractFactors:
-    def test_standard_basis_recovers_panel(self, small_domain, rng):
-        T, p = 50, 3
-        y = rng.normal(size=(T, p))
-        panel = _panel(y)
-        series = _series(small_domain,
-                         rng.normal(size=(T,) + small_domain.shape))
-        ops = estimate_covariances(panel, series)
-        dec = svd_cross(ops, tol=1e-6)
-        object.__setattr__(dec, "alpha", np.eye(p))
-        proj = extract_factors(panel, series, dec)
-        np.testing.assert_allclose(proj.y_proj, y, atol=1e-12)
-
-    def test_frames_orthogonal_to_beta_project_to_zero(self, small_domain, rng):
-        T, p = 60, 2
-        panel = _panel(rng.normal(size=(T, p)))
-        series = _series(small_domain,
-                         rng.normal(size=(T,) + small_domain.shape))
-        ops = estimate_covariances(panel, series)
-        dec = svd_cross(ops, tol=1e-6)
-        xhat = hat_matrix(series)
-        # strip the beta components out of the frames
-        residual = xhat - xhat @ dec.beta_hat @ dec.beta_hat.T
-        sqrt_w = np.sqrt(small_domain.valid_weights)
-        cube = np.full((T,) + small_domain.shape, np.nan)
-        cube[:, small_domain.mask] = residual / sqrt_w
-        stripped = SurfaceSeries(small_domain, series.times, cube)
-        proj = extract_factors(panel, stripped, dec)
-        np.testing.assert_allclose(proj.x_proj, 0.0, atol=1e-10)
-
     def test_planted_rank_two_reconstruction(self, rng):
         domain = build_domain((47.0, 55.0, 6.0, 15.0), 1.0)
         T, p = 500, 4
@@ -213,16 +182,11 @@ class TestExtractFactors:
         cube = (y[:, 0, None, None] * g1[None]
                 + y[:, 1, None, None] * g2[None]
                 + 0.3 * rng.normal(size=(T,) + domain.shape))
-        panel, series = _panel(y), _series(domain, cube)
-        ops = estimate_covariances(panel, series)
-        dec = svd_cross(ops, tol=0.1)
-        assert dec.k >= 2
-        proj = extract_factors(panel, series, dec, k=2)
-        xhat = hat_matrix(series)
-        xc = xhat - xhat.mean(axis=0)
-        recon = proj.x_proj - proj.x_proj.mean(axis=0)
+        result = associated_factors(_panel(y), _series(domain, cube), k=2)
+        assert result.k == 2
+        recon = result.x_factors - result.x_factors.mean(axis=0)
         signal = (y[:, :2] - y[:, :2].mean(axis=0))
-        # projections must capture nearly all of the planted signal variance
+        # the factors must capture nearly all of the planted signal variance
         coef, *_ = np.linalg.lstsq(recon, signal, rcond=None)
         explained = 1.0 - np.var(signal - recon @ coef) / np.var(signal)
         assert explained >= 0.90
@@ -250,19 +214,6 @@ class TestCcaOnFactors:
         ytil[:, 1] = ytil[:, 0]  # perfectly collinear factors
         with pytest.raises(SingularFactorCovariance):
             canonical_correlations(ytil, rng.normal(size=(50, 2)))
-
-    def test_staged_ops_compose_to_the_pipeline(self, rng):
-        domain = build_domain((50.0, 52.0, 6.0, 10.0), 1.0)
-        T, p = 150, 3
-        panel = _panel(rng.normal(size=(T, p)))
-        series = _series(domain, rng.normal(size=(T,) + domain.shape))
-        ops = estimate_covariances(panel, series)
-        dec = svd_cross(ops, tol=1e-6)
-        staged = cca_on_factors(extract_factors(panel, series, dec))
-        pipeline = associated_factors(panel, series, tol=1e-6)
-        np.testing.assert_allclose(staged.rho, pipeline.rho, atol=1e-12)
-        np.testing.assert_allclose(staged.a, pipeline.a, atol=1e-12)
-        np.testing.assert_allclose(staged.b_hat, pipeline.b_hat, atol=1e-12)
 
     def test_two_stage_matches_direct_oracle(self, rng):
         for trial in range(8):

@@ -144,18 +144,25 @@ class TestFitFira:
     def test_horizon_zero_matches_factor_module(self, coarse_domain, rng):
         T = 140
         cube = rng.normal(size=(T,) + coarse_domain.shape)
-        y = rng.normal(size=(T, 3))
-        y[:, 0] += 0.8 * cube[:, coarse_domain.mask].mean(axis=1)
         series = _series(coarse_domain, cube)
-        panel = _panel(y)
         design = build_design(series, lags=(0, 0, 0))
-        fitted = fit_fira(design, panel, h_max=0, tol=0.15)
-        reference = associated_factors(panel, series, tol=0.15)
-        entry = fitted.by_horizon[0]
-        assert entry.k == reference.k
-        np.testing.assert_allclose(entry.rho, reference.rho, atol=1e-12)
-        np.testing.assert_allclose(entry.a, reference.a, atol=1e-12)
-        np.testing.assert_allclose(entry.b_hat, reference.b_hat, atol=1e-12)
+        # the permutation case needs a link strong enough to clear the null
+        for strength, permutation in ((0.8, None), (3.0, {"n": 49})):
+            y = rng.normal(size=(T, 3))
+            y[:, 0] += strength * cube[:, coarse_domain.mask].mean(axis=1)
+            panel = _panel(y)
+            fitted = fit_fira(design, panel, h_max=0, tol=0.15,
+                              permutation=permutation,
+                              rng=np.random.default_rng(5))
+            reference = associated_factors(panel, series, tol=0.15,
+                                           permutation=permutation,
+                                           rng=np.random.default_rng(5))
+            entry = fitted.by_horizon[0]
+            assert entry.k == reference.k
+            np.testing.assert_allclose(entry.rho, reference.rho, atol=1e-12)
+            np.testing.assert_allclose(entry.a, reference.a, atol=1e-12)
+            np.testing.assert_allclose(entry.b_hat, reference.b_hat,
+                                       atol=1e-12)
 
     def test_staggered_windows_pair_correctly(self, coarse_domain, rng):
         # panel starts two years after the surface series; the planted

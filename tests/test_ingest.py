@@ -73,6 +73,17 @@ class TestGriddedRoundTrip:
         with pytest.raises(ParseError, match="line 2"):
             load_gridded(path)
 
+    def test_duplicate_row_names_the_second_line(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "time,lat,lon,value\n"
+            "2001-01,50.5,8.5,1\n2001-01,51.5,9.5,1\n\n"
+            "2001-02,50.5,8.5,1\n2001-01,51.5,9.5,2\n"
+            "2001-02,51.5,9.5,1\n"
+        )
+        with pytest.raises(ParseError, match=r"dup\.csv, line 6"):
+            load_gridded(path)
+
     def test_missing_month_is_irregular(self, tmp_path):
         path = tmp_path / "gapmonth.csv"
         path.write_text(
