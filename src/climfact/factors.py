@@ -14,6 +14,9 @@ by the square root of the quadrature weights, which turns the weighted
 surface inner product into a plain dot product. The surface covariance
 operator itself is never materialized; its spectrum comes from the T x T
 Gram matrix of the centered frames and is exact for sample operators.
+The permutation null works through the same T x T Gram matrix: each
+shuffle of the panel is scored against it, so the shuffled p x D cross
+covariance is never formed either.
 """
 
 import warnings
@@ -31,6 +34,7 @@ from .grid import Surface
 from .ingest import align
 
 COND_LIMIT = 1e10
+_SHUFFLE_BLOCK = 16  # shuffles per batched eigensolve in the null
 
 
 # -- hat-space embedding --------------------------------------------------
@@ -80,6 +84,9 @@ def cross_singular_triplets(yc, xc, tol=0.1, k=None):
     beta columns are orthonormal hat vectors, alpha columns orthonormal in
     R^p and r the singular values, descending. Components with
     r_k <= tol * r_1 are discarded unless k pins the count explicitly.
+    Either way the count is capped at the rank: at most min(T - 1, D)
+    components, each with r_k > 1e-12 * r_1, because dividing by a
+    vanishing singular value would fabricate a direction.
     """
     T = yc.shape[0]
     cross = yc.T @ xc / (T - 1)  # rows are the operator's coordinate surfaces
@@ -90,16 +97,14 @@ def cross_singular_triplets(yc, xc, tol=0.1, k=None):
     r = np.sqrt(np.clip(vals, 0.0, None))
     if r[0] <= 0.0:
         raise ZeroCrossCovariance("cross-covariance is identically zero")
+    rank = min(int(np.sum(r > 1e-12 * r[0])), T - 1, xc.shape[1])
     if k is None:
-        k = int(np.sum(r > tol * r[0]))
+        k = min(int(np.sum(r > tol * r[0])), rank)
         if k == 0:
             raise ZeroCrossCovariance(
                 f"no singular value clears the cutoff {tol} * r_1"
             )
     else:
-        # an explicit k is still clamped to the numerical rank: dividing by
-        # vanishing singular values would fabricate directions
-        rank = int(np.sum(r > 1e-12 * r[0]))
         k = min(int(k), rank)
         if k < 1:
             raise ZeroCrossCovariance("requested zero components")
@@ -163,17 +168,39 @@ def gram_eigensystem(xc, rel_tol=1e-12, max_components=None):
 
 
 def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None):
-    """Null singular-value quantiles from time-index shuffles of the panel."""
+    """Null singular-value quantiles from time-index shuffles of the panel.
+
+    Each shuffle permutes the rows of the centered panel yc (T, p) and
+    takes the singular values of the cross covariance yc[perm].T @ xc /
+    (T - 1); the level quantile of each rank over the shuffles is
+    returned, min(p, D, T - 1) values in all.
+
+    The work stays in T-space: the singular values of yc[perm].T @ xc are
+    those of yc[perm].T @ Z for any Z with Z @ Z.T == xc @ xc.T, so they
+    are the square roots of the eigenvalues of the p x p matrix
+    yc[perm].T @ G @ yc[perm] with G = xc @ xc.T formed once. The p x D
+    shuffled cross covariance is never built, and the cost no longer
+    grows with the surface width D. Shuffles run in blocks of
+    _SHUFFLE_BLOCK with one batched eigensolve per block.
+
+    Draw contract: exactly n_shuffles calls to rng.permutation(T), one
+    per shuffle in order. fit_fira passes one generator through all its
+    horizons, so every later horizon's draws depend on this count.
+    """
     if rng is None:
         rng = np.random.default_rng(42)
-    T = yc.shape[0]
-    k_max = min(yc.shape[1], xc.shape[1], T - 1)
+    T, p = yc.shape
+    k_max = min(p, xc.shape[1], T - 1)
+    gram = xc @ xc.T
     null = np.empty((n_shuffles, k_max))
-    for s in range(n_shuffles):
-        perm = rng.permutation(T)
-        cross = yc[perm].T @ xc / (T - 1)
-        vals = np.linalg.eigvalsh(cross @ cross.T)[::-1]
-        null[s] = np.sqrt(np.clip(vals[:k_max], 0.0, None))
+    block = np.empty((_SHUFFLE_BLOCK, p, p))
+    for start in range(0, n_shuffles, _SHUFFLE_BLOCK):
+        b = min(_SHUFFLE_BLOCK, n_shuffles - start)
+        for i in range(b):
+            yp = yc[rng.permutation(T)]
+            block[i] = yp.T @ (gram @ yp)
+        vals = np.linalg.eigvalsh(block[:b])[:, ::-1][:, :k_max]
+        null[start:start + b] = np.sqrt(np.clip(vals, 0.0, None)) / (T - 1)
     return np.quantile(null, level, axis=0)
 
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from climfact import cli
+from climfact.grid import SurfaceSeries, build_domain
+from climfact.ingest import SectorPanel, write_gridded_csv, write_panel_csv
 from climfact.synth import EA_MONTHLY_NORMALS
 
 
@@ -363,6 +365,41 @@ class TestFactorsAndFira:
                              str(out), "--quiet"]) == 0
             loadings[name] = (out / "factor_loadings.csv").read_bytes()
         assert loadings["true"] == loadings["explicit"]
+
+    def test_tiny_tol_on_a_rank_deficient_cross_exits_cleanly(self, tmp_path,
+                                                              capsys):
+        # 8 sectors against a 4-cell grid: the cross covariance has rank
+        # at most 4, and a tiny tol must not keep its numerical zeros
+        rng = np.random.default_rng(3)
+        T, ids = 60, tuple(f"S{j}" for j in range(8))
+        times = np.datetime64("2001-01", "M") + np.arange(T)
+        domain = build_domain((50.0, 51.0, 10.0, 11.0), 0.5)
+        cube = rng.normal(size=(T,) + domain.shape)
+        write_gridded_csv(SurfaceSeries(domain, times, cube, "t"),
+                          tmp_path / "grid.csv")
+        linked = rng.normal(size=(T, 8))
+        linked[:, :4] += 2.0 * cube.reshape(T, -1)
+        for name, y in (("linked", linked),
+                        ("independent", rng.normal(size=(T, 8)))):
+            write_panel_csv(SectorPanel(times, ids, y),
+                            tmp_path / f"{name}.csv")
+            config = _write_config(tmp_path, {
+                "seed": 1,
+                "grids": [{"name": "t", "path": str(tmp_path / "grid.csv")}],
+                "panels": {"sectors": {"path": str(tmp_path / f"{name}.csv"),
+                                       "transform": "none"}},
+                "factors": {"variable": "t", "use_anomalies": False,
+                            "tol": 1e-300, "permutation": {"n": 9}},
+            }, f"{name}.json")
+            out = tmp_path / name
+            code = cli.main(["factors", "--config", config, "--out",
+                             str(out), "--quiet"])
+            assert code in (0, 3, 4)
+            assert "Traceback" not in capsys.readouterr().err
+            if name == "linked":
+                assert code == 0
+                report = json.loads((out / "factors_report.json").read_text())
+                assert 1 <= report["k"] <= 4
 
     def test_center_outside_domain_is_exit_3(self, demo, tmp_path):
         doc = self._base_config(demo)

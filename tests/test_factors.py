@@ -2,14 +2,23 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from climfact.errors import SingularFactorCovariance, ZeroCrossCovariance
+from climfact.errors import (
+    ClimfactError,
+    SingularFactorCovariance,
+    ZeroCrossCovariance,
+)
 from climfact.factors import (
+    _SHUFFLE_BLOCK,
     associated_factors,
     canonical_correlations,
+    center_columns,
+    cross_singular_triplets,
     estimate_covariances,
     hat_matrix,
+    permutation_cutoffs,
     regularity_diagnostic,
     svd_cross,
+    two_stage,
 )
 from climfact.grid import Surface, SurfaceSeries, build_domain
 from climfact.ingest import SectorPanel
@@ -170,6 +179,80 @@ class TestSvdCross:
         ops = estimate_covariances(panel, series)
         with pytest.raises(ZeroCrossCovariance):
             svd_cross(ops)
+
+
+def shuffled_cross_cutoffs(yc, xc, n_shuffles, level, rng):
+    """Reference null: one p x D shuffled cross covariance and one
+    eigensolve per shuffle."""
+    T = yc.shape[0]
+    k_max = min(yc.shape[1], xc.shape[1], T - 1)
+    null = np.empty((n_shuffles, k_max))
+    for s in range(n_shuffles):
+        perm = rng.permutation(T)
+        cross = yc[perm].T @ xc / (T - 1)
+        vals = np.linalg.eigvalsh(cross @ cross.T)[::-1]
+        null[s] = np.sqrt(np.clip(vals[:k_max], 0.0, None))
+    return np.quantile(null, level, axis=0)
+
+
+class TestPermutationCutoffs:
+    @pytest.mark.parametrize("T, p, D", [
+        (60, 5, 12),     # D < T
+        (40, 6, 90),     # D > T
+        (30, 29, 50),    # p = T - 1
+        (50, 8, 3),      # D < p: the null has D ranks
+    ])
+    @pytest.mark.parametrize("n_shuffles", [1, _SHUFFLE_BLOCK,
+                                            2 * _SHUFFLE_BLOCK + 5])
+    def test_matches_the_shuffled_cross_reference(self, rng, T, p, D,
+                                                  n_shuffles):
+        for _ in range(3):
+            yc, _ = center_columns(rng.normal(size=(T, p)))
+            xc, _ = center_columns(rng.normal(size=(T, D))
+                                   * rng.uniform(0.1, 10.0, size=D))
+            level = float(rng.uniform(0.5, 0.99))
+            seed = int(rng.integers(2**32))
+            ours, theirs = (np.random.default_rng(seed),
+                            np.random.default_rng(seed))
+            got = permutation_cutoffs(yc, xc, n_shuffles, level, ours)
+            want = shuffled_cross_cutoffs(yc, xc, n_shuffles, level, theirs)
+            assert got.shape == (min(p, D, T - 1),)
+            np.testing.assert_allclose(got, want, rtol=1e-10)
+            # same draws, so a generator shared across calls stays in step
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestRankCap:
+    def _rank_three(self, rng, T=60, p=10):
+        v = rng.normal(size=(T, 3))
+        y = rng.normal(size=(T, p))
+        y[:, :3] += 2.0 * v
+        return y, v
+
+    def test_tiny_tol_keeps_only_the_rank(self, rng):
+        y, v = self._rank_three(rng)
+        yc, _ = center_columns(y)
+        vc, _ = center_columns(v)
+        r, alpha, beta = cross_singular_triplets(yc, vc, tol=1e-300)
+        assert len(r) == 3
+        np.testing.assert_allclose(beta.T @ beta, np.eye(3), atol=1e-10)
+
+    def test_tiny_tol_with_permutation_cut(self, rng):
+        y, v = self._rank_three(rng)
+        r, rho, *_ = two_stage(y, v, tol=1e-300, permutation={"n": 9},
+                               rng=np.random.default_rng(0))
+        assert 1 <= len(r) <= 3
+        assert np.all(rho <= 1.0 + 1e-10)
+
+    def test_independent_rank_deficient_data_fails_cleanly(self, rng):
+        for _ in range(5):
+            y, v = rng.normal(size=(60, 10)), rng.normal(size=(60, 3))
+            try:
+                r, *_ = two_stage(y, v, tol=1e-300, permutation={"n": 9},
+                                  rng=rng)
+            except ClimfactError:
+                continue
+            assert len(r) <= 3
 
 
 class TestExtractFactors:
