@@ -14,9 +14,10 @@ by the square root of the quadrature weights, which turns the weighted
 surface inner product into a plain dot product. The surface covariance
 operator itself is never materialized; its spectrum comes from the T x T
 Gram matrix of the centered frames and is exact for sample operators.
-The permutation null works through the same T x T Gram matrix: each
-shuffle of the panel is scored against it, so the shuffled p x D cross
-covariance is never formed either.
+The permutation null works through the same T x T Gram matrix: when the
+grid is wider than the sample, each shuffle of the panel is scored
+against its eigensystem's scores, so the shuffled p x D cross covariance
+is never formed either.
 """
 
 import warnings
@@ -34,7 +35,6 @@ from .grid import Surface
 from .ingest import align
 
 COND_LIMIT = 1e10
-_SHUFFLE_BLOCK = 16  # shuffles per batched eigensolve in the null
 
 
 # -- hat-space embedding --------------------------------------------------
@@ -84,9 +84,10 @@ def cross_singular_triplets(yc, xc, tol=0.1, k=None):
     beta columns are orthonormal hat vectors, alpha columns orthonormal in
     R^p and r the singular values, descending. Components with
     r_k <= tol * r_1 are discarded unless k pins the count explicitly.
-    Either way the count is capped at the rank: at most min(T - 1, D)
-    components, each with r_k > 1e-12 * r_1, because dividing by a
-    vanishing singular value would fabricate a direction.
+    Either way the count is capped at the numerical rank, the eigenvalues
+    r_k**2 of the Gram form above p * eps * r_1**2 (its rounding floor),
+    because dividing by a vanishing singular value would fabricate a
+    direction.
     """
     T = yc.shape[0]
     cross = yc.T @ xc / (T - 1)  # rows are the operator's coordinate surfaces
@@ -97,7 +98,7 @@ def cross_singular_triplets(yc, xc, tol=0.1, k=None):
     r = np.sqrt(np.clip(vals, 0.0, None))
     if r[0] <= 0.0:
         raise ZeroCrossCovariance("cross-covariance is identically zero")
-    rank = min(int(np.sum(r > 1e-12 * r[0])), T - 1, xc.shape[1])
+    rank = int(np.sum(vals > len(vals) * np.finfo(float).eps * vals[0]))
     if k is None:
         k = min(int(np.sum(r > tol * r[0])), rank)
         if k == 0:
@@ -176,12 +177,11 @@ def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None):
     returned, min(p, D, T - 1) values in all.
 
     The work stays in T-space: the singular values of yc[perm].T @ xc are
-    those of yc[perm].T @ Z for any Z with Z @ Z.T == xc @ xc.T, so they
-    are the square roots of the eigenvalues of the p x p matrix
-    yc[perm].T @ G @ yc[perm] with G = xc @ xc.T formed once. The p x D
-    shuffled cross covariance is never built, and the cost no longer
-    grows with the surface width D. Shuffles run in blocks of
-    _SHUFFLE_BLOCK with one batched eigensolve per block.
+    those of yc[perm].T @ Z for any Z with Z @ Z.T == xc @ xc.T. Z is the
+    narrower of xc itself (D <= T) and the (T, r) scores of the T x T
+    Gram eigensystem, formed once per call, so a shuffle costs
+    2 T p r + 2 p**2 r flops with r <= min(T, D): never more than the
+    shuffled p x D cross covariance, which for D > T is never built.
 
     Draw contract: exactly n_shuffles calls to rng.permutation(T), one
     per shuffle in order. fit_fira passes one generator through all its
@@ -190,17 +190,14 @@ def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None):
     if rng is None:
         rng = np.random.default_rng(42)
     T, p = yc.shape
-    k_max = min(p, xc.shape[1], T - 1)
-    gram = xc @ xc.T
+    D = xc.shape[1]
+    k_max = min(p, D, T - 1)
+    z = xc if D <= T else gram_eigensystem(xc, rel_tol=0.0)[1]
     null = np.empty((n_shuffles, k_max))
-    block = np.empty((_SHUFFLE_BLOCK, p, p))
-    for start in range(0, n_shuffles, _SHUFFLE_BLOCK):
-        b = min(_SHUFFLE_BLOCK, n_shuffles - start)
-        for i in range(b):
-            yp = yc[rng.permutation(T)]
-            block[i] = yp.T @ (gram @ yp)
-        vals = np.linalg.eigvalsh(block[:b])[:, ::-1][:, :k_max]
-        null[start:start + b] = np.sqrt(np.clip(vals, 0.0, None)) / (T - 1)
+    for s in range(n_shuffles):
+        c = yc[rng.permutation(T)].T @ z
+        null[s] = np.linalg.eigvalsh(c @ c.T)[::-1][:k_max]
+    null = np.sqrt(np.clip(null, 0.0, None)) / (T - 1)
     return np.quantile(null, level, axis=0)
 
 

@@ -8,7 +8,6 @@ from climfact.errors import (
     ZeroCrossCovariance,
 )
 from climfact.factors import (
-    _SHUFFLE_BLOCK,
     associated_factors,
     canonical_correlations,
     center_columns,
@@ -199,11 +198,11 @@ class TestPermutationCutoffs:
     @pytest.mark.parametrize("T, p, D", [
         (60, 5, 12),     # D < T
         (40, 6, 90),     # D > T
+        (40, 6, 40),     # D = T
         (30, 29, 50),    # p = T - 1
         (50, 8, 3),      # D < p: the null has D ranks
     ])
-    @pytest.mark.parametrize("n_shuffles", [1, _SHUFFLE_BLOCK,
-                                            2 * _SHUFFLE_BLOCK + 5])
+    @pytest.mark.parametrize("n_shuffles", [1, 16, 37])
     def test_matches_the_shuffled_cross_reference(self, rng, T, p, D,
                                                   n_shuffles):
         for _ in range(3):
@@ -242,6 +241,24 @@ class TestRankCap:
         r, rho, *_ = two_stage(y, v, tol=1e-300, permutation={"n": 9},
                                rng=np.random.default_rng(0))
         assert 1 <= len(r) <= 3
+        assert np.all(rho <= 1.0 + 1e-10)
+
+    def test_duplicate_sector_drops_its_numerical_zero(self, rng):
+        # a repeated column leaves p - 1 = 5 components inside the
+        # structural bound min(T - 1, D) = 30; the sixth sits at the
+        # rounding floor and must not reach the CCA
+        T = 80
+        v = rng.normal(size=(T, 30))
+        y = rng.normal(size=(T, 6))
+        y[:, :3] += v[:, :3]
+        y[:, 5] = y[:, 4]
+        yc, _ = center_columns(y)
+        vc, _ = center_columns(v)
+        r, _, beta = cross_singular_triplets(yc, vc, tol=1e-300)
+        assert len(r) == 5
+        np.testing.assert_allclose(beta.T @ beta, np.eye(5), atol=1e-10)
+        r, rho, *_ = two_stage(y, v, tol=1e-300)
+        assert len(r) == 5
         assert np.all(rho <= 1.0 + 1e-10)
 
     def test_independent_rank_deficient_data_fails_cleanly(self, rng):
