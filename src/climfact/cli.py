@@ -12,6 +12,7 @@ failure.
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -134,28 +135,22 @@ def _region_mask(domain, entry):
                 lat, lon = float(row[0]), float(row[1])
             except (ValueError, IndexError):
                 raise ParseError("bad region row", path=path, line=lineno) from None
-            i = int(np.floor((lat - domain.lat_min) / domain.step_lat))
-            j = int(np.floor((lon - domain.lon_min) / domain.step_lon))
+            if not (math.isfinite(lat) and math.isfinite(lon)):
+                raise ParseError(f"non-finite region cell ({lat}, {lon})",
+                                 path=path, line=lineno)
+            i = (lat - domain.lat_min) / domain.step_lat
+            j = (lon - domain.lon_min) / domain.step_lon
             if not (0 <= i < domain.n_lat and 0 <= j < domain.n_lon):
                 raise EmptyRegion(
                     f"region cell ({lat}, {lon}) lies outside the grid"
                 )
-            mask[i, j] = True
+            mask[int(i), int(j)] = True
     return mask
 
 
 def _regions(config, domain):
     entries = config.get("regions") or [{"name": "ALL", "cells": "all"}]
     return {e["name"]: _region_mask(domain, e) for e in entries}
-
-
-def _region_average(domain, raster, region_mask):
-    combined = region_mask & domain.mask
-    w = domain.weights[combined]
-    total = w.sum()
-    if total <= 0:
-        raise EmptyRegion("region has no overlap with valid cells")
-    return float(raster[combined] @ (w / total))
 
 
 def _load_panel(config, key, required=False):
@@ -231,34 +226,25 @@ def cmd_baseline(args, config):
     for name in grids:
         series = grids[name]
         baseline = cl.compute_baseline(series, window)
-        with open(out / f"baseline_{name}.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["month", "lat", "lon", "value"])
-            lat_c, lon_c = series.domain.lat_centers, series.domain.lon_centers
-            ii, jj = np.nonzero(series.domain.mask)
-            for m in range(12):
-                grid = baseline.month_means[m]
-                for i, j in zip(ii, jj):
-                    writer.writerow([
-                        f"{m + 1:02d}",
-                        ingest.format_float(lat_c[i]),
-                        ingest.format_float(lon_c[j]),
-                        ingest.format_float(grid[i, j]),
-                    ])
+        lat_c, lon_c = series.domain.lat_centers, series.domain.lon_centers
+        ii, jj = np.nonzero(series.domain.mask)
+        ingest.write_csv(out / f"baseline_{name}.csv",
+                         ["month", "lat", "lon", "value"], (
+            [f"{m + 1:02d}", ingest.format_float(lat_c[i]),
+             ingest.format_float(lon_c[j]), ingest.format_float(grid[i, j])]
+            for m, grid in enumerate(baseline.month_means)
+            for i, j in zip(ii, jj)
+        ))
         for region_name, region in _regions(config, series.domain).items():
-            row = [region_name, name]
-            for m in range(12):
-                row.append(_region_average(series.domain,
-                                           baseline.month_means[m], region))
-            summary_rows.append(row)
-    with open(out / "baseline_summary.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["region", "variable"]
-                        + [f"m{m + 1:02d}" for m in range(12)])
-        for row in summary_rows:
-            writer.writerow(row[:2] + [ingest.format_float(v) for v in row[2:]])
+            cells, w = cl.region_weights(series.domain, region)
+            # one dot per month: a batched (12, n) @ w rounds differently
+            summary_rows.append(
+                [region_name, name]
+                + [ingest.format_float(baseline.month_means[m][cells] @ w)
+                   for m in range(12)])
+    ingest.write_csv(out / "baseline_summary.csv",
+                     ["region", "variable"]
+                     + [f"m{m + 1:02d}" for m in range(12)], summary_rows)
     _say(args, f"baseline: {len(grids)} variable(s) -> {out}")
     return EXIT_OK
 
@@ -275,12 +261,11 @@ def cmd_anomaly(args, config):
             ingest.write_gridded_csv(anomalies, out / f"anomaly_{name}.csv")
         for region_name, region in _regions(config, series.domain).items():
             scalar = cl.regional_mean(anomalies, region)
-            with open(out / f"anomaly_mean_{name}_{region_name}.csv", "w",
-                      newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["time", "value"])
-                for t, v in zip(scalar.times, scalar.values):
-                    writer.writerow([str(t), ingest.format_float(v)])
+            ingest.write_csv(
+                out / f"anomaly_mean_{name}_{region_name}.csv",
+                ["time", "value"],
+                ([str(t), ingest.format_float(v)]
+                 for t, v in zip(scalar.times, scalar.values)))
     _say(args, f"anomaly: {len(grids)} variable(s) -> {out}")
     return EXIT_OK
 
@@ -362,7 +347,7 @@ def cmd_lp(args, config):
     for subset, group in groups.values():
         battery = lp.run_battery(panel, shock_table, spec,
                                  extra_endogenous=subset, controls=controls,
-                                 sectors=group, threads=args.threads)
+                                 sectors=group)
         merged_results.update(battery.results)
         merged_failures.extend(battery.failures)
     order = {s: i for i, s in enumerate(sectors)}
@@ -378,19 +363,15 @@ def cmd_lp(args, config):
 
     for (sector, variant), result in battery.results.items():
         stem = f"lp_{sector}_{variant}"
-        with open(out / f"{stem}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["sector", "variant", "h", "estimate", "se",
-                             "lo", "hi", "p", "l"])
-            for h in result.horizons:
-                writer.writerow([
-                    sector, variant, int(h),
-                    ingest.format_float(result.estimate[h]),
-                    ingest.format_float(result.se[h]),
-                    ingest.format_float(result.lo[h]),
-                    ingest.format_float(result.hi[h]),
-                    result.p, result.l,
-                ])
+        ingest.write_csv(
+            out / f"{stem}.csv",
+            ["sector", "variant", "h", "estimate", "se", "lo", "hi", "p", "l"],
+            ([sector, variant, int(h),
+              ingest.format_float(result.estimate[h]),
+              ingest.format_float(result.se[h]),
+              ingest.format_float(result.lo[h]),
+              ingest.format_float(result.hi[h]),
+              result.p, result.l] for h in result.horizons))
         if section.get("figures", True):
             svg = svgplot.fan_chart(
                 result.horizons, result.estimate, result.lo, result.hi,
@@ -399,11 +380,9 @@ def cmd_lp(args, config):
             )
             (out / f"{stem}.svg").write_text(svg, encoding="utf-8")
 
-    with open(out / "failures.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sector", "variant", "error", "detail"])
-        for sector, variant, err, detail in battery.failures:
-            writer.writerow([sector, variant, err, detail])
+    ingest.write_csv(out / "failures.csv",
+                     ["sector", "variant", "error", "detail"],
+                     battery.failures)
 
     n_ok, n_fail = len(battery.results), len(battery.failures)
     _say(args, f"lp: {n_ok} cell(s) ok, {n_fail} failed -> {out}")
@@ -431,13 +410,12 @@ def cmd_factors(args, config):
     )
     diagnostic = af.regularity_diagnostic(panel, series)
 
-    with open(out / "factor_loadings.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sector"] + [f"a{k + 1}" for k in range(result.k)])
-        for j, sector in enumerate(result.sector_ids):
-            writer.writerow([sector] + [ingest.format_float(result.a[k, j])
-                                        for k in range(result.k)])
+    ingest.write_csv(
+        out / "factor_loadings.csv",
+        ["sector"] + [f"a{k + 1}" for k in range(result.k)],
+        ([sector] + [ingest.format_float(result.a[k, j])
+                     for k in range(result.k)]
+         for j, sector in enumerate(result.sector_ids)))
     for k in range(result.k):
         ingest.write_surface_csv(result.b_surface(k),
                                  out / f"factor_b_{k + 1}.csv",
@@ -486,17 +464,14 @@ def cmd_fira(args, config):
             series.domain, profile=spec.get("profile", "cosine-taper"),
         )
         response = fr.respond(fitted, shock)
-        with open(out / f"fira_response_{idx + 1}.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["sector", "h", "response", "response_pp"])
-            for j, sector in enumerate(response.sector_ids):
-                for h in response.horizons:
-                    writer.writerow([
-                        sector, int(h),
-                        ingest.format_float(response.canonical[h, j]),
-                        ingest.format_float(response.percentage_points[h, j]),
-                    ])
+        ingest.write_csv(
+            out / f"fira_response_{idx + 1}.csv",
+            ["sector", "h", "response", "response_pp"],
+            ([sector, int(h),
+              ingest.format_float(response.canonical[h, j]),
+              ingest.format_float(response.percentage_points[h, j])]
+             for j, sector in enumerate(response.sector_ids)
+             for h in response.horizons))
         figure = svgplot.fira_figure(
             series.domain, shock.surface.values, response.canonical,
             response.sector_ids, response.horizons,
@@ -631,8 +606,6 @@ def build_parser():
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="seed override for "
                                                  "permutation tests")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for batteries")
     parser.add_argument("--quiet", action="store_true")
     return parser
 

@@ -7,7 +7,6 @@ clears a threshold and the sign/season/extreme filters; every other
 period is an exact zero so regression designs keep a full time axis.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -16,7 +15,7 @@ import numpy as np
 from . import months
 from .errors import EmptyRegion, InsufficientHistory, NonConformable
 from .grid import SurfaceSeries
-from .ingest import format_float
+from .ingest import format_float, write_csv
 
 DEFAULT_REFERENCE_WINDOW = (1950, 1980)
 DEFAULT_THRESHOLD_WINDOW = (2001, 2021)
@@ -48,7 +47,7 @@ class MonthlyBaseline:
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarSeries:
+class ScalarSeries(months.MonthlySeries):
     """Plain monthly scalar series (regional means, anomaly averages)."""
 
     times: np.ndarray
@@ -56,21 +55,7 @@ class ScalarSeries:
     name: str = "value"
 
     def __post_init__(self):
-        times = months.check_monthly(
-            np.asarray(self.times, dtype="datetime64[M]"), self.name
-        )
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(times),):
-            raise NonConformable("scalar series shape mismatch")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self):
-        return len(self.times)
-
-    def slice_window(self, start, end):
-        sel = (self.times >= start) & (self.times <= end)
-        return type(self)(self.times[sel], self.values[sel], self.name)
+        self._set_axis(self.name, (), NonConformable)
 
 
 @dataclass(frozen=True)
@@ -91,7 +76,7 @@ class ShockConditioning:
 
 
 @dataclass(frozen=True, eq=False)
-class ShockSeries:
+class ShockSeries(months.MonthlySeries):
     """Thresholded anomaly series; filtered-out periods are exact zeros."""
 
     times: np.ndarray
@@ -101,26 +86,11 @@ class ShockSeries:
     name: str = "shock"
 
     def __post_init__(self):
-        times = months.check_monthly(
-            np.asarray(self.times, dtype="datetime64[M]"), "shock series"
-        )
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(times),):
-            raise NonConformable("shock series shape mismatch")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self):
-        return len(self.times)
+        self._set_axis("shock series", (), NonConformable)
 
     @property
     def n_events(self):
         return int(np.count_nonzero(self.values))
-
-    def slice_window(self, start, end):
-        sel = (self.times >= start) & (self.times <= end)
-        return ShockSeries(self.times[sel], self.values[sel], self.threshold,
-                           self.conditioning, self.name)
 
 
 # -- operations ----------------------------------------------------------
@@ -156,24 +126,33 @@ def anomaly(series, baseline):
                          f"{series.name}_anomaly")
 
 
-def regional_mean(series, region_mask=None):
-    """Weight-renormalized mean over a region, one value per period."""
-    domain = series.domain
+def region_weights(domain, region_mask=None):
+    """Valid cells of a region and their weights renormalized to sum to one.
+
+    Returns (cells, w): a boolean raster of the region's valid cells and
+    their weights in row-major order, so ``raster[cells] @ w`` is the
+    regional mean of a raster. region_mask None means the whole domain.
+    """
     if region_mask is None:
-        combined = domain.mask
+        cells = domain.mask
     else:
         region_mask = np.asarray(region_mask, dtype=bool)
         if region_mask.shape != domain.shape:
             raise NonConformable(
                 f"region shape {region_mask.shape} does not match grid"
             )
-        combined = region_mask & domain.mask
-    w = domain.weights[combined]
+        cells = region_mask & domain.mask
+    w = domain.weights[cells]
     total = w.sum()
     if total <= 0:
         raise EmptyRegion("region has no overlap with valid cells")
-    flat = series.values[:, combined]
-    return ScalarSeries(series.times, flat @ (w / total),
+    return cells, w / total
+
+
+def regional_mean(series, region_mask=None):
+    """Weight-renormalized mean over a region, one value per period."""
+    cells, w = region_weights(series.domain, region_mask)
+    return ScalarSeries(series.times, series.values[:, cells] @ w,
                         f"{series.name}_regional_mean")
 
 
@@ -251,8 +230,6 @@ def shock_variants(anomaly_series, threshold, extreme_multiplier=1.5,
 
 def write_shock_csv(shock, path):
     """Export a shock series as ``time,value`` for external inspection."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "value"])
-        for t, v in zip(shock.times, shock.values):
-            writer.writerow([str(t), format_float(v)])
+    write_csv(path, ["time", "value"],
+              ([str(t), format_float(v)]
+               for t, v in zip(shock.times, shock.values)))

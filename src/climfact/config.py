@@ -53,8 +53,9 @@ SCHEMA = {
                     "path": {"type": "string"},
                     "step": {
                         "anyOf": [
-                            {"type": "number"},
-                            {"type": "array", "items": {"type": "number"},
+                            {"type": "number", "exclusiveMinimum": 0},
+                            {"type": "array",
+                             "items": {"type": "number", "exclusiveMinimum": 0},
                              "minItems": 2, "maxItems": 2},
                         ]
                     },

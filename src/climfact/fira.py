@@ -23,7 +23,7 @@ from .errors import (
     NonConformable,
 )
 from .grid import EARTH_RADIUS_KM, Surface, SurfaceSeries
-from .ingest import SectorPanel, common_window
+from .ingest import SectorPanel, align
 
 MIN_DESIGN_WINDOW = 24
 
@@ -77,10 +77,7 @@ def build_design(x, y=None, z=None, lags=(0, 0, 0), standardize=False):
     if z is not None and l > 0:
         sources.append(("z", z, range(1, l + 1)))
 
-    objs = [obj for _, obj, _ in sources]
-    if len(objs) > 1:
-        start, end = common_window(*objs)
-        objs = [o.slice_window(start, end) for o in objs]
+    objs, _ = align(*(obj for _, obj, _ in sources))
     sources = [(name, obj, lag_range)
                for (name, _, lag_range), obj in zip(sources, objs)]
 

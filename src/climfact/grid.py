@@ -189,7 +189,7 @@ def norm(f):
 
 
 @dataclass(frozen=True, eq=False)
-class SurfaceSeries:
+class SurfaceSeries(months.MonthlySeries):
     """Monthly stack of fields over one shared GridDomain.
 
     values has shape (T, n_lat, n_lon); the time axis is strictly monthly.
@@ -201,28 +201,12 @@ class SurfaceSeries:
     name: str = "value"
 
     def __post_init__(self):
-        times = months.check_monthly(
-            np.asarray(self.times, dtype="datetime64[M]"), "surface series"
-        )
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(times),) + self.domain.shape:
-            raise NonConformable(
-                f"frame stack shape {values.shape} does not match "
-                f"{(len(times),) + self.domain.shape}"
-            )
-        if not np.all(np.isfinite(values[:, self.domain.mask])):
+        self._set_axis("surface series", self.domain.shape, NonConformable)
+        if not np.all(np.isfinite(self.values[:, self.domain.mask])):
             raise NonConformable("series has non-finite values on valid cells")
-        object.__setattr__(self, "times", _readonly(times))
-        object.__setattr__(self, "values", _readonly(values))
-
-    def __len__(self):
-        return len(self.times)
+        object.__setattr__(self, "times", _readonly(self.times))
+        object.__setattr__(self, "values", _readonly(self.values))
 
     def valid_matrix(self):
         """(T, n_valid) view of the valid cells, row-major cell order."""
         return self.values[:, self.domain.mask]
-
-    def slice_window(self, start, end):
-        """Restrict to the inclusive [start, end] month window."""
-        sel = (self.times >= start) & (self.times <= end)
-        return SurfaceSeries(self.domain, self.times[sel], self.values[sel], self.name)

@@ -39,7 +39,7 @@ _SGF_MAGIC = b"SGF1"
 
 
 @dataclass(frozen=True, eq=False)
-class SectorPanel:
+class SectorPanel(months.MonthlySeries):
     """Monthly matrix of sectoral price changes, one column per sector."""
 
     times: np.ndarray
@@ -48,16 +48,7 @@ class SectorPanel:
     dropped: tuple = ()
 
     def __post_init__(self):
-        times = months.check_monthly(
-            np.asarray(self.times, dtype="datetime64[M]"), "sector panel"
-        )
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(times), len(self.sector_ids)):
-            raise ParseError(
-                f"panel shape {values.shape} does not match axis lengths"
-            )
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        self._set_axis("sector panel", (len(self.sector_ids),), ParseError)
         object.__setattr__(self, "sector_ids", tuple(self.sector_ids))
         object.__setattr__(self, "dropped", tuple(self.dropped))
 
@@ -67,11 +58,6 @@ class SectorPanel:
 
     def column(self, sector_id):
         return self.values[:, self.sector_ids.index(sector_id)]
-
-    def slice_window(self, start, end):
-        sel = (self.times >= start) & (self.times <= end)
-        return type(self)(self.times[sel], self.sector_ids, self.values[sel],
-                          self.dropped)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,10 +184,14 @@ def _load_gridded_binary(path, variable, weighting):
     )
     if magic != _SGF_MAGIC:
         raise ParseError("bad magic", path=path, offset=0)
-    n_lat = int(round((lat_max - lat_min) / step_lat))
-    n_lon = int(round((lon_max - lon_min) / step_lon))
-    if n_lat < 1 or n_lon < 1:
+    for offset, step in ((36, step_lat), (44, step_lon)):
+        if not (math.isfinite(step) and step > 0):
+            raise ParseError(f"grid step {step} must be finite and positive",
+                             path=path, offset=offset)
+    extents = ((lat_max - lat_min) / step_lat, (lon_max - lon_min) / step_lon)
+    if not all(math.isfinite(e) and round(e) >= 1 for e in extents):
         raise ParseError("degenerate grid bounds", path=path, offset=4)
+    n_lat, n_lon = (int(round(e)) for e in extents)
     frame_bytes = 4 + 8 * n_lat * n_lon
     expected = header.size + n_frames * frame_bytes
     if len(blob) != expected:
@@ -232,24 +222,27 @@ def format_float(x):
     return repr(float(x))
 
 
+def write_csv(path, header, rows):
+    """Write a header row and then rows in the one dialect of every CSV
+    output: UTF-8, comma separated, minimal quoting, ``\\n`` line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_gridded_csv(series, path):
     """Write a SurfaceSeries as format A; masked cells are omitted."""
     domain = series.domain
     lat_c = domain.lat_centers
     lon_c = domain.lon_centers
     ii, jj = np.nonzero(domain.mask)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "lat", "lon", series.name])
-        for k, t in enumerate(series.times):
-            frame = series.values[k]
-            for i, j in zip(ii, jj):
-                writer.writerow([
-                    str(t),
-                    format_float(lat_c[i]),
-                    format_float(lon_c[j]),
-                    format_float(frame[i, j]),
-                ])
+    write_csv(path, ["time", "lat", "lon", series.name], (
+        [str(t), format_float(lat_c[i]), format_float(lon_c[j]),
+         format_float(frame[i, j])]
+        for t, frame in zip(series.times, series.values)
+        for i, j in zip(ii, jj)
+    ))
 
 
 def write_gridded_binary(series, path):
@@ -363,36 +356,31 @@ def load_control_panel(path, transform="yoy"):
 
 
 def write_panel_csv(panel, path, time_label="time"):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([time_label, *panel.sector_ids])
-        for k, t in enumerate(panel.times):
-            writer.writerow([str(t), *(format_float(v) for v in panel.values[k])])
+    write_csv(path, [time_label, *panel.sector_ids],
+              ([str(t), *(format_float(v) for v in row)]
+               for t, row in zip(panel.times, panel.values)))
 
 
 # -- alignment -----------------------------------------------------------
 
 
-def common_window(*objs):
-    """Inclusive (start, end) months shared by every input's time axis."""
-    starts = [np.asarray(o.times)[0] for o in objs]
-    ends = [np.asarray(o.times)[-1] for o in objs]
+def align(*objs):
+    """Truncate every input to the maximal common contiguous window.
+
+    Returns (trimmed objects, (start, end)) with the inputs in order.
+    Inputs expose a monthly ``times`` axis and a ``slice_window`` method;
+    a None input passes through as None, and at least one must be given.
+    """
+    present = [o for o in objs if o is not None]
+    if not present:
+        raise ValueError("align needs at least one input")
+    starts = [o.times[0] for o in present]
+    ends = [o.times[-1] for o in present]
     start, end = max(starts), min(ends)
     if start > end:
         raise EmptyIntersection(
             f"no common window: starts {[str(s) for s in starts]}, "
             f"ends {[str(e) for e in ends]}"
         )
-    return start, end
-
-
-def align(*objs):
-    """Truncate every input to the maximal common contiguous window.
-
-    Returns (trimmed objects, (start, end)). Inputs must expose a monthly
-    ``times`` axis and a ``slice_window`` method.
-    """
-    if len(objs) < 2:
-        raise ValueError("align needs at least two inputs")
-    start, end = common_window(*objs)
-    return [o.slice_window(start, end) for o in objs], (start, end)
+    return ([None if o is None else o.slice_window(start, end) for o in objs],
+            (start, end))

@@ -230,19 +230,8 @@ def irf(sector, panel, shock, spec=None, extra_endogenous=None, controls=None):
     """
     if spec is None:
         spec = LpSpec()
-    inputs = [panel, shock]
-    if extra_endogenous is not None:
-        inputs.append(extra_endogenous)
-    if controls is not None:
-        inputs.append(controls)
-    trimmed, _ = align(*inputs)
-    panel_t, shock_t = trimmed[0], trimmed[1]
-    idx = 2
-    extra_t = None
-    if extra_endogenous is not None:
-        extra_t = trimmed[idx]
-        idx += 1
-    ctrl_t = trimmed[idx] if controls is not None else None
+    (panel_t, shock_t, extra_t, ctrl_t), _ = align(
+        panel, shock, extra_endogenous, controls)
 
     y = panel_t.column(sector)
     x = shock_t.values
@@ -283,39 +272,23 @@ class BatteryResult:
 
 
 def run_battery(panel, shocks, spec=None, extra_endogenous=None,
-                controls=None, sectors=None, threads=1):
+                controls=None, sectors=None):
     """Map irf over sectors x shock variants; failures never abort the run.
 
-    shocks is a mapping variant-name -> ShockSeries. Cells are independent
-    regressions, so threads > 1 fans them out over a pool; results are
-    aggregated in panel column order then variant insertion order either
-    way, so output is deterministic.
+    shocks is a mapping variant-name -> ShockSeries. Cells run in panel
+    column order then variant insertion order, so output is deterministic.
     """
     if sectors is None:
         sectors = panel.sector_ids
-    cells = [(sector, variant) for sector in sectors for variant in shocks]
-
-    def run_cell(cell):
-        sector, variant = cell
-        try:
-            return irf(sector, panel, shocks[variant], spec,
-                       extra_endogenous=extra_endogenous, controls=controls)
-        except Exception as exc:  # recorded per cell, battery continues
-            return (type(exc).__name__, str(exc))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_cell, cells))
-    else:
-        outcomes = [run_cell(c) for c in cells]
-
     results = {}
     failures = []
-    for cell, outcome in zip(cells, outcomes):
-        if isinstance(outcome, IrfResult):
-            results[cell] = outcome
-        else:
-            failures.append(cell + outcome)
+    for sector in sectors:
+        for variant in shocks:
+            try:
+                results[(sector, variant)] = irf(
+                    sector, panel, shocks[variant], spec,
+                    extra_endogenous=extra_endogenous, controls=controls)
+            except Exception as exc:  # recorded per cell, battery continues
+                failures.append((sector, variant, type(exc).__name__,
+                                 str(exc)))
     return BatteryResult(results=results, failures=tuple(failures))

@@ -1,5 +1,7 @@
 """Helpers for strictly-monthly time axes stored as numpy datetime64[M]."""
 
+import dataclasses
+
 import numpy as np
 
 from .errors import IrregularCalendar
@@ -72,3 +74,32 @@ def season_mask(times, season):
         return np.ones(len(times), dtype=bool)
     months = month_numbers(times)
     return np.isin(months, SEASONS[season])
+
+
+class MonthlySeries:
+    """Monthly ``times`` axis with float ``values`` running along it.
+
+    Mixin for the frozen series dataclasses (surfaces, scalars, shocks,
+    panels). Each calls ``_set_axis`` from ``__post_init__`` and adds only
+    its own checks; ``slice_window`` rebuilds through the constructor, so
+    a window runs the same checks and keeps every other field.
+    """
+
+    def _set_axis(self, what, trailing, error):
+        """Validate and store times and values of shape (T,) + trailing."""
+        times = check_monthly(np.asarray(self.times, dtype="datetime64[M]"), what)
+        values = np.asarray(self.values, dtype=float)
+        expected = (len(times),) + trailing
+        if values.shape != expected:
+            raise error(f"{what} shape {values.shape} does not match {expected}")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+
+    def __len__(self):
+        return len(self.times)
+
+    def slice_window(self, start, end):
+        """Restrict to the inclusive [start, end] month window."""
+        sel = (self.times >= start) & (self.times <= end)
+        return dataclasses.replace(self, times=self.times[sel],
+                                   values=self.values[sel])

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,12 @@ import pytest
 
 from climfact import cli
 from climfact.grid import SurfaceSeries, build_domain
-from climfact.ingest import SectorPanel, write_gridded_csv, write_panel_csv
+from climfact.ingest import (
+    SectorPanel,
+    write_gridded_binary,
+    write_gridded_csv,
+    write_panel_csv,
+)
 from climfact.synth import EA_MONTHLY_NORMALS
 
 
@@ -89,6 +95,36 @@ class TestBaseline:
         code = cli.main(["baseline", "--config", config,
                          "--out", str(tmp_path / "out")])
         assert code == 3
+
+    @pytest.mark.parametrize("case", [
+        "region nan,nan", "region inf,10.25", "sgf step_lat 0.0",
+        "sgf step_lat nan", "config step 0", "config step -0.5",
+        "config step [0.5, -0.5]",
+    ])
+    def test_malformed_input_exits_cleanly(self, tmp_path, capsys, case):
+        domain = build_domain((50.0, 51.0, 10.0, 11.0), 0.5)
+        times = np.datetime64("2001-01", "M") + np.arange(24)
+        series = SurfaceSeries(domain, times,
+                               np.ones((24,) + domain.shape), "t")
+        grid = {"name": "t", "path": str(tmp_path / "grid.csv")}
+        write_gridded_csv(series, grid["path"])
+        doc = {"grids": [grid], "baseline": {"reference_window": [2001, 2002]}}
+        kind, detail = case.split(" ", 1)
+        if kind == "region":
+            (tmp_path / "region.csv").write_text(f"lat,lon\n{detail}\n")
+            doc["regions"] = [{"name": "R", "path": str(tmp_path / "region.csv")}]
+        elif kind == "sgf":
+            grid["path"] = str(tmp_path / "grid.sgf")
+            write_gridded_binary(series, grid["path"])
+            blob = bytearray(Path(grid["path"]).read_bytes())
+            struct.pack_into("<d", blob, 36, float(detail.split()[1]))
+            Path(grid["path"]).write_bytes(bytes(blob))
+        else:
+            grid["step"] = json.loads(detail.split(" ", 1)[1])
+        code = cli.main(["baseline", "--config", _write_config(tmp_path, doc),
+                         "--out", str(tmp_path / "out"), "--quiet"])
+        assert code in (2, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = _write_config(tmp_path, {"grids": [], "bogus": 1})

@@ -222,3 +222,60 @@ class TestAlign:
         assert window == (np.datetime64("2002-06", "M"),
                           np.datetime64("2010-12", "M"))
         assert all(len(t) == len(trimmed[0]) for t in trimmed)
+
+    def test_none_passes_through_and_one_input_aligns(self):
+        a = _scalar("2001-01", "2002-12")
+        b = _scalar("2002-01", "2003-12")
+        (a2, none, b2), window = align(a, None, b)
+        assert none is None
+        assert window == (np.datetime64("2002-01", "M"),
+                          np.datetime64("2002-12", "M"))
+        assert len(a2) == len(b2) == 12
+        (alone,), window = align(a)
+        assert window == (a.times[0], a.times[-1])
+        np.testing.assert_array_equal(alone.values, a.values)
+        with pytest.raises(ValueError):
+            align(None)
+
+
+def _window_cases():
+    """One instance of each monthly series type, 24 months from 2001-01,
+    with every field off the time axis set away from its default."""
+    from climfact.climatology import ScalarSeries, ShockConditioning, ShockSeries
+    from climfact.ingest import ControlPanel, SectorPanel
+
+    times = np.datetime64("2001-01", "M") + np.arange(24)
+    values = np.arange(24.0)
+    domain = build_domain((50.0, 51.0, 8.0, 9.0), 0.5)
+    cond = ShockConditioning(sign="negative", season="summer",
+                             extreme_multiplier=2.0)
+    panel = np.column_stack([values, -values])
+    return [
+        (SurfaceSeries(domain, times, values[:, None, None]
+                       * np.ones(domain.shape), "tmax"),
+         {"domain": domain, "name": "tmax"}),
+        (ScalarSeries(times, values, "mean"), {"name": "mean"}),
+        (ShockSeries(times, values, 1.5, cond, "summer"),
+         {"threshold": 1.5, "conditioning": cond, "name": "summer"}),
+        (SectorPanel(times, ["A", "B"], panel, ["C"]),
+         {"sector_ids": ("A", "B"), "dropped": ("C",)}),
+        (ControlPanel(times, ["Z1", "Z2"], panel, ["Z3"]),
+         {"sector_ids": ("Z1", "Z2"), "dropped": ("Z3",)}),
+    ]
+
+
+@pytest.mark.parametrize("series,fields", _window_cases(), ids=[
+    "SurfaceSeries", "ScalarSeries", "ShockSeries", "SectorPanel",
+    "ControlPanel"])
+def test_windowing_keeps_type_and_every_field_off_the_time_axis(series,
+                                                                 fields):
+    start, end = np.datetime64("2001-04", "M"), np.datetime64("2001-09", "M")
+    other = _scalar("2001-04", "2001-09")
+    for cut in (series.slice_window(start, end), align(series, other)[0][0]):
+        assert type(cut) is type(series)
+        assert len(cut) == 6
+        assert cut.times[0] == start and cut.times[-1] == end
+        np.testing.assert_array_equal(cut.values, series.values[3:9])
+        for name, value in fields.items():
+            got = getattr(cut, name)
+            assert got is value if name == "domain" else got == value

@@ -248,17 +248,6 @@ class TestBattery:
         assert len(battery.failures) == 1
         assert battery.failures[0][:2] == ("S1", "all")
 
-    def test_threads_match_sequential(self, rng):
-        W, x = var1_simulate(300, PHI, B, rng)
-        panel = _panel(W[:, :2])
-        shocks = {"all": _shock_series(x)}
-        spec = LpSpec(h_max=3, p_max=1, l_max=1, lag_selection="fixed")
-        seq = run_battery(panel, shocks, spec)
-        par = run_battery(panel, shocks, spec, threads=4)
-        for key in seq.results:
-            np.testing.assert_array_equal(seq.results[key].estimate,
-                                          par.results[key].estimate)
-
     def test_design_shock_column_identity_across_seasons(self, rng):
         # data-level identity: seasonal shock columns sum to the all-season one
         values = rng.normal(1.0, 1.5, 240)
