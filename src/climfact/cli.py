@@ -11,6 +11,7 @@ failure.
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -44,25 +45,11 @@ EXIT_NUMERICAL = 4
 # -- small helpers ---------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def _write_json(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(doc), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True,
+                  default=lambda o: (o.tolist() if isinstance(o, np.ndarray)
+                                     else o.item()))
         fh.write("\n")
 
 
@@ -85,32 +72,34 @@ def _seed(args, config):
     return args.seed if args.seed is not None else config.get("seed", 42)
 
 
-def _load_grids(config, names=None):
-    table = {}
-    for i, entry in enumerate(cfg.require(config, "grids")):
-        if names is not None and entry["name"] not in names:
-            continue
-        step = entry.get("step")
-        if isinstance(step, list):
-            step = tuple(step)
-        try:
-            table[entry["name"]] = ingest.load_gridded(
-                entry["path"], variable=entry["name"], step=step,
-                weighting=entry.get("weighting", "coslat"),
-            )
-        except FileNotFoundError:
-            raise ConfigError(
-                f"config key grids[{i}].path: no such file {entry['path']!r}"
-            ) from None
-    if not table:
-        raise ConfigError("config key grids selects no input")
-    return table
+def _present(section, *keys, **renamed):
+    """Keyword arguments from the keys a config section sets.
+
+    An omitted key is left out, so it takes the default of the library
+    function it feeds. renamed maps a parameter to a key of another name.
+    """
+    renamed.update(zip(keys, keys))
+    return {param: section[key] for param, key in renamed.items()
+            if key in section}
 
 
-def _grid(config, grids, name):
-    if name not in grids:
+def _grid(config, name):
+    """Load the one grids[] entry called name."""
+    found = [(i, entry) for i, entry in enumerate(cfg.require(config, "grids"))
+             if entry["name"] == name]
+    if not found:
         raise ConfigError(f"config names unknown grid variable {name!r}")
-    return grids[name]
+    if len(found) > 1:
+        raise ConfigError(f"config key grids lists {name!r} "
+                          f"{len(found)} times")
+    i, entry = found[0]
+    try:
+        return ingest.load_gridded(entry["path"], variable=name,
+                                   **_present(entry, "step", "weighting"))
+    except FileNotFoundError:
+        raise ConfigError(
+            f"config key grids[{i}].path: no such file {entry['path']!r}"
+        ) from None
 
 
 def _region_mask(domain, entry):
@@ -132,9 +121,10 @@ def _region_mask(domain, entry):
             if not row:
                 continue
             try:
-                lat, lon = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                raise ParseError("bad region row", path=path, line=lineno) from None
+                lat, lon = map(float, row)
+            except ValueError:
+                raise ParseError(f"region row {row} is not lat,lon",
+                                 path=path, line=lineno) from None
             if not (math.isfinite(lat) and math.isfinite(lon)):
                 raise ParseError(f"non-finite region cell ({lat}, {lon})",
                                  path=path, line=lineno)
@@ -162,7 +152,7 @@ def _load_panel(config, key, required=False):
     loader = (ingest.load_sector_panel if key == "sectors"
               else ingest.load_control_panel)
     try:
-        return loader(entry["path"], transform=entry.get("transform", "yoy"))
+        return loader(entry["path"], **_present(entry, "transform"))
     except FileNotFoundError:
         raise ConfigError(
             f"config key panels.{key}.path: no such file {entry['path']!r}"
@@ -177,17 +167,28 @@ def _permutation(section):
     return permutation if isinstance(permutation, dict) else {}
 
 
+def _baseline(config, series):
+    return cl.compute_baseline(series, **_present(
+        config.get("baseline", {}), window="reference_window"))
+
+
 def _anomaly_series(config, series):
-    window = tuple(config.get("baseline", {}).get(
-        "reference_window", cl.DEFAULT_REFERENCE_WINDOW))
-    baseline = cl.compute_baseline(series, window)
-    return cl.anomaly(series, baseline)
+    return cl.anomaly(series, _baseline(config, series))
 
 
-def _shock_table(config, grids):
+def _factor_inputs(config, section):
+    """The section's surface series, as anomalies unless use_anomalies is
+    false, and the sector panel."""
+    series = _grid(config, section["variable"])
+    if section.get("use_anomalies", True):
+        series = _anomaly_series(config, series)
+    return series, _load_panel(config, "sectors", required=True)
+
+
+def _shock_table(config):
     """Threshold + conditioned shock variants from the shocks config."""
     section = cfg.require(config, "shocks")
-    series = _grid(config, grids, section["variable"])
+    series = _grid(config, section["variable"])
     anomalies = _anomaly_series(config, series)
     regions = _regions(config, series.domain)
     region_name = section.get("region")
@@ -196,7 +197,7 @@ def _shock_table(config, grids):
     if region_name not in regions:
         raise ConfigError(f"config names unknown region {region_name!r}")
     scalar = cl.regional_mean(anomalies, regions[region_name])
-    window = tuple(section.get("threshold_window", cl.DEFAULT_THRESHOLD_WINDOW))
+    window = section.get("threshold_window", cl.DEFAULT_THRESHOLD_WINDOW)
     threshold = section.get("threshold", "auto")
     if threshold == "auto":
         threshold = cl.default_threshold(scalar, window)
@@ -205,27 +206,21 @@ def _shock_table(config, grids):
                 f"auto threshold over {window[0]}-{window[1]} is "
                 f"{threshold!r}; shocks need a strictly positive threshold"
             )
-    variants = tuple(section.get("variants", ("all",)))
-    table = cl.shock_variants(
-        scalar, threshold,
-        extreme_multiplier=section.get("extreme_multiplier", 1.5),
-        variants=variants,
-    )
-    return float(threshold), window, region_name, scalar, table
+    table = cl.shock_variants(scalar, threshold,
+                              variants=section.get("variants", ("all",)),
+                              **_present(section, "extreme_multiplier"))
+    return float(threshold), window, region_name, table
 
 
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_baseline(args, config):
-    out = _out_dir(args, config)
-    grids = _load_grids(config)
-    window = tuple(config.get("baseline", {}).get(
-        "reference_window", cl.DEFAULT_REFERENCE_WINDOW))
+def cmd_baseline(args, config, out):
+    grids = {entry["name"]: _grid(config, entry["name"])
+             for entry in cfg.require(config, "grids")}
     summary_rows = []
-    for name in grids:
-        series = grids[name]
-        baseline = cl.compute_baseline(series, window)
+    for name, series in grids.items():
+        baseline = _baseline(config, series)
         lat_c, lon_c = series.domain.lat_centers, series.domain.lon_centers
         ii, jj = np.nonzero(series.domain.mask)
         ingest.write_csv(out / f"baseline_{name}.csv",
@@ -249,13 +244,12 @@ def cmd_baseline(args, config):
     return EXIT_OK
 
 
-def cmd_anomaly(args, config):
-    out = _out_dir(args, config)
+def cmd_anomaly(args, config, out):
     section = config.get("anomaly", {})
-    names = section.get("variables")
-    grids = _load_grids(config, set(names) if names else None)
-    for name in grids:
-        series = grids[name]
+    names = section.get("variables") or [
+        entry["name"] for entry in cfg.require(config, "grids")]
+    grids = {name: _grid(config, name) for name in names}
+    for name, series in grids.items():
         anomalies = _anomaly_series(config, series)
         if section.get("write_grids", False):
             ingest.write_gridded_csv(anomalies, out / f"anomaly_{name}.csv")
@@ -270,10 +264,8 @@ def cmd_anomaly(args, config):
     return EXIT_OK
 
 
-def cmd_shocks(args, config):
-    out = _out_dir(args, config)
-    grids = _load_grids(config, {cfg.require(config, "shocks", "variable")})
-    threshold, window, region_name, _, table = _shock_table(config, grids)
+def cmd_shocks(args, config, out):
+    threshold, window, region_name, table = _shock_table(config)
     for variant, shock in table.items():
         cl.write_shock_csv(shock, out / f"shocks_{variant}.csv")
     _write_json(out / "shocks_report.json", {
@@ -287,19 +279,6 @@ def cmd_shocks(args, config):
     _say(args, f"shocks: threshold {threshold:.4g}, "
                f"{sum(s.n_events for s in table.values())} events -> {out}")
     return EXIT_OK
-
-
-def _lp_spec(config):
-    section = config.get("lp", {})
-    return lp.LpSpec(
-        h_max=section.get("h_max", 24),
-        p_max=section.get("p_max", 12),
-        r=section.get("r", 0),
-        l_max=section.get("l_max", 12),
-        lag_selection=section.get("lag_selection", "aic"),
-        ci_level=section.get("ci_level", 0.90),
-        contemporaneous_controls=section.get("contemporaneous_controls", False),
-    )
 
 
 def _endogenous_subset(extra, panel, sector):
@@ -317,10 +296,8 @@ def _endogenous_subset(extra, panel, sector):
                                extra.values[:, cols])
 
 
-def cmd_lp(args, config):
-    out = _out_dir(args, config)
-    grids = _load_grids(config, {cfg.require(config, "shocks", "variable")})
-    _, _, _, _, shock_table = _shock_table(config, grids)
+def cmd_lp(args, config, out):
+    *_, shock_table = _shock_table(config)
     panel = _load_panel(config, "sectors", required=True)
     extra = _load_panel(config, "endogenous")
     controls = _load_panel(config, "controls")
@@ -333,35 +310,19 @@ def cmd_lp(args, config):
         if missing:
             raise ConfigError(f"config key lp.sectors names unknown ids "
                               f"{missing}")
-    spec = _lp_spec(config)
+    spec = lp.LpSpec(**_present(
+        section, *(f.name for f in dataclasses.fields(lp.LpSpec))))
 
-    # group sectors sharing the same endogenous block so each group runs
-    # as one battery; merged results keep the original sector order
-    groups = {}
+    results, failures = {}, []
     for sector in sectors:
-        subset = _endogenous_subset(extra, panel, sector)
-        key = subset.sector_ids if subset is not None else ()
-        groups.setdefault(key, (subset, []))[1].append(sector)
-    merged_results = {}
-    merged_failures = []
-    for subset, group in groups.values():
-        battery = lp.run_battery(panel, shock_table, spec,
-                                 extra_endogenous=subset, controls=controls,
-                                 sectors=group)
-        merged_results.update(battery.results)
-        merged_failures.extend(battery.failures)
-    order = {s: i for i, s in enumerate(sectors)}
-    variant_order = {v: i for i, v in enumerate(shock_table)}
-    battery = lp.BatteryResult(
-        results=dict(sorted(merged_results.items(),
-                            key=lambda kv: (order[kv[0][0]],
-                                            variant_order[kv[0][1]]))),
-        failures=tuple(sorted(merged_failures,
-                              key=lambda f: (order[f[0]],
-                                             variant_order[f[1]]))),
-    )
+        battery = lp.run_battery(
+            panel, shock_table, spec,
+            extra_endogenous=_endogenous_subset(extra, panel, sector),
+            controls=controls, sectors=(sector,))
+        results.update(battery.results)
+        failures.extend(battery.failures)
 
-    for (sector, variant), result in battery.results.items():
+    for (sector, variant), result in results.items():
         stem = f"lp_{sector}_{variant}"
         ingest.write_csv(
             out / f"{stem}.csv",
@@ -381,32 +342,23 @@ def cmd_lp(args, config):
             (out / f"{stem}.svg").write_text(svg, encoding="utf-8")
 
     ingest.write_csv(out / "failures.csv",
-                     ["sector", "variant", "error", "detail"],
-                     battery.failures)
+                     ["sector", "variant", "error", "detail"], failures)
 
-    n_ok, n_fail = len(battery.results), len(battery.failures)
-    _say(args, f"lp: {n_ok} cell(s) ok, {n_fail} failed -> {out}")
-    if n_ok == 0:
+    _say(args, f"lp: {len(results)} cell(s) ok, {len(failures)} failed "
+               f"-> {out}")
+    if not results:
         raise NumericalError("every battery cell failed; see failures.csv")
     return EXIT_OK
 
 
-def cmd_factors(args, config):
-    out = _out_dir(args, config)
+def cmd_factors(args, config, out):
     section = cfg.require(config, "factors")
-    grids = _load_grids(config, {section["variable"]})
-    series = grids[section["variable"]]
-    if section.get("use_anomalies", True):
-        series = _anomaly_series(config, series)
-    panel = _load_panel(config, "sectors", required=True)
-
+    series, panel = _factor_inputs(config, section)
+    seed = _seed(args, config)
     permutation = _permutation(section)
-    rng = np.random.default_rng(_seed(args, config))
     result = af.associated_factors(
-        panel, series,
-        tol=section.get("tol", 0.1),
-        k=section.get("k"),
-        permutation=permutation, rng=rng,
+        panel, series, **_present(section, "tol", "k"),
+        permutation=permutation, rng=np.random.default_rng(seed),
     )
     diagnostic = af.regularity_diagnostic(panel, series)
 
@@ -431,37 +383,31 @@ def cmd_factors(args, config):
             "tail_fraction": diagnostic.tail_fraction,
         },
         "permutation": permutation,
-        "seed": _seed(args, config),
+        "seed": seed,
     })
     _say(args, f"factors: K={result.k}, rho_1={result.rho[0]:.4f} -> {out}")
     return EXIT_OK
 
 
-def cmd_fira(args, config):
-    out = _out_dir(args, config)
+def cmd_fira(args, config, out):
     section = cfg.require(config, "fira")
-    grids = _load_grids(config, {section["variable"]})
-    series = grids[section["variable"]]
-    if section.get("use_anomalies", True):
-        series = _anomaly_series(config, series)
-    panel = _load_panel(config, "sectors", required=True)
+    series, panel = _factor_inputs(config, section)
     controls = _load_panel(config, "controls")
+    seed = _seed(args, config)
 
-    q, s, l = section.get("lags", [0, 0, 0])
-    design = fr.build_design(series, y=panel if s > 0 else None,
-                             z=controls, lags=(q, s, l),
-                             standardize=section.get("standardize", False))
+    lags = section.get("lags", [0, 0, 0])
+    design = fr.build_design(series, y=panel, z=controls, lags=lags,
+                             **_present(section, "standardize"))
     fitted = fr.fit_fira(design, panel,
-                         h_max=section.get("h_max", 12),
-                         tol=section.get("tol", 0.1), k=section.get("k"),
+                         **_present(section, "h_max", "tol", "k"),
                          permutation=_permutation(section),
-                         rng=np.random.default_rng(_seed(args, config)))
+                         rng=np.random.default_rng(seed))
 
     shock_reports = []
     for idx, spec in enumerate(section["shocks"]):
         shock = fr.make_shock_surface(
             spec["magnitude"], tuple(spec["center"]), spec["radius_km"],
-            series.domain, profile=spec.get("profile", "cosine-taper"),
+            series.domain, **_present(spec, "profile"),
         )
         response = fr.respond(fitted, shock)
         ingest.write_csv(
@@ -490,26 +436,26 @@ def cmd_fira(args, config):
 
     _write_json(out / "fira_report.json", {
         "variable": section["variable"],
-        "lags": [q, s, l],
+        "lags": lags,
         "horizons": fitted.horizons,
         "k_per_horizon": [e.k if e else 0 for e in fitted.by_horizon],
         "rho_per_horizon": [e.rho if e else [] for e in fitted.by_horizon],
         "failures": [list(f) for f in fitted.failures],
         "shocks": shock_reports,
-        "seed": _seed(args, config),
+        "seed": seed,
     })
     _say(args, f"fira: {len(shock_reports)} shock(s), "
-               f"h_max={section.get('h_max', 12)} -> {out}")
+               f"h_max={fitted.horizons[-1]} -> {out}")
     return EXIT_OK
 
 
-def cmd_synth(args, config):
-    out = _out_dir(args, config)
+def cmd_synth(args, config, out):
     section = cfg.require(config, "synth")
     kind = section["kind"]
-    rng = np.random.default_rng(_seed(args, config))
+    seed = _seed(args, config)
+    rng = np.random.default_rng(seed)
     fmt = section.get("format", "csv")
-    manifest = {"kind": kind, "seed": _seed(args, config), "files": []}
+    manifest = {"kind": kind, "seed": seed, "files": []}
 
     def write_grid(series, stem):
         if fmt == "binary":
@@ -528,19 +474,18 @@ def cmd_synth(args, config):
         return path
 
     if kind == "normals":
-        domain = synth.ea_domain(step=section.get("step", 2.0))
-        years = tuple(section.get("years", (1950, 1980)))
+        domain = synth.ea_domain(**_present(section, "step"))
         warming = section.get("warming")
         for variable in synth.EA_MONTHLY_NORMALS:
             series = synth.normals_series(
-                domain, variable, years=years,
+                domain, variable, **_present(section, "years"),
                 warming=warming if variable == "temperature" else None,
             )
             write_grid(series, variable)
     elif kind == "planted-lp":
         months_n = section.get("months", 252)
         grid = synth.normals_series(
-            synth.ea_domain(step=section.get("step", 2.0)), "temperature",
+            synth.ea_domain(**_present(section, "step")), "temperature",
             warming=synth.TEMPERATURE_DEVIATION_MEANS["EA"],
         )
         write_grid(grid, "temperature")
@@ -564,16 +509,13 @@ def cmd_synth(args, config):
         panel, series, _ = synth.planted_factor_instance(
             domain, p=section.get("sectors", 6),
             T=section.get("months", 252), rng=rng,
-            snr=section.get("snr", 10.0),
+            **_present(section, "snr"),
         )
         write_grid(series, "planted")
         write_panel(panel, "sectors")
     elif kind == "fira-demo":
         panel, series, _ = synth.fira_demo_instance(
-            rng, p=section.get("sectors", 8),
-            T=section.get("months", 252),
-            step=section.get("step", 0.5),
-        )
+            rng, **_present(section, "step", p="sectors", T="months"))
         write_grid(series, "temperature_anomaly")
         write_panel(panel, "sectors")
     _write_json(out / "synth_manifest.json", manifest)
@@ -614,7 +556,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = cfg.load_config(args.config)
-        return COMMANDS[args.command](args, config)
+        return COMMANDS[args.command](args, config,
+                                      _out_dir(args, config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,6 +6,7 @@ keys are rejected up front so typos fail before any computation starts.
 """
 
 import json
+import math
 
 import jsonschema
 
@@ -64,6 +65,7 @@ SCHEMA = {
                 "required": ["name", "path"],
                 "additionalProperties": False,
             },
+            "minItems": 1,
         },
         "panels": {
             "type": "object",
@@ -215,7 +217,21 @@ def validate_config(doc):
         err = errors[0]
         where = "/".join(str(p) for p in err.path) or "(top level)"
         raise ConfigError(f"config key {where}: {err.message}")
+    _check_finite(doc)
     return doc
+
+
+def _check_finite(node, where=""):
+    """Reject NaN and infinities: Python's json reads them, and they pass
+    the schema's numeric bounds."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"config key {where}: {node} is not a finite number")
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _check_finite(value, f"{where}.{key}" if where else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _check_finite(value, f"{where}[{i}]")
 
 
 def load_config(path):

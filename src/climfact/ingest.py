@@ -149,6 +149,10 @@ def _load_gridded_csv(path, variable, step, weighting):
         step_lat, step_lon = (step, step) if np.isscalar(step) else step
     lat_min, lat_max, step_lat, n_lat = _infer_axis(lats, "latitude", step_lat)
     lon_min, lon_max, step_lon, n_lon = _infer_axis(lons, "longitude", step_lon)
+    if len(axis) * n_lat * n_lon * 8 > np.iinfo(np.intp).max:
+        raise ParseError(
+            f"latitude step {step_lat!r} and longitude step {step_lon!r} give "
+            f"a {n_lat} x {n_lon} lattice too large to index", path=path)
 
     t_idx = np.searchsorted(axis, times)
     i_idx = np.round((lats - (lat_min + step_lat / 2)) / step_lat).astype(int)

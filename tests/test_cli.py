@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import hashlib
+import inspect
 import json
 import struct
 from pathlib import Path
@@ -8,13 +10,28 @@ import numpy as np
 import pytest
 
 from climfact import cli
+from climfact.climatology import (
+    anomaly,
+    compute_baseline,
+    default_threshold,
+    regional_mean,
+    shock_variants,
+)
+from climfact.errors import RankDeficientDesign
+from climfact.factors import two_stage
 from climfact.grid import SurfaceSeries, build_domain
 from climfact.ingest import (
+    ControlPanel,
     SectorPanel,
+    format_float,
+    load_control_panel,
+    load_gridded,
+    load_sector_panel,
     write_gridded_binary,
     write_gridded_csv,
     write_panel_csv,
 )
+from climfact.localproj import LpSpec, irf
 from climfact.synth import EA_MONTHLY_NORMALS
 
 
@@ -45,6 +62,16 @@ def normals_fixture(tmp_path_factory):
     })
     assert cli.main(["synth", "--config", config, "--quiet"]) == 0
     return root
+
+
+def _tiny_grid(tmp_path):
+    """A 2x2-cell format A grid of ones over 2001-2002 and its config entry."""
+    domain = build_domain((50.0, 51.0, 10.0, 11.0), 0.5)
+    times = np.datetime64("2001-01", "M") + np.arange(24)
+    series = SurfaceSeries(domain, times, np.ones((24,) + domain.shape), "t")
+    grid = {"name": "t", "path": str(tmp_path / "grid.csv")}
+    write_gridded_csv(series, grid["path"])
+    return series, grid
 
 
 def _grid_entries(root):
@@ -99,15 +126,13 @@ class TestBaseline:
     @pytest.mark.parametrize("case", [
         "region nan,nan", "region inf,10.25", "sgf step_lat 0.0",
         "sgf step_lat nan", "config step 0", "config step -0.5",
-        "config step [0.5, -0.5]",
+        "config step [0.5, -0.5]", "region 50.25,10.25,99",
+        "config step NaN", "config step Infinity", "config step 1e-300",
+        "sgf truncated", "grid duplicate row", "grid duplicate name",
+        "region 60.25,10.25",
     ])
     def test_malformed_input_exits_cleanly(self, tmp_path, capsys, case):
-        domain = build_domain((50.0, 51.0, 10.0, 11.0), 0.5)
-        times = np.datetime64("2001-01", "M") + np.arange(24)
-        series = SurfaceSeries(domain, times,
-                               np.ones((24,) + domain.shape), "t")
-        grid = {"name": "t", "path": str(tmp_path / "grid.csv")}
-        write_gridded_csv(series, grid["path"])
+        series, grid = _tiny_grid(tmp_path)
         doc = {"grids": [grid], "baseline": {"reference_window": [2001, 2002]}}
         kind, detail = case.split(" ", 1)
         if kind == "region":
@@ -117,14 +142,32 @@ class TestBaseline:
             grid["path"] = str(tmp_path / "grid.sgf")
             write_gridded_binary(series, grid["path"])
             blob = bytearray(Path(grid["path"]).read_bytes())
-            struct.pack_into("<d", blob, 36, float(detail.split()[1]))
+            if detail == "truncated":
+                del blob[-5:]
+            else:
+                struct.pack_into("<d", blob, 36, float(detail.split()[1]))
             Path(grid["path"]).write_bytes(bytes(blob))
+        elif detail == "duplicate name":
+            doc["grids"].append(dict(grid))
+        elif kind == "grid":
+            lines = Path(grid["path"]).read_text().splitlines(keepends=True)
+            Path(grid["path"]).write_text("".join(lines + lines[1:2]))
         else:
             grid["step"] = json.loads(detail.split(" ", 1)[1])
         code = cli.main(["baseline", "--config", _write_config(tmp_path, doc),
                          "--out", str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
         assert code in (2, 3)
-        assert "Traceback" not in capsys.readouterr().err
+        assert "Traceback" not in err
+        expected = {
+            "region 50.25,10.25,99": (3, "region.csv, line 2"),
+            "config step NaN": (2, "grids[0].step"),
+            "config step Infinity": (2, "grids[0].step"),
+            "config step 1e-300": (3, "latitude step 1e-300"),
+            "grid duplicate name": (2, "grids lists 't' 2 times"),
+        }.get(case)
+        if expected:
+            assert code == expected[0] and expected[1] in err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = _write_config(tmp_path, {"grids": [], "bogus": 1})
@@ -161,6 +204,17 @@ class TestAnomaly:
                   if r["time"] >= "2001-01"]
         assert abs(np.mean(recent) - 1.3) < 1e-9
         assert (out / "anomaly_temperature.csv").exists()
+
+
+    def test_unknown_variable_is_config_error(self, normals_fixture,
+                                              tmp_path, capsys):
+        config = _write_config(tmp_path, {
+            "grids": _grid_entries(normals_fixture)[:1],
+            "anomaly": {"variables": ["temperature", "humidity"]},
+        })
+        assert cli.main(["anomaly", "--config", config,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "'humidity'" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -306,6 +360,116 @@ class TestLp:
         assert (out / "lp_CP001_all.csv").exists()
         assert (out / "failures.csv").read_text().count("\n") == 1
 
+    def test_endogenous_subsets_follow_the_configured_order(self, planted,
+                                                            tmp_path, rng):
+        # CP000 has a counterpart column, every sector shares IPX; the
+        # extreme variant at a huge multiplier has no events, so each of
+        # its cells fails
+        data = planted / "data"
+        panel = load_sector_panel(data / "sectors.csv", transform="none")
+        extra_csv = tmp_path / "endogenous.csv"
+        write_panel_csv(SectorPanel(panel.times, ("CP000", "IPX"),
+                                    rng.normal(size=(len(panel.times), 2))),
+                        extra_csv)
+        order = ["CP002", "CP001", "CP000"]
+        config = _write_config(tmp_path, {
+            "grids": [{"name": "temperature",
+                       "path": str(data / "temperature.csv")}],
+            "panels": {
+                "sectors": {"path": str(data / "sectors.csv"),
+                            "transform": "none"},
+                "endogenous": {"path": str(extra_csv), "transform": "none"},
+            },
+            "shocks": {"variable": "temperature",
+                       "variants": ["all", "extreme"],
+                       "extreme_multiplier": 1000.0},
+            "lp": {"h_max": 3, "p_max": 2, "l_max": 1, "figures": False,
+                   "sectors": order},
+        })
+        out = tmp_path / "out"
+        assert cli.main(["lp", "--config", config, "--out", str(out),
+                         "--quiet"]) == 0
+
+        grid = load_gridded(data / "temperature.csv")
+        scalar = regional_mean(anomaly(grid, compute_baseline(grid)))
+        shocks = shock_variants(scalar, default_threshold(scalar),
+                                extreme_multiplier=1000.0,
+                                variants=("all", "extreme"))
+        extra = load_control_panel(extra_csv, transform="none")
+        spec = LpSpec(h_max=3, p_max=2, l_max=1)
+        for sector in order:
+            ids = ("CP000", "IPX") if sector == "CP000" else ("IPX",)
+            subset = ControlPanel(
+                extra.times, ids,
+                extra.values[:, [extra.sector_ids.index(i) for i in ids]])
+            r = irf(sector, panel, shocks["all"], spec,
+                    extra_endogenous=subset)
+            expected = [[sector, "all", str(h)]
+                        + [format_float(v[h])
+                           for v in (r.estimate, r.se, r.lo, r.hi)]
+                        + [str(r.p), str(r.l)] for h in r.horizons]
+            with open(out / f"lp_{sector}_all.csv", newline="") as fh:
+                assert list(csv.reader(fh))[1:] == expected
+            with pytest.raises(RankDeficientDesign):
+                irf(sector, panel, shocks["extreme"], spec,
+                    extra_endogenous=subset)
+        with open(out / "failures.csv", newline="") as fh:
+            failed = [row[:3] for row in list(csv.reader(fh))[1:]]
+        assert failed == [[sector, "extreme", "RankDeficientDesign"]
+                          for sector in order]
+
+    def test_omitted_keys_take_the_lpspec_defaults(self, planted, tmp_path):
+        data = planted / "data"
+        doc = {
+            "grids": [{"name": "temperature",
+                       "path": str(data / "temperature.csv")}],
+            "panels": {"sectors": {"path": str(data / "sectors.csv"),
+                                   "transform": "none"}},
+            "shocks": {"variable": "temperature"},
+        }
+        digests = []
+        for name, section in (
+                ("omitted", {}),
+                ("spelled", {f.name: f.default
+                             for f in dataclasses.fields(LpSpec)})):
+            config = _write_config(tmp_path, dict(doc, lp=section),
+                                   f"{name}.json")
+            out = tmp_path / name
+            assert cli.main(["lp", "--config", config, "--out", str(out),
+                             "--quiet"]) == 0
+            digests.append(_tree_digest(out))
+        assert digests[0] == digests[1]
+
+    @pytest.mark.filterwarnings("ignore:degenerate threshold")
+    @pytest.mark.parametrize("case", [
+        "all-gap panel", "zero level under yoy", "flat auto threshold",
+    ])
+    def test_malformed_input_exits_cleanly(self, tmp_path, capsys, case):
+        series, grid = _tiny_grid(tmp_path)
+        values = np.ones((24, 2))
+        if case == "all-gap panel":
+            values[3, 0] = values[5, 1] = np.nan
+        elif case == "zero level under yoy":
+            values = np.ones((24, 1))
+            values[0, 0] = 0.0
+        write_panel_csv(SectorPanel(series.times, ("A", "B")[:values.shape[1]],
+                                    values), tmp_path / "sectors.csv")
+        threshold = "auto" if case == "flat auto threshold" else 0.5
+        config = _write_config(tmp_path, {
+            "grids": [grid],
+            "baseline": {"reference_window": [2001, 2002]},
+            "panels": {"sectors": {"path": str(tmp_path / "sectors.csv")}},
+            "shocks": {"variable": "t", "threshold": threshold},
+            "lp": {"h_max": 1, "p_max": 1, "l_max": 1},
+        })
+        code = cli.main(["lp", "--config", config,
+                         "--out", str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert ("threshold" if case == "flat auto threshold"
+                else "sectors.csv") in err
+
     def test_unknown_sector_is_config_error(self, planted, tmp_path):
         config = _write_config(tmp_path, {
             "grids": [{"name": "temperature",
@@ -401,6 +565,20 @@ class TestFactorsAndFira:
                              str(out), "--quiet"]) == 0
             loadings[name] = (out / "factor_loadings.csv").read_bytes()
         assert loadings["true"] == loadings["explicit"]
+
+    def test_omitted_tol_takes_the_engine_default(self, demo, tmp_path):
+        default = inspect.signature(two_stage).parameters["tol"].default
+        digests = []
+        for name, extra in (("omitted", {}), ("spelled", {"tol": default})):
+            doc = self._base_config(demo)
+            doc["factors"] = dict(variable="temperature_anomaly",
+                                  use_anomalies=False, **extra)
+            config = _write_config(tmp_path, doc, f"{name}.json")
+            out = tmp_path / name
+            assert cli.main(["factors", "--config", config, "--out",
+                             str(out), "--quiet"]) == 0
+            digests.append(_tree_digest(out))
+        assert digests[0] == digests[1]
 
     def test_tiny_tol_on_a_rank_deficient_cross_exits_cleanly(self, tmp_path,
                                                               capsys):
