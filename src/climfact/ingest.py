@@ -33,6 +33,10 @@ from .errors import (
 from .grid import SurfaceSeries, build_domain
 
 _SGF_MAGIC = b"SGF1"
+# A format A lattice may hold at most this many cells per distinct
+# (lat, lon) pair in the file, so the dense cube stays within a fixed
+# multiple of the data however small an explicit grid step is.
+_LATTICE_CELLS_PER_PAIR = 100
 
 
 # -- panels --------------------------------------------------------------
@@ -97,10 +101,13 @@ def _infer_axis(centers, axis, step=None):
             )
         step = float(np.min(np.diff(centers)))
     origin = centers[0] - step / 2.0
-    idx = (centers - centers[0]) / step
+    with np.errstate(over="ignore"):
+        idx = (centers - centers[0]) / step
+    if not np.isfinite(idx[-1]):
+        raise ParseError(f"{axis} step {step!r} is too small to index")
     if np.any(np.abs(idx - np.round(idx)) > 1e-6):
         raise ParseError(f"{axis} coordinates do not sit on a regular lattice")
-    n = int(round((centers[-1] - centers[0]) / step)) + 1
+    n = int(round(idx[-1])) + 1
     return origin, origin + n * step, step, n
 
 
@@ -143,16 +150,32 @@ def _load_gridded_csv(path, variable, step, weighting):
     lons = np.array([r[2] for r in rows])
     vals = np.array([r[3] for r in rows])
 
+    def line_of(k):
+        """File line of data row k, counting the skipped blank lines."""
+        return k + 2 + int(np.searchsorted(blanks, k, side="right"))
+
+    finite = np.isfinite(lats) & np.isfinite(lons) & np.isfinite(vals)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ParseError(
+            f"non-finite number in row ({lats[k]}, {lons[k]}, {vals[k]}); "
+            "a missing cell is an absent row", path=path, line=line_of(k))
+
     axis = months.check_monthly(np.unique(times), "gridded file")
     step_lat = step_lon = None
     if step is not None:
         step_lat, step_lon = (step, step) if np.isscalar(step) else step
-    lat_min, lat_max, step_lat, n_lat = _infer_axis(lats, "latitude", step_lat)
-    lon_min, lon_max, step_lon, n_lon = _infer_axis(lons, "longitude", step_lon)
-    if len(axis) * n_lat * n_lon * 8 > np.iinfo(np.intp).max:
+    ulat, ulon = np.unique(lats), np.unique(lons)
+    lat_min, lat_max, step_lat, n_lat = _infer_axis(ulat, "latitude", step_lat)
+    lon_min, lon_max, step_lon, n_lon = _infer_axis(ulon, "longitude", step_lon)
+    n_pairs = np.unique(np.searchsorted(ulat, lats) * len(ulon)
+                        + np.searchsorted(ulon, lons)).size
+    if n_lat * n_lon > _LATTICE_CELLS_PER_PAIR * n_pairs:
         raise ParseError(
             f"latitude step {step_lat!r} and longitude step {step_lon!r} give "
-            f"a {n_lat} x {n_lon} lattice too large to index", path=path)
+            f"a {n_lat} x {n_lon} lattice for {n_pairs} distinct (lat, lon) "
+            f"pairs, more than {_LATTICE_CELLS_PER_PAIR} lattice cells per "
+            "pair", path=path)
 
     t_idx = np.searchsorted(axis, times)
     i_idx = np.round((lats - (lat_min + step_lat / 2)) / step_lat).astype(int)
@@ -168,7 +191,7 @@ def _load_gridded_csv(path, variable, step, weighting):
         raise ParseError(
             f"duplicate row for {times[k]} at ({lats[k]}, {lons[k]})",
             path=path,
-            line=k + 2 + int(np.searchsorted(blanks, k, side="right")),
+            line=line_of(k),
         )
     cube[t_idx, i_idx, j_idx] = vals
 
@@ -336,7 +359,9 @@ def _load_panel(path, transform, cls):
     order = np.argsort(times)
     times, values = times[order], values[order]
     months.check_monthly(times, "panel")
+    zero_level = np.zeros(len(ids), dtype=bool)
     if transform == "yoy":
+        zero_level = np.any(values[:-12] == 0.0, axis=0)
         values = _yoy(values)
         times = times[12:]
     elif transform != "none":
@@ -344,7 +369,11 @@ def _load_panel(path, transform, cls):
     complete = np.all(np.isfinite(values), axis=0)
     dropped = tuple(i for i, ok in zip(ids, complete) if not ok)
     if not complete.any():
-        raise NoSectorsRemain(f"all {len(ids)} columns have gaps in {path}")
+        reasons = "; ".join(
+            f"{i} has a zero level, so its year-on-year change is undefined"
+            if zero else f"{i} has gaps" for i, zero in zip(ids, zero_level))
+        raise NoSectorsRemain(
+            f"all {len(ids)} columns are dropped in {path}: {reasons}")
     kept = tuple(i for i, ok in zip(ids, complete) if ok)
     return cls(times, kept, values[:, complete], dropped)
 

@@ -10,6 +10,27 @@ standard error exactly.
 
 Targets are estimated one equation at a time; endogenous series enter
 only through their lags, never contemporaneously.
+
+Every fit is one unpivoted Householder QR, X = QR, with b = Q'y:
+
+* Lag selection. Columns run const, endogenous lags, shock lags 0..r and
+  then control lags grouped by lag (lag 0 first when controls enter
+  contemporaneously), so for one p the design of every l is a leading
+  block of the l_max design's columns and its R is the leading block of
+  R. The residual sum of squares of the first m columns is SSR_full plus
+  the tail sum of b_i^2 over i >= m, a sum of squares with no
+  cancellation. One QR of [X | y] per p scores all l_max candidates: its
+  last column holds b and its last diagonal entry is sqrt(SSR_full).
+* Horizon fits (Frisch-Waugh-Lovell). With the shock column last, its
+  residual on the other regressors is e = R_kk q_k, so the coefficient is
+  b_k / R_kk and e'e = R_kk^2. The coefficient's row of (X'X)^-1 X' is
+  e'/e'e, so with u the full-model residual and g = e*u the Newey-West
+  variance is (gamma_0 + 2 sum_j w_j gamma_j) / (e'e)^2, gamma_j the
+  lag-j autocovariance sum of g and w_j = 1 - j/(bandwidth+1). Bandwidth
+  0 is the classical sigma^2 / e'e. No k x k inverse is formed.
+* Rank. Without pivoting, a column whose |R_ii| is at or below
+  eps * max(n, k) * max |R_ii| lies numerically in the span of the
+  columns before it; RankDeficientDesign names every such column.
 """
 
 import math
@@ -17,7 +38,6 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InsufficientSample, RankDeficientDesign
 from .ingest import align
@@ -95,78 +115,71 @@ def _design(y, x, endo, controls, h, p, l, spec, t_start=None):
 
     Rows are periods t with every lag available and t+h observed; passing
     t_start pins the first usable period so lag candidates share a common
-    estimation window.
+    estimation window. Columns run const, endo lags (series by series),
+    shock lags 0..r, then control lags grouped by lag, so the design of a
+    smaller l is a leading block of columns of a larger one.
     """
     T = len(y)
+    n_ctrl = 0 if controls is None else controls.shape[1]
     need = [p, spec.r]
-    if controls is not None and controls.shape[1] > 0:
+    if n_ctrl > 0:
         need.append(l)
     t0 = max(need) if t_start is None else t_start
     n = T - h - t0
     if n < 1:
         raise InsufficientSample(f"no usable rows at horizon {h}")
-    rows = np.arange(t0, T - h)
+    rows = np.arange(t0, T - h)[:, None]
 
-    cols = [np.ones(n)]
+    endo_lags = np.arange(1, p + 1)
+    shock_lags = np.arange(spec.r + 1)
+    blocks = [np.ones((n, 1)),
+              endo[rows - endo_lags].transpose(0, 2, 1).reshape(n, -1),
+              x[rows - shock_lags]]
     labels = ["const"]
-    for j in range(endo.shape[1]):
-        for k in range(1, p + 1):
-            cols.append(endo[rows - k, j])
-            labels.append(f"endo{j}[-{k}]")
-    for i in range(spec.r + 1):
-        cols.append(x[rows - i])
-        labels.append(f"shock[-{i}]")
-    if controls is not None:
-        for j in range(controls.shape[1]):
-            for k in _control_lag_range(spec, l):
-                cols.append(controls[rows - k, j])
-                labels.append(f"ctrl{j}[-{k}]")
-    X = np.column_stack(cols)
-    target = y[rows + h]
-    return X, target, labels
+    labels += [f"endo{j}[-{k}]" for j in range(endo.shape[1])
+               for k in endo_lags]
+    labels += [f"shock[-{i}]" for i in shock_lags]
+    if n_ctrl > 0:
+        ctrl_lags = np.array(_control_lag_range(spec, l))
+        blocks.append(controls[rows - ctrl_lags].reshape(n, -1))
+        labels += [f"ctrl{j}[-{k}]" for k in ctrl_lags for j in range(n_ctrl)]
+    return np.concatenate(blocks, axis=1), y[rows[:, 0] + h], labels
 
 
-def _ols(X, target, labels):
-    """Pivoted-QR least squares with an explicit rank check."""
-    n, k = X.shape
+def _check_sample(n, k):
     if n < 10 + k:
         raise InsufficientSample(
             f"{n} rows cannot support {k} regressors (need >= {10 + k})"
         )
-    Q, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    tol = np.finfo(float).eps * max(n, k) * (diag.max() if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    if rank < k:
-        offending = [labels[j] for j in sorted(piv[rank:])]
-        raise RankDeficientDesign("design matrix is rank deficient", offending)
-    coef_piv = scipy.linalg.solve_triangular(R, Q.T @ target)
-    beta = np.empty(k)
-    beta[piv] = coef_piv
-    rinv = scipy.linalg.solve_triangular(R, np.eye(k))
-    xtx_inv = np.empty((k, k))
-    xtx_inv[np.ix_(piv, piv)] = rinv @ rinv.T
-    resid = target - X @ beta
-    return beta, resid, xtx_inv
 
 
-def hac_covariance(X, resid, xtx_inv, bandwidth):
-    """Newey-West coefficient covariance with the given lag truncation.
+def _check_rank(diag, n, labels):
+    """Raise if any |R_ii| of an unpivoted QR is at the rounding floor."""
+    tol = np.finfo(float).eps * max(n, len(diag)) * diag.max()
+    dependent = diag <= tol
+    if dependent.any():
+        raise RankDeficientDesign(
+            "design matrix is rank deficient",
+            [labels[i] for i in np.flatnonzero(dependent)])
 
-    bandwidth 0 is defined as the classical homoskedastic OLS covariance
-    (not the lag-0 robust sandwich), matching the module contract.
+
+def hac_variance(e, resid, k, bandwidth):
+    """Newey-West variance of the coefficient whose FWL residual is e.
+
+    e is the coefficient's regressor residualized on the other k-1
+    regressors and resid the full-model residual. bandwidth 0 is defined
+    as the classical homoskedastic variance sigma^2 / e'e (not the lag-0
+    robust sandwich), matching the module contract.
     """
-    n, k = X.shape
+    n = len(resid)
+    ete = float(e @ e)
     if bandwidth == 0:
-        sigma2 = float(resid @ resid) / (n - k)
-        return sigma2 * xtx_inv
-    g = X * resid[:, None]
-    S = g.T @ g
+        return float(resid @ resid) / (n - k) / ete
+    g = e * resid
+    s = float(g @ g)
     for j in range(1, min(bandwidth, n - 1) + 1):
-        w = 1.0 - j / (bandwidth + 1.0)
-        gamma = g[j:].T @ g[:-j]
-        S += w * (gamma + gamma.T)
-    return xtx_inv @ S @ xtx_inv
+        s += 2.0 * (1.0 - j / (bandwidth + 1.0)) * float(g[j:] @ g[:-j])
+    return s / (ete * ete)
 
 
 def fit_horizon(y, x, endo, controls, h, spec, p, l, t_start=None):
@@ -177,17 +190,23 @@ def fit_horizon(y, x, endo, controls, h, spec, p, l, t_start=None):
     (including the target), controls optional.
     """
     X, target, labels = _design(y, x, endo, controls, h, p, l, spec, t_start)
-    beta, resid, xtx_inv = _ols(X, target, labels)
-    cov = hac_covariance(X, resid, xtx_inv, bandwidth=h + 1)
+    n, k = X.shape
     j = labels.index("shock[-0]")
-    se = math.sqrt(max(cov[j, j], 0.0))
+    order = [*range(j), *range(j + 1, k), j]
+    _check_sample(n, k)
+    Q, R = np.linalg.qr(X[:, order])
+    _check_rank(np.abs(np.diagonal(R)), n, [labels[i] for i in order])
+    b = Q.T @ target
+    resid = target - Q @ b
+    r_kk = R[-1, -1]
+    est = float(b[-1] / r_kk)
+    var = hac_variance(r_kk * Q[:, -1], resid, k, bandwidth=h + 1)
+    se = math.sqrt(max(var, 0.0))
     z = NormalDist().inv_cdf(0.5 + spec.ci_level / 2.0)
-    est = float(beta[j])
-    n = len(target)
     return HorizonEstimate(
         h=h, estimate=est, se=se, lo=est - z * se, hi=est + z * se,
         p=p, l=l, nobs=n,
-        resid_sd=float(np.sqrt(resid @ resid / max(n - X.shape[1], 1))),
+        resid_sd=float(np.sqrt(resid @ resid / max(n - k, 1))),
     )
 
 
@@ -201,20 +220,41 @@ def select_lags(y, x, endo, controls, spec):
 
     All candidates are scored on the horizon-0 regression over a common
     window trimmed to the largest candidate lag, so criteria compare;
-    exact ties fall to the candidate with fewer parameters.
+    exact ties fall to the candidate with fewer parameters. Candidates
+    are checked in (p, l) order and the first one whose sample or rank
+    check fails raises, as if each were fitted on its own.
     """
     has_controls = controls is not None and controls.shape[1] > 0
+    n_ctrl = controls.shape[1] if has_controls else 0
     l_grid = range(1, spec.l_max + 1) if has_controls else [0]
     t_start = max(spec.p_max, spec.r, spec.l_max if has_controls else 0)
     best = None
     for p in range(1, spec.p_max + 1):
-        for l in l_grid:
-            X, target, labels = _design(
-                y, x, endo, controls, 0, p, l, spec, t_start=t_start
-            )
-            _, resid, _ = _ols(X, target, labels)
-            n, k = X.shape
-            key = (aic_value(n, float(resid @ resid), k), k, p, l)
+        X, target, labels = _design(
+            y, x, endo, controls, 0, p, l_grid[-1], spec, t_start=t_start
+        )
+        n, k = X.shape
+        sizes = [k - n_ctrl * (l_grid[-1] - l) for l in l_grid]
+        fitting = [m for m in sizes if n >= 10 + m]
+        if fitting:
+            m_fit = fitting[-1]
+            R = np.linalg.qr(np.column_stack([X[:, :m_fit], target]),
+                             mode="r")
+            diag = np.abs(np.diagonal(R))[:m_fit]
+            # rank loss only grows with l: test the largest candidate, and
+            # on failure name the first candidate that loses rank
+            try:
+                _check_rank(diag, n, labels)
+            except RankDeficientDesign:
+                for m in fitting:
+                    _check_rank(diag[:m], n, labels)
+        if len(fitting) < len(sizes):
+            _check_sample(n, sizes[len(fitting)])
+        # tail[m] = SSR of the first m columns: R[m_fit, m_fit]^2 plus the
+        # squares of b_i = R[i, m_fit] for m <= i < m_fit
+        tail = np.cumsum(R[::-1, m_fit] ** 2)[::-1]
+        for l, m in zip(l_grid, sizes):
+            key = (aic_value(n, float(tail[m]), m), m, p, l)
             if best is None or key < best[0]:
                 best = (key, (p, l))
     return best[1]

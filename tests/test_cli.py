@@ -3,7 +3,10 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +132,8 @@ class TestBaseline:
         "config step [0.5, -0.5]", "region 50.25,10.25,99",
         "config step NaN", "config step Infinity", "config step 1e-300",
         "sgf truncated", "grid duplicate row", "grid duplicate name",
-        "region 60.25,10.25",
+        "region 60.25,10.25", "grid value inf", "grid value nan",
+        "config step 0.01", "config step 1e-310",
     ])
     def test_malformed_input_exits_cleanly(self, tmp_path, capsys, case):
         series, grid = _tiny_grid(tmp_path)
@@ -151,7 +155,11 @@ class TestBaseline:
             doc["grids"].append(dict(grid))
         elif kind == "grid":
             lines = Path(grid["path"]).read_text().splitlines(keepends=True)
-            Path(grid["path"]).write_text("".join(lines + lines[1:2]))
+            if detail == "duplicate row":
+                lines.append(lines[1])
+            else:
+                lines[3] = f"{lines[3].rsplit(',', 1)[0]},{detail.split()[1]}\n"
+            Path(grid["path"]).write_text("".join(lines))
         else:
             grid["step"] = json.loads(detail.split(" ", 1)[1])
         code = cli.main(["baseline", "--config", _write_config(tmp_path, doc),
@@ -165,6 +173,11 @@ class TestBaseline:
             "config step Infinity": (2, "grids[0].step"),
             "config step 1e-300": (3, "latitude step 1e-300"),
             "grid duplicate name": (2, "grids lists 't' 2 times"),
+            "grid value inf": (3, "grid.csv, line 4"),
+            "grid value nan": (3, "grid.csv, line 4"),
+            "config step 0.01": (
+                3, "latitude step 0.01 and longitude step 0.01 give a 51 x 51"),
+            "config step 1e-310": (3, "latitude step 1e-310"),
         }.get(case)
         if expected:
             assert code == expected[0] and expected[1] in err
@@ -626,3 +639,15 @@ class TestFactorsAndFira:
         config = _write_config(tmp_path, doc)
         assert cli.main(["fira", "--config", config,
                          "--out", str(tmp_path / "out")]) == 3
+
+
+def test_no_command_imports_scipy():
+    # every command's start-up stays on numpy and jsonschema
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import climfact.cli, sys; print(sorted("
+         "m for m in sys.modules if m.startswith('scipy')))"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

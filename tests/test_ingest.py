@@ -171,6 +171,22 @@ class TestSectorPanel:
         with pytest.raises(NoSectorsRemain):
             load_sector_panel(self._write(tmp_path, "time,CP01", rows))
 
+    def test_zero_level_under_yoy_is_named_apart_from_gaps(self, tmp_path):
+        times = np.arange(np.datetime64("2000-01", "M"),
+                          np.datetime64("2002-01", "M"))
+        alone = [f"{t},{0.0 if k == 3 else 100.0}" for k, t in enumerate(times)]
+        panel = load_sector_panel(
+            self._write(tmp_path, "time,A,B", [f"{r},101.0" for r in alone]))
+        assert panel.sector_ids == ("B",)
+        assert panel.dropped == ("A",)
+        with pytest.raises(NoSectorsRemain) as err:
+            load_sector_panel(self._write(tmp_path, "time,A", alone))
+        assert "A has a zero level" in str(err.value)
+        assert "gaps" not in str(err.value)
+        with pytest.raises(NoSectorsRemain, match="zero level.*; B has gaps"):
+            load_sector_panel(
+                self._write(tmp_path, "time,A,B", [f"{r}," for r in alone]))
+
     def test_identical_bytes_identical_panels(self, tmp_path):
         times = np.arange(np.datetime64("2001-01", "M"),
                           np.datetime64("2003-01", "M"))

@@ -1,5 +1,10 @@
+import itertools
+import math
+from statistics import NormalDist
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from climfact.climatology import ScalarSeries, ShockSeries, ShockConditioning
 from climfact.errors import InsufficientSample, RankDeficientDesign
@@ -7,13 +12,12 @@ from climfact.ingest import SectorPanel
 from climfact.localproj import (
     LpSpec,
     fit_horizon,
-    hac_covariance,
+    hac_variance,
     irf,
     run_battery,
     select_lags,
     aic_value,
     _design,
-    _ols,
 )
 from climfact.synth import var1_simulate, var_irf_path
 
@@ -32,6 +36,92 @@ def _panel(values, start="2001-01"):
     times = np.datetime64(start, "M") + np.arange(values.shape[0])
     ids = tuple(f"S{j}" for j in range(values.shape[1]))
     return SectorPanel(times, ids, values)
+
+
+# -- frozen reference: the pivoted-QR engine with an explicit (X'X)^-1 ------
+# The estimation core before the QR/FWL rewrite, kept verbatim as the
+# reference path; the production code must match it on randomized designs.
+
+
+def _ols(X, target, labels):
+    """Pivoted-QR least squares with an explicit rank check."""
+    n, k = X.shape
+    if n < 10 + k:
+        raise InsufficientSample(
+            f"{n} rows cannot support {k} regressors (need >= {10 + k})"
+        )
+    Q, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    tol = np.finfo(float).eps * max(n, k) * (diag.max() if diag.size else 0.0)
+    rank = int(np.sum(diag > tol))
+    if rank < k:
+        offending = [labels[j] for j in sorted(piv[rank:])]
+        raise RankDeficientDesign("design matrix is rank deficient", offending)
+    coef_piv = scipy.linalg.solve_triangular(R, Q.T @ target)
+    beta = np.empty(k)
+    beta[piv] = coef_piv
+    rinv = scipy.linalg.solve_triangular(R, np.eye(k))
+    xtx_inv = np.empty((k, k))
+    xtx_inv[np.ix_(piv, piv)] = rinv @ rinv.T
+    resid = target - X @ beta
+    return beta, resid, xtx_inv
+
+
+def hac_covariance(X, resid, xtx_inv, bandwidth):
+    """Newey-West coefficient covariance with the given lag truncation.
+
+    bandwidth 0 is defined as the classical homoskedastic OLS covariance
+    (not the lag-0 robust sandwich), matching the module contract.
+    """
+    n, k = X.shape
+    if bandwidth == 0:
+        sigma2 = float(resid @ resid) / (n - k)
+        return sigma2 * xtx_inv
+    g = X * resid[:, None]
+    S = g.T @ g
+    for j in range(1, min(bandwidth, n - 1) + 1):
+        w = 1.0 - j / (bandwidth + 1.0)
+        gamma = g[j:].T @ g[:-j]
+        S += w * (gamma + gamma.T)
+    return xtx_inv @ S @ xtx_inv
+
+
+def _reference_fit(y, x, endo, controls, h, spec, p, l):
+    """(estimate, se, lo, hi) of the contemporaneous shock at horizon h."""
+    X, target, labels = _design(y, x, endo, controls, h, p, l, spec)
+    beta, resid, xtx_inv = _ols(X, target, labels)
+    cov = hac_covariance(X, resid, xtx_inv, bandwidth=h + 1)
+    j = labels.index("shock[-0]")
+    se = math.sqrt(max(cov[j, j], 0.0))
+    z = NormalDist().inv_cdf(0.5 + spec.ci_level / 2.0)
+    est = float(beta[j])
+    return est, se, est - z * se, est + z * se
+
+
+def _reference_select(y, x, endo, controls, spec):
+    """One pivoted-QR fit per (p, l) candidate, scored by AIC."""
+    has_controls = controls is not None and controls.shape[1] > 0
+    l_grid = range(1, spec.l_max + 1) if has_controls else [0]
+    t_start = max(spec.p_max, spec.r, spec.l_max if has_controls else 0)
+    best = None
+    for p in range(1, spec.p_max + 1):
+        for l in l_grid:
+            X, target, labels = _design(
+                y, x, endo, controls, 0, p, l, spec, t_start=t_start
+            )
+            _, resid, _ = _ols(X, target, labels)
+            n, k = X.shape
+            key = (aic_value(n, float(resid @ resid), k), k, p, l)
+            if best is None or key < best[0]:
+                best = (key, (p, l))
+    return best[1]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InsufficientSample, RankDeficientDesign) as exc:
+        return type(exc).__name__, str(exc)
 
 
 class TestFitHorizon:
@@ -97,6 +187,21 @@ class TestFitHorizon:
             fit_horizon(y, x, y[:, None], controls, 0, spec, p=1, l=1)
         assert any(c.startswith("ctrl") for c in err.value.columns)
 
+    def test_near_collinear_controls_name_a_control(self, rng):
+        # the pair differs only at the rounding floor of the design
+        T = 800
+        y = rng.normal(size=T)
+        x = rng.normal(size=T)
+        z = rng.normal(size=T)
+        controls = np.column_stack([z, z + 1e-13 * rng.normal(size=T)])
+        spec = LpSpec(h_max=1, p_max=1, l_max=1)
+        with pytest.raises(RankDeficientDesign) as err:
+            fit_horizon(y, x, y[:, None], controls, 0, spec, p=1, l=1)
+        assert any(c.startswith("ctrl") for c in err.value.columns)
+        for select in (select_lags, _reference_select):
+            outcome = _outcome(select, y, x, y[:, None], controls, spec)
+            assert outcome[0] == "RankDeficientDesign"
+
 
 class TestShockLags:
     def test_distributed_lag_coefficients_recovered(self, rng):
@@ -113,27 +218,34 @@ class TestShockLags:
 
 
 class TestHac:
+    @staticmethod
+    def _fwl_parts(y, x):
+        # the shock column is last in this design, so e = R_kk q_k
+        spec = LpSpec(h_max=1, p_max=1, l_max=1)
+        X, target, labels = _design(y, x, y[:, None], None, 0, 1, 0, spec)
+        assert labels[-1] == "shock[-0]"
+        Q, R = np.linalg.qr(X)
+        resid = target - Q @ (Q.T @ target)
+        return X, target, labels, R[-1, -1] * Q[:, -1], resid
+
     def test_bandwidth_zero_equals_classical(self, rng):
         T = 150
         x = rng.normal(size=T)
         y = 0.3 * x + rng.normal(size=T)
-        spec = LpSpec(h_max=1, p_max=1, l_max=1)
-        X, target, labels = _design(y, x, y[:, None], None, 0, 1, 0, spec)
-        beta, resid, xtx_inv = _ols(X, target, labels)
-        classical = hac_covariance(X, resid, xtx_inv, 0)
-        sigma2 = resid @ resid / (len(target) - X.shape[1])
-        np.testing.assert_allclose(classical, sigma2 * xtx_inv, rtol=1e-12)
+        X, target, labels, e, resid = self._fwl_parts(y, x)
+        classical = hac_variance(e, resid, X.shape[1], 0)
+        _, ref_resid, xtx_inv = _ols(X, target, labels)
+        sigma2 = ref_resid @ ref_resid / (len(target) - X.shape[1])
+        np.testing.assert_allclose(classical, sigma2 * xtx_inv[-1, -1],
+                                   rtol=1e-12)
 
     def test_hac_variances_nonnegative(self, rng):
         T = 200
         x = rng.normal(size=T)
         y = rng.normal(size=T)
-        spec = LpSpec(h_max=1, p_max=1, l_max=1)
-        X, target, labels = _design(y, x, y[:, None], None, 0, 1, 0, spec)
-        beta, resid, xtx_inv = _ols(X, target, labels)
+        X, target, labels, e, resid = self._fwl_parts(y, x)
         for bw in (1, 3, 8, 24):
-            cov = hac_covariance(X, resid, xtx_inv, bw)
-            assert np.all(np.diag(cov) >= 0.0)
+            assert hac_variance(e, resid, X.shape[1], bw) >= 0.0
 
 
 class TestSelectLags:
@@ -182,6 +294,53 @@ class TestSelectLags:
             _, l = select_lags(y, x, y[:, None], z, spec)
             wins += l >= 2
         assert wins >= 0.9 * n_sims
+
+
+def _random_case(case):
+    """A seeded LP problem: AR(2) target, thresholded shock, AR(1) controls."""
+    T, n_ctrl, r, contemporaneous = case
+    rng = np.random.default_rng([T, n_ctrl, r, contemporaneous, 11])
+    x = np.maximum(rng.normal(size=T) - 0.3, 0.0)
+    z = np.zeros((T, n_ctrl))
+    for t in range(1, T):
+        z[t] = 0.6 * z[t - 1] + rng.normal(size=n_ctrl)
+    y = rng.normal(size=T) + 0.5 * x
+    if n_ctrl:
+        y[2:] += 0.4 * z[:-2, 0]
+    for t in range(2, T):
+        y[t] += 0.5 * y[t - 1] - 0.2 * y[t - 2]
+    endo = y[:, None]
+    if T % 2 == 0:   # an extra endogenous series on half the cases
+        endo = np.column_stack([y, np.cumsum(rng.normal(size=T)) * 0.1])
+    spec = LpSpec(h_max=6, p_max=8, l_max=8, r=r,
+                  contemporaneous_controls=contemporaneous)
+    return y, x, endo, (z if n_ctrl else None), spec
+
+
+RANDOM_CASES = list(itertools.product((60, 61, 240, 900), (0, 1, 3), (0, 1),
+                                      (False, True)))
+
+
+class TestReferencePath:
+    @pytest.mark.parametrize("case", RANDOM_CASES, ids=str)
+    def test_matches_the_pivoted_reference(self, case):
+        y, x, endo, controls, spec = _random_case(case)
+        chosen = _outcome(select_lags, y, x, endo, controls, spec)
+        assert chosen == _outcome(_reference_select, y, x, endo, controls,
+                                  spec)
+        if isinstance(chosen[0], str):
+            return
+        p, l = chosen
+        for h in range(spec.h_max + 1):
+            new = fit_horizon(y, x, endo, controls, h, spec, p, l)
+            ref = _reference_fit(y, x, endo, controls, h, spec, p, l)
+            np.testing.assert_allclose(
+                [new.estimate, new.se, new.lo, new.hi], ref, rtol=1e-10)
+
+    def test_cases_cover_both_outcomes(self):
+        raised = [isinstance(_outcome(select_lags, *_random_case(c))[0], str)
+                  for c in RANDOM_CASES]
+        assert 30 <= raised.count(False) < len(RANDOM_CASES)
 
 
 class TestIrf:
