@@ -112,7 +112,7 @@ def _region_mask(domain, entry):
             f"region {entry.get('name')!r} needs either cells or path"
         )
     mask = np.zeros(domain.shape, dtype=bool)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with ingest.open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["lat", "lon"]:

@@ -10,7 +10,7 @@ import math
 
 import jsonschema
 
-from .errors import ConfigError
+from .errors import ConfigError, first_non_utf8
 
 _WINDOW = {
     "type": "array", "items": {"type": "integer"},
@@ -242,6 +242,10 @@ def load_config(path):
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except UnicodeDecodeError:
+        byte, line = first_non_utf8(path)
+        raise ConfigError(f"config file {path}, line {line}: byte "
+                          f"{byte:#04x} is not UTF-8") from None
     return validate_config(doc)
 
 

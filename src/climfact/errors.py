@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and where a text input
+stops being UTF-8.
 
 Three branches matter to the batch front-end: ConfigError (exit 2),
 DataError (exit 3) and NumericalError (exit 4). Library code raises the
@@ -111,3 +112,14 @@ class ZeroCrossCovariance(NumericalError):
 
 class SingularFactorCovariance(NumericalError):
     """Factor covariance is numerically singular; lower K and retry."""
+
+
+def first_non_utf8(path):
+    """(value, 1-based line) of the first byte of path that is not UTF-8;
+    called once a text read of path has failed to decode."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return raw[exc.start], raw.count(b"\n", 0, exc.start) + 1

@@ -14,11 +14,22 @@ Two grid formats are accepted:
 A cell that is missing in any month is masked in every month; nothing is
 ever imputed. Panels follow the same rule column-wise: a sector with any
 gap in the loaded window is dropped (and reported), never filled.
+
+A valid format A file is parsed in one C-level ``np.loadtxt`` pass. A
+file that pass cannot take as it stands (a malformed row, a quoted
+field, a number only Python's ``float`` spells) is read again row by row;
+that reader words every error with its file line, blank lines counted,
+and both give the same series wherever both succeed. The writer formats
+each cell's ``lat,lon,`` once and writes one joined string per frame.
+Every CSV input is read as UTF-8; a byte that is not is a ParseError
+naming its line.
 """
 
+import contextlib
 import csv
 import math
 import struct
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +40,7 @@ from .errors import (
     EmptyIntersection,
     NoSectorsRemain,
     ParseError,
+    first_non_utf8,
 )
 from .grid import SurfaceSeries, build_domain
 
@@ -37,6 +49,25 @@ _SGF_MAGIC = b"SGF1"
 # (lat, lon) pair in the file, so the dense cube stays within a fixed
 # multiple of the data however small an explicit grid step is.
 _LATTICE_CELLS_PER_PAIR = 100
+# One format A data row as np.loadtxt parses it. The time text stays an
+# object so it is never truncated to a fixed width.
+_GRID_ROW = [("t", object), ("lat", "f8"), ("lon", "f8"), ("v", "f8")]
+# loadtxt strips these around a number as whitespace; Python's float,
+# which the row reader uses, rejects them.
+_LOADTXT_BLANKS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+@contextlib.contextmanager
+def open_csv(path):
+    """Open a CSV input as UTF-8 text; a byte that is not UTF-8 ends the
+    read as a ParseError naming the file and the byte's line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            byte, line = first_non_utf8(path)
+            raise ParseError(f"byte {byte:#04x} is not UTF-8", path=path,
+                             line=line) from None
 
 
 # -- panels --------------------------------------------------------------
@@ -111,21 +142,69 @@ def _infer_axis(centers, axis, step=None):
     return origin, origin + n * step, step, n
 
 
+def _grid_reader(fh, path):
+    """csv reader over an open format A file, past its checked header."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty file", path=path, line=1) from None
+    if len(header) != 4 or header[0].strip().lower() != "time":
+        raise ParseError(
+            f"expected header time,lat,lon,<name>, got {header}",
+            path=path, line=1,
+        )
+    return reader, header
+
+
 def _load_gridded_csv(path, variable, step, weighting):
+    """Format A: the loadtxt pass, or on any failure the row reader."""
+    with open_csv(path) as fh:
+        _, header = _grid_reader(fh, path)
+    grid = None
+    try:
+        # no blank-line offsets: an error here is discarded, and the row
+        # reader below raises it again with its file line
+        grid = _grid_cube(path, *_parse_grid_body(path), (), step)
+    except (ValueError, Warning, ParseError):
+        pass
+    if grid is None:
+        grid = _grid_cube(path, *_read_grid_rows(path), step)
+    axis, cube, domain_kwargs = grid
+    return _finish_series(domain_kwargs, axis, cube,
+                          variable or header[3].strip(), weighting)
+
+
+def _parse_grid_body(path):
+    """Times, lats, lons and values of a format A body in one loadtxt pass.
+
+    Every field is required, nothing is truncated and no line is taken
+    for a comment, so a file that parses here gives the row reader's
+    arrays. Anything else raises ValueError or, for an empty body, a
+    warning turned into an error. A header whose quoted name runs over
+    several lines fails here too: the line that closes the quote holds
+    it in its last field, which no number takes."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if any(sep in raw for sep in _LOADTXT_BLANKS):
+        raise ValueError("information separator in a format A file")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = np.loadtxt(path, dtype=_GRID_ROW, delimiter=",", skiprows=1,
+                           comments=None, encoding="utf-8", ndmin=1)
+    texts = table["t"].tolist()
+    stamps = {text: months.parse_month(text) for text in set(texts)}
+    times = np.array([stamps[text] for text in texts], dtype="datetime64[M]")
+    return times, table["lat"], table["lon"], table["v"]
+
+
+def _read_grid_rows(path):
+    """Row-by-row format A parse, the reader that words every error with
+    its line; also returns the data-row count at each skipped blank line."""
     rows = []
-    blanks = []        # len(rows) at each skipped blank line
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", path=path, line=1) from None
-        if len(header) != 4 or header[0].strip().lower() != "time":
-            raise ParseError(
-                f"expected header time,lat,lon,<name>, got {header}",
-                path=path, line=1,
-            )
-        name = variable or header[3].strip()
+    blanks = []
+    with open_csv(path) as fh:
+        reader, _ = _grid_reader(fh, path)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 blanks.append(len(rows))
@@ -144,11 +223,19 @@ def _load_gridded_csv(path, variable, step, weighting):
             rows.append((t, lat, lon, val))
     if not rows:
         raise ParseError("no data rows", path=path, line=2)
+    return (np.array([r[0] for r in rows], dtype="datetime64[M]"),
+            np.array([r[1] for r in rows]),
+            np.array([r[2] for r in rows]),
+            np.array([r[3] for r in rows]),
+            blanks)
 
-    times = np.array([r[0] for r in rows], dtype="datetime64[M]")
-    lats = np.array([r[1] for r in rows])
-    lons = np.array([r[2] for r in rows])
-    vals = np.array([r[3] for r in rows])
+
+def _grid_cube(path, times, lats, lons, vals, blanks, step):
+    """Check parsed format A rows and fill the dense (time, lat, lon) cube.
+
+    Returns the monthly axis, the cube and the domain's bounds and step.
+    blanks lists the data-row count at each skipped blank line, so an
+    error names the file line of its row."""
 
     def line_of(k):
         """File line of data row k, counting the skipped blank lines."""
@@ -195,9 +282,8 @@ def _load_gridded_csv(path, variable, step, weighting):
         )
     cube[t_idx, i_idx, j_idx] = vals
 
-    kwargs = dict(bounds=(lat_min, lat_max, lon_min, lon_max),
-                  step=(step_lat, step_lon))
-    return _finish_series(kwargs, axis, cube, name, weighting)
+    return axis, cube, dict(bounds=(lat_min, lat_max, lon_min, lon_max),
+                            step=(step_lat, step_lon))
 
 
 def _load_gridded_binary(path, variable, weighting):
@@ -259,17 +345,22 @@ def write_csv(path, header, rows):
 
 
 def write_gridded_csv(series, path):
-    """Write a SurfaceSeries as format A; masked cells are omitted."""
+    """Write a SurfaceSeries as format A; masked cells are omitted.
+
+    The ``lat,lon,`` text of each valid cell is formatted once, and each
+    frame is written as one joined string."""
     domain = series.domain
-    lat_c = domain.lat_centers
-    lon_c = domain.lon_centers
     ii, jj = np.nonzero(domain.mask)
-    write_csv(path, ["time", "lat", "lon", series.name], (
-        [str(t), format_float(lat_c[i]), format_float(lon_c[j]),
-         format_float(frame[i, j])]
-        for t, frame in zip(series.times, series.values)
-        for i, j in zip(ii, jj)
-    ))
+    cells = [f"{format_float(domain.lat_centers[i])},"
+             f"{format_float(domain.lon_centers[j])},"
+             for i, j in zip(ii, jj)]
+    write_csv(path, ["time", "lat", "lon", series.name], ())
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        for t, frame in zip(series.times, series.values):
+            t = str(t)
+            values = frame[ii, jj].tolist()
+            fh.write("".join([f"{t},{cell}{v!r}\n"
+                              for cell, v in zip(cells, values)]))
 
 
 def write_gridded_binary(series, path):
@@ -303,7 +394,7 @@ def write_surface_csv(surface, path, name="value"):
 
 
 def _read_panel_rows(path):
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -334,11 +425,16 @@ def _read_panel_rows(path):
                     parsed.append(math.nan)
                 else:
                     try:
-                        parsed.append(float(cell))
+                        value = float(cell)
                     except ValueError:
                         raise ParseError(
                             f"bad numeric field {cell!r}", path=path, line=lineno
                         ) from None
+                    if not math.isfinite(value):
+                        raise ParseError(
+                            f"non-finite number {cell!r}; a missing value is "
+                            "an empty field", path=path, line=lineno)
+                    parsed.append(value)
             values.append(parsed)
     if not times:
         raise ParseError("no data rows", path=path, line=2)
@@ -389,8 +485,11 @@ def load_control_panel(path, transform="yoy"):
 
 
 def write_panel_csv(panel, path, time_label="time"):
+    """Write a panel; a non-finite value is written as an empty field,
+    the panel format's missing value."""
     write_csv(path, [time_label, *panel.sector_ids],
-              ([str(t), *(format_float(v) for v in row)]
+              ([str(t), *(format_float(v) if math.isfinite(v) else ""
+                          for v in row)]
                for t, row in zip(panel.times, panel.values)))
 
 

@@ -190,6 +190,11 @@ def fit_horizon(y, x, endo, controls, h, spec, p, l, t_start=None):
     (including the target), controls optional.
     """
     X, target, labels = _design(y, x, endo, controls, h, p, l, spec, t_start)
+    return _fit(X, target, labels, h, spec, p, l)
+
+
+def _fit(X, target, labels, h, spec, p, l):
+    """Horizon-h estimate from its design X and target."""
     n, k = X.shape
     j = labels.index("shock[-0]")
     order = [*range(j), *range(j + 1, k), j]
@@ -285,10 +290,15 @@ def irf(sector, panel, shock, spec=None, extra_endogenous=None, controls=None):
     else:
         p, l = spec.p_max, (spec.l_max if ctrl is not None else 0)
 
-    estimates = [
-        fit_horizon(y, x, endo, ctrl, h, spec, p, l)
-        for h in range(spec.h_max + 1)
-    ]
+    # t0 does not depend on h, so horizon h fits the first n - h rows of
+    # the horizon-0 design on the last n - h values of y (_fit's sample
+    # check stops the loop while n - h > 0). A fresh copy of the target
+    # keeps BLAS's summation order, and so every digit, as fit_horizon's.
+    X, _, labels = _design(y, x, endo, ctrl, 0, p, l, spec)
+    n = len(X)
+    estimates = [_fit(X[:n - h], y[len(y) - n + h:].copy(), labels, h, spec,
+                      p, l)
+                 for h in range(spec.h_max + 1)]
     return IrfResult(
         sector=sector,
         shock_name=shock.name,

@@ -77,6 +77,13 @@ def _tiny_grid(tmp_path):
     return series, grid
 
 
+def _spoil_line(path, line):
+    """Put a byte that is not UTF-8 at the start of a 1-based line."""
+    lines = Path(path).read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    Path(path).write_bytes(b"\n".join(lines))
+
+
 def _grid_entries(root):
     return [
         {"name": name, "path": str(root / "data" / f"{name}.csv")}
@@ -133,13 +140,19 @@ class TestBaseline:
         "config step NaN", "config step Infinity", "config step 1e-300",
         "sgf truncated", "grid duplicate row", "grid duplicate name",
         "region 60.25,10.25", "grid value inf", "grid value nan",
-        "config step 0.01", "config step 1e-310",
+        "config step 0.01", "config step 1e-310", "config byte 0xff",
+        "grid byte 0xff", "region byte 0xff",
     ])
     def test_malformed_input_exits_cleanly(self, tmp_path, capsys, case):
         series, grid = _tiny_grid(tmp_path)
         doc = {"grids": [grid], "baseline": {"reference_window": [2001, 2002]}}
         kind, detail = case.split(" ", 1)
-        if kind == "region":
+        if detail == "byte 0xff":
+            if kind == "region":
+                (tmp_path / "region.csv").write_text("lat,lon\n50.25,10.25\n")
+                doc["regions"] = [{"name": "R",
+                                   "path": str(tmp_path / "region.csv")}]
+        elif kind == "region":
             (tmp_path / "region.csv").write_text(f"lat,lon\n{detail}\n")
             doc["regions"] = [{"name": "R", "path": str(tmp_path / "region.csv")}]
         elif kind == "sgf":
@@ -162,7 +175,12 @@ class TestBaseline:
             Path(grid["path"]).write_text("".join(lines))
         else:
             grid["step"] = json.loads(detail.split(" ", 1)[1])
-        code = cli.main(["baseline", "--config", _write_config(tmp_path, doc),
+        config = _write_config(tmp_path, doc)
+        if detail == "byte 0xff":
+            _spoil_line({"config": config, "grid": grid["path"],
+                         "region": tmp_path / "region.csv"}[kind],
+                        {"config": 3, "grid": 4, "region": 2}[kind])
+        code = cli.main(["baseline", "--config", config,
                          "--out", str(tmp_path / "out"), "--quiet"])
         err = capsys.readouterr().err
         assert code in (2, 3)
@@ -178,6 +196,10 @@ class TestBaseline:
             "config step 0.01": (
                 3, "latitude step 0.01 and longitude step 0.01 give a 51 x 51"),
             "config step 1e-310": (3, "latitude step 1e-310"),
+            "config byte 0xff": (2, "config.json, line 3: byte 0xff"),
+            "grid byte 0xff": (3, "byte 0xff is not UTF-8 (" + grid["path"]
+                               + ", line 4)"),
+            "region byte 0xff": (3, "region.csv, line 2"),
         }.get(case)
         if expected:
             assert code == expected[0] and expected[1] in err
@@ -456,6 +478,7 @@ class TestLp:
     @pytest.mark.filterwarnings("ignore:degenerate threshold")
     @pytest.mark.parametrize("case", [
         "all-gap panel", "zero level under yoy", "flat auto threshold",
+        "inf panel", "panel byte 0xff",
     ])
     def test_malformed_input_exits_cleanly(self, tmp_path, capsys, case):
         series, grid = _tiny_grid(tmp_path)
@@ -465,8 +488,15 @@ class TestLp:
         elif case == "zero level under yoy":
             values = np.ones((24, 1))
             values[0, 0] = 0.0
+        panel = tmp_path / "sectors.csv"
         write_panel_csv(SectorPanel(series.times, ("A", "B")[:values.shape[1]],
-                                    values), tmp_path / "sectors.csv")
+                                    values), panel)
+        if case == "inf panel":
+            lines = panel.read_text().splitlines(keepends=True)
+            lines[4] = lines[4].replace(",1.0,", ",inf,")
+            panel.write_text("".join(lines))
+        elif case == "panel byte 0xff":
+            _spoil_line(panel, 5)
         threshold = "auto" if case == "flat auto threshold" else 0.5
         config = _write_config(tmp_path, {
             "grids": [grid],
@@ -482,6 +512,8 @@ class TestLp:
         assert "Traceback" not in err
         assert ("threshold" if case == "flat auto threshold"
                 else "sectors.csv") in err
+        if case in ("inf panel", "panel byte 0xff"):
+            assert "sectors.csv, line 5" in err
 
     def test_unknown_sector_is_config_error(self, planted, tmp_path):
         config = _write_config(tmp_path, {

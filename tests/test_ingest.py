@@ -10,11 +10,13 @@ from climfact.errors import (
 )
 from climfact.grid import SurfaceSeries, build_domain
 from climfact.ingest import (
+    SectorPanel,
     align,
     load_gridded,
     load_sector_panel,
     write_gridded_binary,
     write_gridded_csv,
+    write_panel_csv,
 )
 
 
@@ -197,6 +199,35 @@ class TestSectorPanel:
         np.testing.assert_array_equal(first.values, second.values)
         assert first.sector_ids == second.sector_ids
         assert np.array_equal(first.times, second.times)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", " Infinity "])
+    def test_non_finite_cell_is_a_parse_error(self, tmp_path, cell):
+        times = np.arange(np.datetime64("2001-01", "M"),
+                          np.datetime64("2001-05", "M"))
+        rows = [f"{t},1.0,{cell if k == 2 else 2.0}"
+                for k, t in enumerate(times)]
+        with pytest.raises(ParseError,
+                           match=r"non-finite.*panel\.csv, line 4"):
+            load_sector_panel(self._write(tmp_path, "time,A,B", rows),
+                              transform="none")
+
+    def test_written_gap_reads_back_as_a_gap(self, tmp_path):
+        times = np.arange(np.datetime64("2001-01", "M"),
+                          np.datetime64("2001-05", "M"))
+        values = np.array([[1.0, 2.0], [np.nan, 3.0], [4.0, np.inf],
+                           [5.0, 6.0]])
+        path = tmp_path / "panel.csv"
+        write_panel_csv(SectorPanel(times, ("A", "B"), values), path)
+        assert path.read_text().splitlines()[2:4] == [
+            "2001-02,,3.0", "2001-03,4.0,"]
+        with pytest.raises(NoSectorsRemain, match="A has gaps; B has gaps"):
+            load_sector_panel(path, transform="none")
+
+    def test_invalid_utf8_names_the_line(self, tmp_path):
+        path = self._write(tmp_path, "time,A", ["2001-01,1.0", "2001-02,2.0"])
+        path.write_bytes(path.read_bytes().replace(b"2.0", b"2.0\xff"))
+        with pytest.raises(ParseError, match=r"byte 0xff.*panel\.csv, line 3"):
+            load_sector_panel(path, transform="none")
 
     def test_no_transform_keeps_levels(self, tmp_path):
         times = np.arange(np.datetime64("2001-01", "M"),

@@ -383,6 +383,41 @@ class TestIrf:
         assert np.all(result.lo <= result.estimate)
         assert np.all(result.estimate <= result.hi)
 
+    @pytest.mark.parametrize("r,contemporaneous,extra", [
+        (0, False, False), (1, True, True), (2, False, True)])
+    def test_every_horizon_equals_fit_horizon(self, rng, r, contemporaneous,
+                                              extra):
+        # irf slices one horizon-0 design; each horizon must equal a
+        # fit_horizon call that builds its own design, to the last bit
+        W, x = var1_simulate(150, PHI, B, rng)
+        controls = _panel(rng.normal(size=(150, 2)))
+        spec = LpSpec(h_max=12, p_max=3, l_max=2, r=r,
+                      contemporaneous_controls=contemporaneous)
+        result = irf("S0", _panel(W[:, :1]), _shock_series(x), spec,
+                     extra_endogenous=_panel(W[:, 1:]) if extra else None,
+                     controls=controls)
+        endo = W if extra else W[:, :1]
+        for h in result.horizons:
+            one = fit_horizon(W[:, 0], x, endo, controls.values, h, spec,
+                              result.p, result.l)
+            assert (one.estimate, one.se, one.lo, one.hi, one.nobs,
+                    one.resid_sd) == (
+                result.estimate[h], result.se[h], result.lo[h], result.hi[h],
+                result.nobs[h], result.resid_sd[h])
+
+    def test_first_horizon_past_the_sample_fails_as_fit_horizon(self, rng):
+        W, x = var1_simulate(40, PHI, B, rng)
+        spec = LpSpec(h_max=39, p_max=1, l_max=1, lag_selection="fixed")
+        for h in range(spec.h_max + 1):
+            try:
+                fit_horizon(W[:, 0], x, W[:, :1], None, h, spec, 1, 0)
+            except InsufficientSample as exc:
+                expected = str(exc)
+                break
+        with pytest.raises(InsufficientSample) as info:
+            irf("S0", _panel(W[:, :1]), _shock_series(x), spec)
+        assert str(info.value) == expected
+
 
 class TestBattery:
     def test_cardinality(self, rng):
