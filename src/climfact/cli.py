@@ -7,6 +7,9 @@ trees (seeds for permutation tests come from the config or --seed).
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numerical
 failure.
+
+Each command imports the estimation and plotting modules it runs inside
+its own body, so a command pays at start-up only for its own work.
 """
 
 import argparse
@@ -21,12 +24,7 @@ import numpy as np
 
 from . import climatology as cl
 from . import config as cfg
-from . import factors as af
-from . import fira as fr
 from . import ingest
-from . import localproj as lp
-from . import svgplot
-from . import synth
 from .errors import (
     ClimfactError,
     ConfigError,
@@ -297,6 +295,9 @@ def _endogenous_subset(extra, panel, sector):
 
 
 def cmd_lp(args, config, out):
+    from . import localproj as lp
+    from . import svgplot
+
     *_, shock_table = _shock_table(config)
     panel = _load_panel(config, "sectors", required=True)
     extra = _load_panel(config, "endogenous")
@@ -352,6 +353,8 @@ def cmd_lp(args, config, out):
 
 
 def cmd_factors(args, config, out):
+    from . import factors as af
+
     section = cfg.require(config, "factors")
     series, panel = _factor_inputs(config, section)
     seed = _seed(args, config)
@@ -390,6 +393,9 @@ def cmd_factors(args, config, out):
 
 
 def cmd_fira(args, config, out):
+    from . import fira as fr
+    from . import svgplot
+
     section = cfg.require(config, "fira")
     series, panel = _factor_inputs(config, section)
     controls = _load_panel(config, "controls")
@@ -450,6 +456,8 @@ def cmd_fira(args, config, out):
 
 
 def cmd_synth(args, config, out):
+    from . import synth
+
     section = cfg.require(config, "synth")
     kind = section["kind"]
     seed = _seed(args, config)

@@ -3,12 +3,20 @@
 A run configuration is one JSON document naming the input files and the
 estimation settings for every subcommand. Validation is strict: unknown
 keys are rejected up front so typos fail before any computation starts.
+
+``SCHEMA`` is a JSON Schema (draft 2020-12) document, checked by a small
+walker over the twelve keywords it uses rather than by the jsonschema
+package, which costs every command about 0.1 s to import. The walker
+finds the errors Draft202012Validator finds, in the same order and
+words, and reports the first by instance path. It differs in one place:
+an ``integer`` is a Python ``int`` (not a ``bool``), so an integral
+float such as ``3.0``, which JSON Schema counts as an integer, is
+rejected where the library needs an int.
 """
 
 import json
 import math
-
-import jsonschema
+import operator
 
 from .errors import ConfigError, first_non_utf8
 
@@ -210,13 +218,112 @@ SCHEMA = {
 }
 
 
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "integer": int, "number": (int, float)}
+
+
+def _is(node, name):
+    return isinstance(node, _TYPES[name]) and (
+        name == "boolean" or not isinstance(node, bool))
+
+
+def _errors(node, schema, path):
+    """(instance path, message) of each way node breaks schema, in the
+    order of the schema's keywords."""
+    for keyword, value in schema.items():
+        yield from _KEYWORDS[keyword](node, value, schema, path)
+
+
+def _type(node, name, schema, path):
+    if not _is(node, name):
+        yield path, f"{node!r} is not of type {name!r}"
+
+
+def _enum(node, options, schema, path):
+    # every enum in SCHEMA lists strings
+    if not (isinstance(node, str) and node in options):
+        yield path, f"{node!r} is not one of {options!r}"
+
+
+def _any_of(node, options, schema, path):
+    if all(any(_errors(node, option, path)) for option in options):
+        yield path, f"{node!r} is not valid under any of the given schemas"
+
+
+def _properties(node, properties, schema, path):
+    if isinstance(node, dict):
+        for key, sub in properties.items():
+            if key in node:
+                yield from _errors(node[key], sub, path + [key])
+
+
+def _required(node, keys, schema, path):
+    if isinstance(node, dict):
+        for key in keys:
+            if key not in node:
+                yield path, f"{key!r} is a required property"
+
+
+def _additional(node, allowed, schema, path):
+    if not isinstance(node, dict) or allowed is not False:
+        return
+    extras = sorted((key for key in node
+                     if key not in schema.get("properties", {})), key=str)
+    if extras:
+        yield path, (f"Additional properties are not allowed "
+                     f"({', '.join(map(repr, extras))} "
+                     f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+
+
+def _items(node, sub, schema, path):
+    if isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _errors(item, sub, path + [i])
+
+
+def _min_items(node, n, schema, path):
+    if isinstance(node, list) and len(node) < n:
+        yield path, (f"{node!r} "
+                     f"{'should be non-empty' if n == 1 else 'is too short'}")
+
+
+def _max_items(node, n, schema, path):
+    if isinstance(node, list) and len(node) > n:
+        yield path, (f"{node!r} "
+                     f"{'is expected to be empty' if n == 0 else 'is too long'}")
+
+
+def _bound(fails, words):
+    def check(node, limit, schema, path):
+        if _is(node, "number") and fails(node, limit):
+            yield path, f"{node!r} is {words} {limit!r}"
+    return check
+
+
+_KEYWORDS = {
+    "type": _type,
+    "enum": _enum,
+    "anyOf": _any_of,
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _additional,
+    "items": _items,
+    "minItems": _min_items,
+    "maxItems": _max_items,
+    "minimum": _bound(operator.lt, "less than the minimum of"),
+    "exclusiveMinimum": _bound(operator.le,
+                               "less than or equal to the minimum of"),
+    "exclusiveMaximum": _bound(operator.ge,
+                               "greater than or equal to the maximum of"),
+}
+
+
 def validate_config(doc):
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.path))
+    errors = sorted(_errors(doc, SCHEMA, []), key=lambda e: e[0])
     if errors:
-        err = errors[0]
-        where = "/".join(str(p) for p in err.path) or "(top level)"
-        raise ConfigError(f"config key {where}: {err.message}")
+        path, message = errors[0]
+        where = "/".join(map(str, path)) or "(top level)"
+        raise ConfigError(f"config key {where}: {message}")
     _check_finite(doc)
     return doc
 

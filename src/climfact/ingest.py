@@ -23,12 +23,26 @@ and both give the same series wherever both succeed. The writer formats
 each cell's ``lat,lon,`` once and writes one joined string per frame.
 Every CSV input is read as UTF-8; a byte that is not is a ParseError
 naming its line.
+
+A format A file is parsed once per content. After a parse succeeds, the
+series is also written as a format B file, its twin, under
+``$XDG_CACHE_HOME/climfact/grids/`` (``~/.cache/climfact/grids/`` when
+that is unset or relative). The twin's name holds the sha256 of the source path and
+the sha256 of the file's bytes and the grid step, so a later load that
+hashes the same bytes reads the twin in place of parsing, and any edit,
+even one that keeps the size and modification time, parses again. Each
+source path keeps one twin. A cache that cannot be read or written is
+skipped, and a file that fails to parse leaves no twin. Deleting the
+directory is always safe.
 """
 
 import contextlib
 import csv
+import hashlib
 import math
+import os
 import struct
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 
@@ -37,6 +51,7 @@ import numpy as np
 from . import months
 from .errors import (
     AllMasked,
+    DataError,
     EmptyIntersection,
     NoSectorsRemain,
     ParseError,
@@ -55,6 +70,9 @@ _GRID_ROW = [("t", object), ("lat", "f8"), ("lon", "f8"), ("v", "f8")]
 # loadtxt strips these around a number as whitespace; Python's float,
 # which the row reader uses, rejects them.
 _LOADTXT_BLANKS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# Part of every twin's content key. Change it with any change to what a
+# format A file loads as, so that twins written before the change miss.
+_PARSE_VERSION = b"format A 1\n"
 
 
 @contextlib.contextmanager
@@ -158,24 +176,75 @@ def _grid_reader(fh, path):
 
 
 def _load_gridded_csv(path, variable, step, weighting):
-    """Format A: the loadtxt pass, or on any failure the row reader."""
+    """Format A: the file's twin when one matches its bytes, else the
+    loadtxt pass or, on any failure, the row reader."""
     with open_csv(path) as fh:
         _, header = _grid_reader(fh, path)
+    name = variable or header[3].strip()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    twin = _twin_path(path, raw, step)
+    if twin is not None:
+        try:
+            return _load_gridded_binary(twin, name, weighting)
+        except (OSError, DataError):
+            pass    # no twin yet, or a damaged one: parse
     grid = None
     try:
         # no blank-line offsets: an error here is discarded, and the row
         # reader below raises it again with its file line
-        grid = _grid_cube(path, *_parse_grid_body(path), (), step)
+        grid = _grid_cube(path, *_parse_grid_body(path, raw), (), step)
     except (ValueError, Warning, ParseError):
         pass
     if grid is None:
         grid = _grid_cube(path, *_read_grid_rows(path), step)
     axis, cube, domain_kwargs = grid
-    return _finish_series(domain_kwargs, axis, cube,
-                          variable or header[3].strip(), weighting)
+    series = _finish_series(domain_kwargs, axis, cube, name, weighting)
+    if twin is not None:
+        _write_twin(series, twin)
+    return series
 
 
-def _parse_grid_body(path):
+def _twin_path(path, raw, step):
+    """Where the twin of a format A file with bytes raw, loaded with step,
+    lives; None when there is no home directory to hold it."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):     # unset, empty or relative: the default
+        root = os.path.expanduser("~/.cache")
+        if not os.path.isabs(root):
+            return None
+    source = hashlib.sha256(os.fsencode(os.path.abspath(path))).hexdigest()
+    content = hashlib.sha256(_PARSE_VERSION)
+    content.update(raw)
+    content.update(repr(step).encode())
+    return os.path.join(root, "climfact", "grids",
+                        f"{source}-{content.hexdigest()}.sgf")
+
+
+def _write_twin(series, twin):
+    """Write series as format B at twin, whole or not at all, and delete
+    the other twins of its source. A cache that cannot be written is left
+    as it is."""
+    folder, base = os.path.split(twin)
+    source = base.split("-")[0]
+    try:
+        os.makedirs(folder, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
+        os.close(fd)
+        try:
+            write_gridded_binary(series, tmp)
+            os.replace(tmp, twin)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        for other in os.listdir(folder):
+            if other.startswith(source) and other != base:
+                os.unlink(os.path.join(folder, other))
+    except OSError:
+        pass
+
+
+def _parse_grid_body(path, raw):
     """Times, lats, lons and values of a format A body in one loadtxt pass.
 
     Every field is required, nothing is truncated and no line is taken
@@ -183,9 +252,8 @@ def _parse_grid_body(path):
     arrays. Anything else raises ValueError or, for an empty body, a
     warning turned into an error. A header whose quoted name runs over
     several lines fails here too: the line that closes the quote holds
-    it in its last field, which no number takes."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    it in its last field, which no number takes. raw is the file's
+    bytes."""
     if any(sep in raw for sep in _LOADTXT_BLANKS):
         raise ValueError("information separator in a format A file")
     with warnings.catch_warnings():

@@ -1,6 +1,7 @@
 """Helpers for strictly-monthly time axes stored as numpy datetime64[M]."""
 
 import dataclasses
+import re
 
 import numpy as np
 
@@ -13,10 +14,18 @@ SEASONS = {
     "winter": (12, 1, 2),
 }
 
+# numpy alone also reads 'now', 'today', a bare year, a signed or
+# five-digit year and a time of day
+_STAMP = re.compile(r"[0-9]{4}-[0-9]{2}(-[0-9]{2})?")
+
 
 def parse_month(text):
-    """Parse an ISO-8601 month ('2001-01' or '2001-01-01') to datetime64[M]."""
-    return np.datetime64(text.strip(), "M")
+    """Parse an ISO-8601 month stamp, 'YYYY-MM' or 'YYYY-MM-DD' with a
+    four-digit year, to datetime64[M]; anything else is a ValueError."""
+    text = text.strip()
+    if not _STAMP.fullmatch(text):
+        raise ValueError(f"time {text!r} is not a YYYY-MM or YYYY-MM-DD month")
+    return np.datetime64(text, "M")
 
 
 def month_range(start, end):

@@ -4,6 +4,15 @@ import pytest
 from climfact.grid import build_domain
 
 
+@pytest.fixture(autouse=True)
+def twin_cache(tmp_path, monkeypatch):
+    """Each test keeps its format A twins in its own directory, never in
+    the user's cache; subprocesses inherit the setting."""
+    cache = tmp_path / "xdg-cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache / "climfact" / "grids"
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250810)

@@ -141,7 +141,9 @@ class TestBaseline:
         "sgf truncated", "grid duplicate row", "grid duplicate name",
         "region 60.25,10.25", "grid value inf", "grid value nan",
         "config step 0.01", "config step 1e-310", "config byte 0xff",
-        "grid byte 0xff", "region byte 0xff",
+        "grid byte 0xff", "region byte 0xff", "grid stamp now",
+        "grid stamp empty", "config lp.h_max 3.0", "config fira.h_max 2.0",
+        "config fira.lags [0.0, 0, 0]", "config seed 7.0",
     ])
     def test_malformed_input_exits_cleanly(self, tmp_path, capsys, case):
         series, grid = _tiny_grid(tmp_path)
@@ -170,11 +172,24 @@ class TestBaseline:
             lines = Path(grid["path"]).read_text().splitlines(keepends=True)
             if detail == "duplicate row":
                 lines.append(lines[1])
+            elif detail.startswith("stamp"):
+                stamp = "" if detail == "stamp empty" else "now"
+                lines[3] = stamp + lines[3][len("2001-01"):]
             else:
                 lines[3] = f"{lines[3].rsplit(',', 1)[0]},{detail.split()[1]}\n"
             Path(grid["path"]).write_text("".join(lines))
-        else:
+        elif detail.startswith("step"):
             grid["step"] = json.loads(detail.split(" ", 1)[1])
+        else:
+            # an integral float where the library needs an int
+            key, value = detail.split(" ", 1)
+            doc["factors"] = {"variable": "t", "permutation": True}
+            doc["lp"] = {}
+            doc["fira"] = {"variable": "t", "shocks": [
+                {"magnitude": 1.0, "center": [50.5, 10.5],
+                 "radius_km": 100.0}]}
+            section, _, name = key.rpartition(".")
+            (doc[section] if section else doc)[name] = json.loads(value)
         config = _write_config(tmp_path, doc)
         if detail == "byte 0xff":
             _spoil_line({"config": config, "grid": grid["path"],
@@ -200,6 +215,15 @@ class TestBaseline:
             "grid byte 0xff": (3, "byte 0xff is not UTF-8 (" + grid["path"]
                                + ", line 4)"),
             "region byte 0xff": (3, "region.csv, line 2"),
+            "grid stamp now": (3, "time 'now' is not a YYYY-MM or YYYY-MM-DD "
+                                  "month (" + grid["path"] + ", line 4)"),
+            "grid stamp empty": (3, "time '' is not a YYYY-MM or YYYY-MM-DD "
+                                    "month (" + grid["path"] + ", line 4)"),
+            "config lp.h_max 3.0": (2, "key lp/h_max: 3.0 is not of type"),
+            "config fira.h_max 2.0": (2, "key fira/h_max: 2.0 is not of type"),
+            "config fira.lags [0.0, 0, 0]": (
+                2, "key fira/lags/0: 0.0 is not of type 'integer'"),
+            "config seed 7.0": (2, "key seed: 7.0 is not of type 'integer'"),
         }.get(case)
         if expected:
             assert code == expected[0] and expected[1] in err
@@ -478,7 +502,7 @@ class TestLp:
     @pytest.mark.filterwarnings("ignore:degenerate threshold")
     @pytest.mark.parametrize("case", [
         "all-gap panel", "zero level under yoy", "flat auto threshold",
-        "inf panel", "panel byte 0xff",
+        "inf panel", "panel byte 0xff", "panel stamp now",
     ])
     def test_malformed_input_exits_cleanly(self, tmp_path, capsys, case):
         series, grid = _tiny_grid(tmp_path)
@@ -491,9 +515,10 @@ class TestLp:
         panel = tmp_path / "sectors.csv"
         write_panel_csv(SectorPanel(series.times, ("A", "B")[:values.shape[1]],
                                     values), panel)
-        if case == "inf panel":
+        if case in ("inf panel", "panel stamp now"):
             lines = panel.read_text().splitlines(keepends=True)
-            lines[4] = lines[4].replace(",1.0,", ",inf,")
+            lines[4] = (lines[4].replace(",1.0,", ",inf,") if case == "inf panel"
+                        else "now" + lines[4][len("2001-04"):])
             panel.write_text("".join(lines))
         elif case == "panel byte 0xff":
             _spoil_line(panel, 5)
@@ -512,7 +537,7 @@ class TestLp:
         assert "Traceback" not in err
         assert ("threshold" if case == "flat auto threshold"
                 else "sectors.csv") in err
-        if case in ("inf panel", "panel byte 0xff"):
+        if case in ("inf panel", "panel byte 0xff", "panel stamp now"):
             assert "sectors.csv, line 5" in err
 
     def test_unknown_sector_is_config_error(self, planted, tmp_path):
@@ -674,12 +699,36 @@ class TestFactorsAndFira:
 
 
 def test_no_command_imports_scipy():
-    # every command's start-up stays on numpy and jsonschema
+    # start-up loads numpy and the modules every command shares; each
+    # command imports the rest, and the package exports resolve on use
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", "import climfact.cli, sys; print(sorted("
-         "m for m in sys.modules if m.startswith('scipy')))"],
+        [sys.executable, "-c", "import climfact.cli, json, sys\n"
+         "print(json.dumps(sorted(sys.modules)))\n"
+         "import climfact\n"
+         "from climfact import irf, associated_factors, build_design\n"
+         "print(json.dumps(climfact.__all__))"],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
         text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    loaded, exported = map(json.loads, proc.stdout.splitlines())
+    lazy = {f"climfact.{m}" for m in ("localproj", "factors", "fira",
+                                      "svgplot", "synth")}
+    assert not [m for m in loaded if m.startswith(("scipy", "jsonschema"))
+                or m in lazy]
+    assert exported == [
+        "AssociatedFactorSet", "BatteryResult", "ControlPanel",
+        "CovarianceOperators", "FiraResult", "GridDomain", "IrfResult",
+        "LaggedDesign", "LpSpec", "MonthlyBaseline", "ResponseResult",
+        "ScalarSeries", "SectorPanel", "ShockConditioning", "ShockSeries",
+        "ShockSurface", "SpectralDecomposition", "Surface", "SurfaceSeries",
+        "align", "anomaly", "associated_factors", "build_design",
+        "build_domain", "canonical_correlations", "climatology",
+        "compute_baseline", "default_threshold", "errors",
+        "estimate_covariances", "factors", "fira", "fit_fira", "fit_horizon",
+        "grid", "ingest", "inner_product", "irf", "load_control_panel",
+        "load_gridded", "load_sector_panel", "localproj",
+        "make_shock_surface", "make_shocks", "months", "norm",
+        "regional_mean", "regularity_diagnostic", "respond", "run_battery",
+        "select_lags", "shock_variants", "svd_cross", "write_gridded_binary",
+        "write_gridded_csv"]

@@ -10,6 +10,9 @@ written files must match byte for byte.
 """
 
 import csv
+import errno
+import hashlib
+import os
 import warnings
 
 import numpy as np
@@ -297,6 +300,8 @@ _CASES = {
     "latitude -inf": ([*_BODY[:3], "2001-02,-inf,9.5,4.5"], 1.0),
     "bad month": ([*_BODY[:3], "2001-13,50.5,9.5,4.5"], 1.0),
     "short month": ([*_BODY[:3], "2001-2,50.5,9.5,4.5"], 1.0),
+    "month stamped now": ([*_BODY[:3], "now,50.5,9.5,4.5"], 1.0),
+    "empty month": ([*_BODY[:3], ",50.5,9.5,4.5"], 1.0),
     "missing month": ([*_BODY[:2], "2001-03,50.5,8.5,3.5",
                        "2001-03,50.5,9.5,4.5"], 1.0),
     "off the lattice": ([*_BODY[:3], "2001-02,50.5,9.7,4.5"], 1.0),
@@ -343,7 +348,27 @@ def test_corpus_covers_errors_and_row_reader_successes(tmp_path):
             loaded.append(case)
     assert set(loaded) >= {"quoted time", "quoted value", "underscore digits",
                            "arabic-indic digits", "quoted header name"}
+    assert not set(loaded) & {"month stamped now", "empty month"}
     assert len(loaded) <= len(_CASES) - 25
+
+
+@pytest.mark.parametrize("text", ["now", "today", "2001", "+2001-01",
+                                  "12001-01", "2001-01-01T00", "", "  ",
+                                  "2001-1", "\u0662001-01", "2001-13"])
+def test_parse_month_takes_only_iso_months(text):
+    with pytest.raises(ValueError):
+        months.parse_month(text)
+
+
+def test_parse_month_reads_a_month_or_a_day(tmp_path):
+    assert months.parse_month(" 2001-02 ") == np.datetime64("2001-02")
+    assert months.parse_month("2001-02-28") == np.datetime64("2001-02")
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(["time,lat,lon,value", *_BODY[:3],
+                               "now,50.5,9.5,4.5", ""]))
+    with pytest.raises(ParseError, match=r"time 'now' is not a YYYY-MM or "
+                                         r"YYYY-MM-DD month \(.*, line 5\)"):
+        load_gridded(path, step=1.0)
 
 
 def test_duplicate_after_blank_lines_names_its_file_line(tmp_path):
@@ -368,6 +393,166 @@ def test_blank_lines_raise_no_warning(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert load_gridded(path, step=1.0).domain.n_valid == 2
+
+
+# -- format B twins --------------------------------------------------------
+
+
+def _twins(cache):
+    return sorted(cache.iterdir()) if cache.is_dir() else []
+
+
+def _count_parses(monkeypatch):
+    """Count format A parses; a load that reads a twin makes none."""
+    calls = []
+    parse = ingest._parse_grid_body
+
+    def counted(path, raw):
+        calls.append(path)
+        return parse(path, raw)
+    monkeypatch.setattr(ingest, "_parse_grid_body", counted)
+    return calls
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("draw", range(0, 40, 2))
+def test_twin_loads_as_the_parse(tmp_path, monkeypatch, twin_cache, draw):
+    rng = np.random.default_rng([draw, 7])
+    path = tmp_path / "grid.csv"
+    step = _random_valid_file(rng, path)
+    calls = _count_parses(monkeypatch)
+    parsed = load_gridded(path, step=step)
+    (twin,) = _twins(twin_cache)
+    source = hashlib.sha256(os.fsencode(path)).hexdigest()
+    assert twin.name.startswith(f"{source}-")
+    hit = load_gridded(path, step=step)
+    _assert_same_series(hit, parsed)
+    # the name and weighting are applied on a hit as on a parse
+    renamed = load_gridded(path, variable="x", step=step, weighting="uniform")
+    _assert_same_series(renamed, _reference_load(
+        path, variable="x", step=step, weighting="uniform"))
+    assert len(calls) == 1 and _twins(twin_cache) == [twin]
+
+
+def test_twin_draws_mask_cells_and_vary_the_step(tmp_path):
+    """The twin draws reach masked cells and every kind of step."""
+    kinds, masked = set(), 0
+    for draw in range(0, 40, 2):
+        path = tmp_path / f"grid{draw}.csv"
+        step = _random_valid_file(np.random.default_rng([draw, 7]), path)
+        kinds.add(type(step).__name__)
+        series = _reference_load(path, step=step)
+        masked += int(series.domain.n_valid < series.domain.mask.size)
+    assert kinds == {"NoneType", "float", "tuple"}
+    assert masked >= 10
+
+
+def test_changed_value_of_the_same_size_and_time_misses(tmp_path,
+                                                         twin_cache):
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(["time,lat,lon,value", *_BODY, ""]))
+    before = os.stat(path)
+    assert load_gridded(path, step=1.0).values[1, 0, 1] == 4.5
+    (old,) = _twins(twin_cache)
+    path.write_text(path.read_text().replace(",4.5", ",5.5"))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.stat(path).st_size == before.st_size
+    assert load_gridded(path, step=1.0).values[1, 0, 1] == 5.5
+    (new,) = _twins(twin_cache)
+    assert new != old
+
+
+def test_step_is_part_of_the_key(tmp_path, twin_cache):
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(["time,lat,lon,value", *_BODY, ""]))
+    wide = load_gridded(path, step=(1.0, 0.5))
+    assert load_gridded(path, step=1.0).domain.shape == (1, 2)
+    assert load_gridded(path, step=(1.0, 0.5)).domain.shape == \
+        wide.domain.shape == (1, 3)
+
+
+def test_damaged_twin_is_parsed_again_and_rewritten(tmp_path, monkeypatch,
+                                                    twin_cache):
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(["time,lat,lon,value", *_BODY, ""]))
+    parsed = load_gridded(path, step=1.0)
+    (twin,) = _twins(twin_cache)
+    whole = twin.read_bytes()
+    calls = _count_parses(monkeypatch)
+    for damaged in (whole[:-5], whole[:20], b"", b"SGF1" + b"\xff" * 60):
+        twin.write_bytes(damaged)
+        _assert_same_series(load_gridded(path, step=1.0), parsed)
+        assert twin.read_bytes() == whole
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("cache", ["read-only", "a file"])
+def test_unwritable_cache_loads_and_writes_nothing(tmp_path, monkeypatch,
+                                                   twin_cache, cache):
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(["time,lat,lon,value", *_BODY, ""]))
+    if cache == "read-only":
+        twin_cache.mkdir(parents=True)
+        twin_cache.chmod(0o555)
+
+        def refused(**kwargs):
+            # what a read-only directory gives, even to a superuser
+            raise PermissionError(errno.EACCES, "read-only", kwargs["dir"])
+        monkeypatch.setattr(ingest.tempfile, "mkstemp", refused)
+    else:
+        twin_cache.parent.parent.mkdir()
+        twin_cache.parent.write_text("not a directory")
+    try:
+        for _ in range(2):
+            _assert_same_series(load_gridded(path, step=1.0),
+                                _reference_load(path, step=1.0))
+        assert _twins(twin_cache) == []
+    finally:
+        if cache == "read-only":
+            twin_cache.chmod(0o755)
+
+
+def test_malformed_file_leaves_no_twin(tmp_path, twin_cache):
+    for case in sorted(_CASES):
+        path = tmp_path / f"{len(_twins(twin_cache))}-{hash(case)}.csv"
+        step = _write_case(path, case)
+        first = _outcome(load_gridded, path, step=step)
+        if isinstance(first, SurfaceSeries):
+            continue
+        assert _outcome(load_gridded, path, step=step) == first
+        assert not any(t.name.startswith(
+            hashlib.sha256(os.fsencode(path)).hexdigest())
+            for t in _twins(twin_cache)), case
+
+
+def test_rewritten_source_keeps_one_twin(tmp_path, twin_cache):
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for value in ("4.5", "5.5", "6.5"):
+        for path in paths:
+            path.write_text("\n".join(["time,lat,lon,value", *_BODY[:3],
+                                       f"2001-02,50.5,9.5,{value}", ""]))
+            assert load_gridded(path, step=1.0).values[1, 0, 1] == \
+                float(value)
+        assert len(_twins(twin_cache)) == 2
+    assert sorted(t.name[:64] for t in _twins(twin_cache)) == sorted(
+        hashlib.sha256(os.fsencode(p)).hexdigest() for p in paths)
+
+
+def test_relative_cache_home_falls_back_to_the_home_cache(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(["time,lat,lon,value", *_BODY, ""]))
+    load_gridded(path, step=1.0)
+    assert not (tmp_path / "relative").exists()
+    assert len(_twins(tmp_path / "home" / ".cache" / "climfact" / "grids")) == 1
+    # with no absolute home either, nothing is cached
+    monkeypatch.setenv("HOME", "home")
+    path.write_text(path.read_text().replace(",4.5", ",5.5"))
+    assert load_gridded(path, step=1.0).values[1, 0, 1] == 5.5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv", "home"]
 
 
 # -- writer ----------------------------------------------------------------
