@@ -24,25 +24,30 @@ each cell's ``lat,lon,`` once and writes one joined string per frame.
 Every CSV input is read as UTF-8; a byte that is not is a ParseError
 naming its line.
 
-A format A file is parsed once per content. After a parse succeeds, the
-series is also written as a format B file, its twin, under
-``$XDG_CACHE_HOME/climfact/grids/`` (``~/.cache/climfact/grids/`` when
-that is unset or relative). The twin's name holds the sha256 of the source path and
-the sha256 of the file's bytes and the grid step, so a later load that
-hashes the same bytes reads the twin in place of parsing, and any edit,
-even one that keeps the size and modification time, parses again. Each
-source path keeps one twin. A cache that cannot be read or written is
-skipped, and a file that fails to parse leaves no twin. Deleting the
-directory is always safe.
+A format A file is parsed once per content. After a parse succeeds,
+``load_gridded`` also writes the series as a format B file, its twin,
+under ``$XDG_CACHE_HOME/climfact/grids/`` (``~/.cache/climfact/grids/``
+when that is unset or relative). The twin's name holds the sha256 of the
+source path and the sha256 of the file's bytes, the grid step, numpy's
+version and the source of the modules that parse it, so a later load that
+hashes the same bytes with the same code reads the twin in place of
+parsing, and any edit, even one that keeps the size and modification
+time, parses again. Each source path keeps one twin, the directory is
+kept within 1 GiB by deleting the least recently used twins, and a .tmp
+file a dead writer left is deleted after an hour. A cache that cannot be
+read or written is skipped, and a file that fails to parse leaves no twin.
+Deleting the directory is always safe.
 """
 
 import contextlib
 import csv
+import functools
 import hashlib
 import math
 import os
 import struct
 import tempfile
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -70,9 +75,18 @@ _GRID_ROW = [("t", object), ("lat", "f8"), ("lon", "f8"), ("v", "f8")]
 # loadtxt strips these around a number as whitespace; Python's float,
 # which the row reader uses, rejects them.
 _LOADTXT_BLANKS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-# Part of every twin's content key. Change it with any change to what a
-# format A file loads as, so that twins written before the change miss.
-_PARSE_VERSION = b"format A 1\n"
+# The modules whose code decides what a format A file loads as. Their
+# source, with numpy's version, is part of every twin's content key, so an
+# edit to any of them makes the twins written before it miss.
+_PARSER_SOURCES = tuple(
+    os.path.join(os.path.dirname(os.path.abspath(__file__)), name)
+    for name in ("ingest.py", "months.py", "grid.py", "errors.py"))
+# The twins' directory is kept within this many bytes by deleting the
+# least recently used twins; a hit marks its twin used.
+_TWIN_CACHE_BYTES = 1 << 30
+# A .tmp file in the twins' directory older than this many seconds was
+# left by a writer that died, and is deleted.
+_STALE_TMP_S = 3600
 
 
 @contextlib.contextmanager
@@ -186,9 +200,13 @@ def _load_gridded_csv(path, variable, step, weighting):
     twin = _twin_path(path, raw, step)
     if twin is not None:
         try:
-            return _load_gridded_binary(twin, name, weighting)
+            series = _load_gridded_binary(twin, name, weighting)
         except (OSError, DataError):
             pass    # no twin yet, or a damaged one: parse
+        else:
+            with contextlib.suppress(OSError):
+                os.utime(twin)      # used now, for the size bound
+            return series
     grid = None
     try:
         # no blank-line offsets: an error here is discarded, and the row
@@ -213,20 +231,32 @@ def _twin_path(path, raw, step):
         root = os.path.expanduser("~/.cache")
         if not os.path.isabs(root):
             return None
+    try:
+        content = hashlib.sha256(_parser_digest())
+    except OSError:
+        return None     # no source to key by
     source = hashlib.sha256(os.fsencode(os.path.abspath(path))).hexdigest()
-    content = hashlib.sha256(_PARSE_VERSION)
     content.update(raw)
     content.update(repr(step).encode())
     return os.path.join(root, "climfact", "grids",
                         f"{source}-{content.hexdigest()}.sgf")
 
 
+@functools.cache
+def _parser_digest():
+    """sha256 of numpy's version and of the _PARSER_SOURCES, read once per
+    process."""
+    digest = hashlib.sha256(np.__version__.encode())
+    for source in _PARSER_SOURCES:
+        with open(source, "rb") as fh:
+            digest.update(fh.read())
+    return digest.digest()
+
+
 def _write_twin(series, twin):
-    """Write series as format B at twin, whole or not at all, and delete
-    the other twins of its source. A cache that cannot be written is left
-    as it is."""
+    """Write series as format B at twin, whole or not at all, then sweep
+    its directory. A cache that cannot be written is left as it is."""
     folder, base = os.path.split(twin)
-    source = base.split("-")[0]
     try:
         os.makedirs(folder, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
@@ -237,11 +267,41 @@ def _write_twin(series, twin):
         finally:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
-        for other in os.listdir(folder):
-            if other.startswith(source) and other != base:
-                os.unlink(os.path.join(folder, other))
+        _sweep_twins(folder, base)
     except OSError:
         pass
+
+
+def _sweep_twins(folder, keep):
+    """Delete the other twins of keep's source, the .tmp files of dead
+    writers, and then the least recently used twins other than keep until
+    the twins fit in _TWIN_CACHE_BYTES."""
+    source = keep.split("-")[0]
+    stale = time.time_ns() - _STALE_TMP_S * 10**9
+    others, total = [], 0
+    with os.scandir(folder) as entries:
+        for entry in entries:
+            # another process may delete the same file first
+            with contextlib.suppress(FileNotFoundError):
+                info = entry.stat()
+                if entry.name.endswith(".tmp"):
+                    if info.st_mtime_ns < stale:
+                        os.unlink(entry.path)
+                elif not entry.name.endswith(".sgf"):
+                    continue
+                elif entry.name != keep and entry.name.startswith(source):
+                    os.unlink(entry.path)
+                else:
+                    total += info.st_size
+                    if entry.name != keep:
+                        others.append((info.st_mtime_ns, entry.path,
+                                       info.st_size))
+    for _, path, size in sorted(others):
+        if total <= _TWIN_CACHE_BYTES:
+            break
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        total -= size
 
 
 def _parse_grid_body(path, raw):

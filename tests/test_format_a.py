@@ -13,6 +13,9 @@ import csv
 import errno
 import hashlib
 import os
+import shutil
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -554,6 +557,142 @@ def test_relative_cache_home_falls_back_to_the_home_cache(tmp_path,
     assert load_gridded(path, step=1.0).values[1, 0, 1] == 5.5
     assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv", "home"]
 
+
+
+@pytest.fixture
+def parser_sources(tmp_path, monkeypatch):
+    """Copies of the sources the twins' key reads, for a test to edit."""
+    folder = tmp_path / "parser"
+    folder.mkdir()
+    copies = [folder / os.path.basename(s) for s in ingest._PARSER_SOURCES]
+    for source, copy in zip(ingest._PARSER_SOURCES, copies):
+        shutil.copyfile(source, copy)
+    monkeypatch.setattr(ingest, "_PARSER_SOURCES", tuple(map(str, copies)))
+    ingest._parser_digest.cache_clear()
+    yield copies
+    ingest._parser_digest.cache_clear()
+
+
+@pytest.mark.parametrize("edit", ["ingest.py", "months.py", "grid.py",
+                                  "errors.py", "numpy"])
+def test_edited_parser_misses(tmp_path, monkeypatch, twin_cache,
+                              parser_sources, edit):
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(["time,lat,lon,value", *_BODY, ""]))
+    calls = _count_parses(monkeypatch)
+    parsed = load_gridded(path, step=1.0)
+    load_gridded(path, step=1.0)
+    (old,) = _twins(twin_cache)
+    assert len(calls) == 1
+    if edit == "numpy":
+        monkeypatch.setattr(np, "__version__", np.__version__ + ".post1")
+    else:
+        (source,) = [p for p in parser_sources if p.name == edit]
+        source.write_bytes(source.read_bytes() + b"\n")
+    ingest._parser_digest.cache_clear()     # as a new process would
+    _assert_same_series(load_gridded(path, step=1.0), parsed)
+    (new,) = _twins(twin_cache)
+    assert len(calls) == 2 and new != old
+
+
+def test_missing_parser_source_caches_nothing(tmp_path, twin_cache,
+                                              parser_sources):
+    parser_sources[1].unlink()
+    ingest._parser_digest.cache_clear()
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(["time,lat,lon,value", *_BODY, ""]))
+    for _ in range(2):
+        _assert_same_series(load_gridded(path, step=1.0),
+                            _reference_load(path, step=1.0))
+    assert _twins(twin_cache) == []
+
+
+def test_parser_sources_cover_the_load_path(tmp_path, twin_cache):
+    """Every climfact module a format A load runs, parsing, writing a twin
+    or reading one, is in the twins' key."""
+    package = os.path.dirname(os.path.abspath(ingest.__file__))
+    ran = set()
+
+    def profile(frame, event, arg):
+        name = frame.f_code.co_filename
+        if name.startswith(package + os.sep):
+            ran.add(name)
+    loads = []
+    for case in ("quoted value", "arabic-indic digits"):
+        path = tmp_path / f"{len(loads)}.csv"
+        loads.append((path, _write_case(path, case)))
+    path = tmp_path / "valid.csv"
+    loads.append((path, _random_valid_file(np.random.default_rng(3), path)))
+    sys.setprofile(profile)
+    try:
+        for path, step in loads * 2:    # a parse, then a hit
+            load_gridded(path, step=step, weighting="uniform")
+    finally:
+        sys.setprofile(None)
+    assert len(_twins(twin_cache)) == 3
+    assert os.path.join(package, "months.py") in ran
+    assert ran <= set(ingest._PARSER_SOURCES)
+
+
+def _same_shape_files(tmp_path, names):
+    """Format A files whose twins have one size."""
+    paths = []
+    for k, name in enumerate(names):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(["time,lat,lon,value", *_BODY[:3],
+                                   f"2001-02,50.5,9.5,{k}.5", ""]))
+        paths.append(path)
+    return paths
+
+
+def test_cache_keeps_the_recently_used_twins_within_its_bound(
+        tmp_path, monkeypatch, twin_cache):
+    a, b, c, d, e = _same_shape_files(tmp_path, "abcde")
+    for path in (a, b, c):
+        load_gridded(path, step=1.0)
+    twins = _twins(twin_cache)
+    size = twins[0].stat().st_size
+    assert len(twins) == 3 and all(t.stat().st_size == size for t in twins)
+    by_source = {}
+    for path in (a, b, c):
+        source = hashlib.sha256(os.fsencode(path)).hexdigest()
+        (by_source[path.stem],) = twin_cache.glob(f"{source}-*")
+    for k, stem in enumerate("abc"):     # a used first, c last
+        os.utime(by_source[stem], (1000 + k, 1000 + k))
+    monkeypatch.setattr(ingest, "_TWIN_CACHE_BYTES", 3 * size)
+    calls = _count_parses(monkeypatch)
+    load_gridded(a, step=1.0)           # a hit marks a used now
+    assert calls == []
+    load_gridded(d, step=1.0)           # four twins: b, least used, goes
+    assert _twins(twin_cache) == sorted(
+        [by_source["a"], by_source["c"], *twin_cache.glob(
+            hashlib.sha256(os.fsencode(d)).hexdigest() + "-*")])
+    # a twin larger than the bound is still kept, alone
+    monkeypatch.setattr(ingest, "_TWIN_CACHE_BYTES", size - 1)
+    load_gridded(e, step=1.0)
+    (only,) = _twins(twin_cache)
+    assert only.name.startswith(hashlib.sha256(os.fsencode(e)).hexdigest())
+    assert len(calls) == 2
+
+
+def test_sweep_deletes_what_dead_writers_left(tmp_path, monkeypatch,
+                                             twin_cache):
+    """Stale .tmp files go; a fresh one may be another writer's, and files
+    that are not twins are neither deleted nor counted."""
+    monkeypatch.setattr(ingest, "_TWIN_CACHE_BYTES", 0)
+    twin_cache.mkdir(parents=True)
+    old, fresh = twin_cache / "tmpold.tmp", twin_cache / "tmpfresh.tmp"
+    other = twin_cache / "notes.txt"
+    for leftover in (old, fresh, other):
+        leftover.write_bytes(b"SGF1")
+    hour_ago = time.time() - ingest._STALE_TMP_S - 60
+    os.utime(old, (hour_ago, hour_ago))
+    os.utime(other, (hour_ago, hour_ago))
+    (path,) = _same_shape_files(tmp_path, "a")
+    load_gridded(path, step=1.0)
+    names = sorted(p.name for p in twin_cache.iterdir())
+    assert "tmpold.tmp" not in names
+    assert {"tmpfresh.tmp", "notes.txt"} <= set(names) and len(names) == 3
 
 # -- writer ----------------------------------------------------------------
 
