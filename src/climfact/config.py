@@ -126,6 +126,7 @@ SCHEMA = {
                     "items": {"enum": ["all", "spring", "summer", "autumn",
                                        "winter", "positive", "negative",
                                        "extreme"]},
+                    "minItems": 1,
                 },
             },
             "required": ["variable"],
@@ -144,7 +145,8 @@ SCHEMA = {
                 "contemporaneous_controls": {"type": "boolean"},
                 "sectors": {
                     "anyOf": [{"enum": ["all"]},
-                              {"type": "array", "items": {"type": "string"}}]
+                              {"type": "array", "items": {"type": "string"},
+                               "minItems": 1}]
                 },
                 "figures": {"type": "boolean"},
             },
@@ -325,7 +327,22 @@ def validate_config(doc):
         where = "/".join(map(str, path)) or "(top level)"
         raise ConfigError(f"config key {where}: {message}")
     _check_finite(doc)
+    _check_distinct(doc)
     return doc
+
+
+# lists of ids, where a repeat would run a cell twice or collapse silently
+_DISTINCT = (("lp", "sectors"), ("shocks", "variants"))
+
+
+def _check_distinct(doc):
+    for section, key in _DISTINCT:
+        items = doc.get(section, {}).get(key)
+        if isinstance(items, list):
+            repeated = [x for i, x in enumerate(items) if x in items[:i]]
+            if repeated:
+                raise ConfigError(f"config key {section}.{key} lists "
+                                  f"{repeated[0]!r} more than once")
 
 
 def _check_finite(node, where=""):

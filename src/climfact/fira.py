@@ -18,6 +18,7 @@ import numpy as np
 from . import factors as af
 from .errors import (
     CenterOutsideDomain,
+    ClimfactError,
     EmptyFootprint,
     InsufficientSample,
     NonConformable,
@@ -151,8 +152,10 @@ def fit_fira(design, panel, h_max=12, tol=0.1, k=None, permutation=None,
 
     permutation, when given (dict with n and level), calibrates the
     retained component count per horizon against time-shuffled nulls.
-    Failures at individual horizons (for example, no detectable
-    association) are recorded and leave a gap; they never abort the fit.
+    Failures at individual horizons (a ClimfactError such as no
+    detectable association, or a LinAlgError) are recorded and leave a
+    gap; they never abort the fit. Any other exception is a fault and
+    propagates.
     """
     if not isinstance(panel, SectorPanel):
         raise NonConformable("fit_fira needs a sector panel")
@@ -181,7 +184,7 @@ def fit_fira(design, panel, h_max=12, tol=0.1, k=None, permutation=None,
                 y, v, tol=tol, k=k, permutation=permutation, rng=rng,
             )
             per_h.append(FiraHorizon(h=h, rho=rho, a=a, b_hat=b_hat, nobs=n))
-        except Exception as exc:
+        except (ClimfactError, np.linalg.LinAlgError) as exc:
             failures.append((h, type(exc).__name__, str(exc)))
             per_h.append(None)
     return FiraResult(

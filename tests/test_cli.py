@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -552,6 +553,83 @@ class TestLp:
         })
         assert cli.main(["lp", "--config", config,
                          "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("lp.sectors", [], "lp/sectors"),
+        ("shocks.variants", [], "shocks/variants"),
+        ("lp.sectors", ["CP000", "CP001", "CP000"],
+         "lp.sectors lists 'CP000'"),
+        ("shocks.variants", ["all", "summer", "all"],
+         "shocks.variants lists 'all'"),
+    ])
+    def test_empty_or_repeated_selection_exits_cleanly(self, planted,
+                                                       tmp_path, capsys,
+                                                       key, value, named):
+        # an empty list would run no cell, a repeat a cell twice or once
+        doc = {
+            "grids": [{"name": "temperature",
+                       "path": str(planted / "data" / "temperature.csv")}],
+            "panels": {"sectors": {
+                "path": str(planted / "data" / "sectors.csv"),
+                "transform": "none"}},
+            "shocks": {"variable": "temperature"},
+            "lp": {"h_max": 2, "p_max": 1, "l_max": 1, "figures": False},
+        }
+        section, name = key.split(".")
+        doc[section][name] = value
+        config = _write_config(tmp_path, doc)
+        commands = ("shocks", "lp") if section == "shocks" else ("lp",)
+        for command in commands:
+            out = tmp_path / command
+            assert cli.main([command, "--config", config, "--out", str(out),
+                             "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert named in err and "Traceback" not in err
+            assert not out.exists()
+
+    def test_huge_h_max_fails_each_cell_within_a_memory_cap(self, planted,
+                                                            tmp_path):
+        # the horizon stack is sized by the sample, so h_max = 1e9 fails
+        # every cell on its first unsupported horizon without allocating
+        # anything h_max long; the cap makes a stack sized by h_max fail
+        config = _write_config(tmp_path, {
+            "grids": [{"name": "temperature",
+                       "path": str(planted / "data" / "temperature.csv")}],
+            "panels": {"sectors": {
+                "path": str(planted / "data" / "sectors.csv"),
+                "transform": "none"}},
+            "shocks": {"variable": "temperature", "threshold": 1e-6,
+                       "variants": ["all"]},
+            "lp": {"h_max": 1_000_000_000, "p_max": 2, "l_max": 1,
+                   "figures": False},
+        })
+        out = tmp_path / "out"
+        src = Path(__file__).resolve().parent.parent / "src"
+
+        def cap_memory():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "climfact.cli", "lp", "--config", config,
+             "--out", str(out), "--quiet"],
+            # one BLAS thread: OpenBLAS reserves buffers per thread
+            env=dict(os.environ, PYTHONPATH=str(src),
+                     OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=cap_memory, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        with open(out / "failures.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["sector"], r["variant"]) for r in rows] == [
+            ("CP000", "all"), ("CP001", "all"), ("CP002", "all")]
+        for row in rows:
+            assert row["error"] == "InsufficientSample"
+            n, k, need = map(int, re.fullmatch(
+                r"(\d+) rows cannot support (\d+) regressors "
+                r"\(need >= (\d+)\)", row["detail"]).groups())
+            assert (n, need) == (9 + k, 10 + k)
 
 
 @pytest.fixture(scope="module")

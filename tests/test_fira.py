@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from climfact import factors
 from climfact.errors import (
     CenterOutsideDomain,
     EmptyFootprint,
     InsufficientSample,
     NonConformable,
+    ZeroCrossCovariance,
 )
 from climfact.factors import associated_factors, hat_matrix, hat_vector
 from climfact.fira import (
@@ -222,6 +224,33 @@ class TestFitFira:
         off_diag = cross - np.diag(np.diag(cross))
         assert np.abs(off_diag).max() < 1e-8
         np.testing.assert_allclose(np.diag(cross), entry.rho, atol=1e-10)
+
+    @pytest.mark.parametrize("error,recorded", [
+        (ZeroCrossCovariance("planted"), True),
+        (np.linalg.LinAlgError("planted"), True),
+        (TypeError("planted"), False),
+    ])
+    def test_only_estimation_failures_are_recorded(self, coarse_domain, rng,
+                                                   monkeypatch, error,
+                                                   recorded):
+        # a package or linear-algebra failure leaves a gap at its horizon;
+        # anything else is a fault and propagates
+        T = 60
+        series = _series(coarse_domain,
+                         rng.normal(size=(T,) + coarse_domain.shape))
+        design = build_design(series, lags=(0, 0, 0))
+
+        def failing(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(factors, "two_stage", failing)
+        if not recorded:
+            with pytest.raises(type(error), match="planted"):
+                fit_fira(design, _panel(rng.normal(size=(T, 3))), h_max=1)
+            return
+        fitted = fit_fira(design, _panel(rng.normal(size=(T, 3))), h_max=1)
+        assert fitted.by_horizon == (None, None)
+        assert fitted.failures == tuple(
+            (h, type(error).__name__, "planted") for h in (0, 1))
 
 
 class TestShockSurface:

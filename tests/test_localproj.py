@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from climfact import localproj
 from climfact.climatology import ScalarSeries, ShockSeries, ShockConditioning
-from climfact.errors import InsufficientSample, RankDeficientDesign
+from climfact.errors import (
+    InsufficientSample,
+    NonConformable,
+    RankDeficientDesign,
+)
 from climfact.ingest import SectorPanel
 from climfact.localproj import (
     LpSpec,
@@ -451,3 +456,147 @@ class TestBattery:
         total = sum(table[s].values
                     for s in ("spring", "summer", "autumn", "winter"))
         np.testing.assert_array_equal(total, table["all"].values)
+
+
+# -- the stacked battery ---------------------------------------------------
+
+
+def _battery_case(r, contemporaneous):
+    """Three sectors, one extra endogenous series, two controls and nine
+    shock variants: thresholded, seasonal and signed ones, one that is
+    all zero (rank deficient) and one covering the last 14 months only
+    (too short for any lag candidate)."""
+    T = 150
+    rng = np.random.default_rng([r, contemporaneous, 29])
+    base = rng.normal(size=T)
+    x = np.maximum(base - 0.3, 0.0)
+    z = np.zeros((T, 2))
+    y = np.zeros((T, 3))
+    for t in range(1, T):
+        z[t] = 0.6 * z[t - 1] + rng.normal(size=2)
+        y[t] = 0.5 * y[t - 1] + 0.4 * x[t] + 0.3 * z[t - 1, 0] \
+            + rng.normal(size=3)
+    month = np.arange(T) % 12
+    variants = {"all": x, "negative": np.maximum(-base - 0.3, 0.0),
+                "zero": np.zeros(T)}
+    for season, months in (("spring", (2, 3, 4)), ("summer", (5, 6, 7)),
+                           ("autumn", (8, 9, 10)), ("winter", (11, 0, 1))):
+        variants[season] = np.where(np.isin(month, months), x, 0.0)
+    shocks = {name: _shock_series(values, name=name)
+              for name, values in variants.items()}
+    shocks["short"] = _shock_series(x[-14:], start=str(
+        np.datetime64("2001-01", "M") + T - 14), name="short")
+    spec = LpSpec(h_max=6, p_max=4, l_max=3, r=r,
+                  contemporaneous_controls=contemporaneous)
+    extra = _panel(np.cumsum(rng.normal(size=T))[:, None] * 0.1)
+    return _panel(y), shocks, extra, _panel(z), spec
+
+
+class TestStackedBattery:
+    @pytest.mark.parametrize("r,contemporaneous",
+                             list(itertools.product((0, 1), (False, True))))
+    def test_battery_equals_irf_and_the_reference(self, r, contemporaneous):
+        panel, shocks, extra, controls, spec = _battery_case(r,
+                                                             contemporaneous)
+        battery = run_battery(panel, shocks, spec, extra_endogenous=extra,
+                              controls=controls)
+        failures = []
+        for j, sector in enumerate(panel.sector_ids):
+            for variant, shock in shocks.items():
+                # the arrays irf aligns: every series but "short" spans
+                # the whole panel
+                rows = slice(-len(shock), None)
+                y, ctrl = panel.values[rows, j], controls.values[rows]
+                endo = np.column_stack([y, extra.values[rows, 0]])
+                reference = _outcome(_reference_select, y, shock.values,
+                                     endo, ctrl, spec)
+                try:
+                    one = irf(sector, panel, shock, spec,
+                              extra_endogenous=extra, controls=controls)
+                except (InsufficientSample, RankDeficientDesign) as exc:
+                    failures.append((sector, variant, type(exc).__name__,
+                                     str(exc)))
+                    assert reference[0] == type(exc).__name__
+                    continue
+                got = battery.results[(sector, variant)]
+                assert (got.p, got.l) == (one.p, one.l) == reference
+                for name in ("horizons", "estimate", "se", "lo", "hi",
+                             "nobs", "resid_sd"):
+                    assert getattr(got, name).tobytes() == \
+                        getattr(one, name).tobytes()
+                for h in one.horizons:
+                    np.testing.assert_allclose(
+                        [one.estimate[h], one.se[h], one.lo[h], one.hi[h]],
+                        _reference_fit(y, shock.values, endo, ctrl, h, spec,
+                                       one.p, one.l), rtol=1e-10)
+                    X, target, labels = _design(y, shock.values, endo, ctrl,
+                                                h, one.p, one.l, spec)
+                    _, resid, _ = _ols(X, target, labels)
+                    assert one.nobs[h] == len(target)
+                    np.testing.assert_allclose(
+                        one.resid_sd[h],
+                        np.sqrt(resid @ resid / (len(target) - X.shape[1])),
+                        rtol=1e-10)
+        assert battery.failures == tuple(failures)
+        assert len(battery.results) + len(failures) == 3 * len(shocks)
+        failed = {(s, v): error for s, v, error, _ in failures}
+        for sector in panel.sector_ids:
+            assert failed[(sector, "zero")] == "RankDeficientDesign"
+            assert failed[(sector, "short")] == "InsufficientSample"
+
+    def test_one_search_qr_per_p_and_one_fit_qr_per_cell(self, monkeypatch):
+        panel, shocks, extra, controls, spec = _battery_case(1, True)
+        calls = []
+        qr = np.linalg.qr
+
+        def counting(a, mode="reduced"):
+            calls.append((mode, a.shape[0]))
+            return qr(a, mode=mode)
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        battery = run_battery(panel, shocks, spec, extra_endogenous=extra,
+                              controls=controls)
+        search = [stack for mode, stack in calls if mode == "r"]
+        fits = [stack for mode, stack in calls if mode == "reduced"]
+        # per sector, p = 1 stacks the seven full-length variants and
+        # "zero" fails there; "short" has too few rows for any QR
+        assert search == ([7] + [6] * (spec.p_max - 1)) * 3
+        assert len(fits) == len(battery.results)
+        assert set(fits) == {spec.h_max + 1}
+
+
+class TestFailureRecording:
+    @staticmethod
+    def _inputs(rng):
+        W, x = var1_simulate(200, PHI, B, rng)
+        panel = _panel(np.column_stack([W[:, 0], rng.normal(size=200)]))
+        shocks = {"all": _shock_series(x),
+                  "zero": _shock_series(np.zeros(200), name="zero")}
+        return panel, shocks, LpSpec(h_max=3, p_max=2, l_max=1)
+
+    def test_estimation_failure_is_recorded(self, rng):
+        panel, shocks, spec = self._inputs(rng)
+        battery = run_battery(panel, shocks, spec)
+        assert sorted(battery.results) == [("S0", "all"), ("S1", "all")]
+        assert [f[:3] for f in battery.failures] == [
+            ("S0", "zero", "RankDeficientDesign"),
+            ("S1", "zero", "RankDeficientDesign")]
+
+    def test_engine_fault_propagates(self, rng, monkeypatch):
+        panel, shocks, spec = self._inputs(rng)
+
+        def broken(*args, **kwargs):
+            raise TypeError("engine fault")
+        monkeypatch.setattr(localproj, "_stack_fit", broken)
+        with pytest.raises(TypeError, match="engine fault"):
+            run_battery(panel, shocks, spec)
+
+    def test_unknown_sector_fails_before_any_cell(self, rng, monkeypatch):
+        panel, shocks, spec = self._inputs(rng)
+        ran = []
+        monkeypatch.setattr(localproj, "_sector_cells",
+                            lambda *args: ran.append(args))
+        with pytest.raises(NonConformable, match="NOPE"):
+            run_battery(panel, shocks, spec, sectors=("S0", "NOPE"))
+        with pytest.raises(NonConformable, match="NOPE"):
+            irf("NOPE", panel, shocks["all"], spec)
+        assert ran == []
