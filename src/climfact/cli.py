@@ -13,6 +13,7 @@ its own body, so a command pays at start-up only for its own work.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -56,13 +57,26 @@ def _say(args, message):
         print(message)
 
 
+@contextlib.contextmanager
+def _named(source, path, action="read"):
+    """Turn an OSError on path into a ConfigError naming source, the
+    config key or flag that gave the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{source}: cannot {action} {str(path)!r} "
+                          f"({exc.strerror})") from None
+
+
 def _out_dir(args, config):
     out = args.out or config.get("output_dir")
     if not out:
         raise ConfigError("config is missing required key output_dir "
                           "(or pass --out)")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    source = "--out" if args.out else "config key output_dir"
+    with _named(source, out, "create directory"):
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -91,26 +105,31 @@ def _grid(config, name):
         raise ConfigError(f"config key grids lists {name!r} "
                           f"{len(found)} times")
     i, entry = found[0]
-    try:
+    with _named(f"config key grids[{i}].path", entry["path"]):
         return ingest.load_gridded(entry["path"], variable=name,
                                    **_present(entry, "step", "weighting"))
-    except FileNotFoundError:
-        raise ConfigError(
-            f"config key grids[{i}].path: no such file {entry['path']!r}"
-        ) from None
 
 
-def _region_mask(domain, entry):
-    """Boolean raster from a region entry ('cells': 'all' or a lat,lon CSV)."""
-    if entry.get("cells") == "all":
-        return np.ones(domain.shape, dtype=bool)
+def _lattice_index(value, origin, step):
+    """Index of the cell centered at value, or None when value lies more
+    than 1e-6 of a step off every center."""
+    at = (value - origin) / step - 0.5
+    index = round(at)
+    return index if abs(at - index) <= 1e-6 else None
+
+
+def _region_mask(domain, i, entry):
+    """Boolean raster from regions[i]: 'cells': 'all', or a CSV of the
+    lat,lon cell centers in the region."""
     path = entry.get("path")
-    if not path:
-        raise ConfigError(
-            f"region {entry.get('name')!r} needs either cells or path"
-        )
+    if ("cells" in entry) == (path is not None):
+        raise ConfigError(f"config key regions[{i}] needs exactly one of "
+                          f"cells and path")
+    if path is None:
+        return np.ones(domain.shape, dtype=bool)
     mask = np.zeros(domain.shape, dtype=bool)
-    with ingest.open_csv(path) as fh:
+    with _named(f"config key regions[{i}].path", path), \
+            ingest.open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["lat", "lon"]:
@@ -126,19 +145,24 @@ def _region_mask(domain, entry):
             if not (math.isfinite(lat) and math.isfinite(lon)):
                 raise ParseError(f"non-finite region cell ({lat}, {lon})",
                                  path=path, line=lineno)
-            i = (lat - domain.lat_min) / domain.step_lat
-            j = (lon - domain.lon_min) / domain.step_lon
-            if not (0 <= i < domain.n_lat and 0 <= j < domain.n_lon):
+            row_i = _lattice_index(lat, domain.lat_min, domain.step_lat)
+            col_j = _lattice_index(lon, domain.lon_min, domain.step_lon)
+            if row_i is None or col_j is None:
+                raise ParseError(f"region row ({lat}, {lon}) is not a cell "
+                                 f"center of the grid", path=path,
+                                 line=lineno)
+            if not (0 <= row_i < domain.n_lat and 0 <= col_j < domain.n_lon):
                 raise EmptyRegion(
                     f"region cell ({lat}, {lon}) lies outside the grid"
                 )
-            mask[int(i), int(j)] = True
+            mask[row_i, col_j] = True
     return mask
 
 
 def _regions(config, domain):
     entries = config.get("regions") or [{"name": "ALL", "cells": "all"}]
-    return {e["name"]: _region_mask(domain, e) for e in entries}
+    return {e["name"]: _region_mask(domain, i, e)
+            for i, e in enumerate(entries)}
 
 
 def _load_panel(config, key, required=False):
@@ -149,12 +173,8 @@ def _load_panel(config, key, required=False):
         return None
     loader = (ingest.load_sector_panel if key == "sectors"
               else ingest.load_control_panel)
-    try:
+    with _named(f"config key panels.{key}.path", entry["path"]):
         return loader(entry["path"], **_present(entry, "transform"))
-    except FileNotFoundError:
-        raise ConfigError(
-            f"config key panels.{key}.path: no such file {entry['path']!r}"
-        ) from None
 
 
 def _permutation(section):
@@ -563,7 +583,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = cfg.load_config(args.config)
+        with _named("--config", args.config):
+            config = cfg.load_config(args.config)
         return COMMANDS[args.command](args, config,
                                       _out_dir(args, config))
     except ConfigError as exc:

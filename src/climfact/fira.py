@@ -155,28 +155,37 @@ def fit_fira(design, panel, h_max=12, tol=0.1, k=None, permutation=None,
     Failures at individual horizons (a ClimfactError such as no
     detectable association, or a LinAlgError) are recorded and leave a
     gap; they never abort the fit. Any other exception is a fault and
-    propagates.
+    propagates. An h_max past the horizon at which the design's first
+    month passes the panel's last month raises InsufficientSample before
+    any fit.
     """
     if not isinstance(panel, SectorPanel):
         raise NonConformable("fit_fira needs a sector panel")
     if permutation is not None and rng is None:
         rng = np.random.default_rng(42)
-    d0 = design.times[0]
-    y0 = panel.times[0]
+    # panel row j is design row j + shift, so horizon h pairs panel row j
+    # with design row j + shift - h
+    shift = int((panel.times[0] - design.times[0]) / np.timedelta64(1, "M"))
+    t_y, t_d = len(panel.times), len(design.times)
+    # at this horizon the design's first month, led by h, passes the
+    # panel's last month; past it no month overlaps
+    none_left = t_y + shift
+    if h_max > none_left:
+        raise InsufficientSample(
+            f"h_max {h_max} is past horizon {none_left}, where the design's "
+            f"first month passes the panel's last month")
     p = panel.values.shape[1]
     per_h = []
     failures = []
     for h in range(h_max + 1):
-        start = max(y0, d0 + np.timedelta64(h, "M"))
-        end = min(panel.times[-1], design.times[-1] + np.timedelta64(h, "M"))
-        n = int((end - start) / np.timedelta64(1, "M")) + 1
+        yrows = max(0, h - shift)
+        n = min(t_y, t_d + h - shift) - yrows
         if n < max(p + 2, 3):
             failures.append((h, "InsufficientSample",
                              f"{n} overlapping months at horizon {h}"))
             per_h.append(None)
             continue
-        yrows = int((start - y0) / np.timedelta64(1, "M"))
-        drows = int((start - np.timedelta64(h, "M") - d0) / np.timedelta64(1, "M"))
+        drows = yrows + shift - h
         y = panel.values[yrows:yrows + n]
         v = design.matrix[drows:drows + n]
         try:

@@ -5,8 +5,7 @@ the endogenous block, the shock at lags 0..r, and lags of the controls.
 The coefficient on the contemporaneous shock is the impulse response at
 that horizon. Residuals of multi-horizon projections are serially
 correlated by construction, so standard errors use a Newey-West kernel
-with bandwidth h+1; forcing bandwidth 0 recovers the classical OLS
-standard error exactly.
+with bandwidth h+1.
 
 Targets are estimated one equation at a time; endogenous series enter
 only through their lags, never contemporaneously.
@@ -41,8 +40,8 @@ one-horizon ``fit_horizon`` gives the same bits as ``run_battery``.
   e'e = R_kk^2. The coefficient's row of (X'X)^-1 X' is e'/e'e, so with u
   the full-model residual and g = e*u the Newey-West variance is
   (gamma_0 + 2 sum_j w_j gamma_j) / (e'e)^2, gamma_j the lag-j
-  autocovariance sum of g and w_j = 1 - j/(bandwidth+1). Bandwidth 0 is
-  the classical sigma^2 / e'e. No k x k inverse is formed.
+  autocovariance sum of g and w_j = 1 - j/(bandwidth+1). No k x k
+  inverse is formed.
 * Rank. Without pivoting, a column whose |R_ii| is at or below
   eps * max(n, k) * max |R_ii| lies numerically in the span of the
   columns before it; RankDeficientDesign names every such column.
@@ -137,16 +136,6 @@ def _n_ctrl(controls):
     return 0 if controls is None else controls.shape[1]
 
 
-def _first_row(y, controls, spec, p, l, h, t_start):
-    """First period t0 of a (p, l) design, every lag observed unless
-    t_start pins it; raises when no row is left at horizon h."""
-    t0 = max(p, spec.r, l if _n_ctrl(controls) else 0) \
-        if t_start is None else t_start
-    if len(y) - h - t0 < 1:
-        raise InsufficientSample(f"no usable rows at horizon {h}")
-    return t0
-
-
 def _matrix(x, endo, controls, p, l, spec, t0, stop):
     """Regressors of periods t0..stop-1: const, endo lags (series by
     series), shock lags 0..r, then control lags grouped by lag."""
@@ -174,21 +163,6 @@ def _labels(n_endo, p, l, spec, n_ctrl):
     return labels
 
 
-def _design(y, x, endo, controls, h, p, l, spec, t_start=None):
-    """Design matrix, target vector and column labels for one horizon.
-
-    Rows are periods t with every lag available and t+h observed; passing
-    t_start pins the first usable period so lag candidates share a common
-    estimation window. Columns run const, endo lags (series by series),
-    shock lags 0..r, then control lags grouped by lag, so the design of a
-    smaller l is a leading block of columns of a larger one.
-    """
-    t0 = _first_row(y, controls, spec, p, l, h, t_start)
-    X = _matrix(x, endo, controls, p, l, spec, t0, len(y) - h)
-    return X, y[t0 + h:], _labels(endo.shape[1], p, l, spec,
-                                  _n_ctrl(controls))
-
-
 def _sample_error(n, k):
     return InsufficientSample(
         f"{n} rows cannot support {k} regressors (need >= {10 + k})")
@@ -211,20 +185,6 @@ def _rank_error(dependent, labels):
 # -- horizon fits --------------------------------------------------------
 
 
-def hac_variance(e, resid, k, bandwidth):
-    """Newey-West variance of the coefficient whose FWL residual is e.
-
-    e is the coefficient's regressor residualized on the other k-1
-    regressors and resid the full-model residual. bandwidth 0 is defined
-    as the classical homoskedastic variance sigma^2 / e'e (not the lag-0
-    robust sandwich), matching the module contract.
-    """
-    if bandwidth == 0:
-        return float(resid @ resid) / (len(resid) - k) / float(e @ e)
-    return float(_hac(e[None], resid[None], np.array([bandwidth]),
-                      np.array([len(resid)]))[0])
-
-
 def _hac(e, resid, bandwidth, rows):
     """Newey-West variances, one per row of e and resid, of which only
     the first ``rows`` entries are data and the rest zero padding."""
@@ -239,10 +199,14 @@ def _hac(e, resid, bandwidth, rows):
     return s / (ete * ete)
 
 
-def _fit_design(y, x, endo, controls, spec, p, l, h=0, t_start=None):
+def _fit_design(y, x, endo, controls, spec, p, l, h=0):
     """Horizon-0 design with the shock column moved last, its target, and
-    a function naming the columns in that order."""
-    t0 = _first_row(y, controls, spec, p, l, h, t_start)
+    a function naming the columns in that order. Its rows start at the
+    first period t0 with every lag observed; raises when no row is left
+    at horizon h."""
+    t0 = max(p, spec.r, l if _n_ctrl(controls) else 0)
+    if len(y) - h - t0 < 1:
+        raise InsufficientSample(f"no usable rows at horizon {h}")
     X = _matrix(x, endo, controls, p, l, spec, t0, len(y))
     j = 1 + endo.shape[1] * p
     order = [*range(j), *range(j + 1, X.shape[1]), j]
@@ -294,15 +258,14 @@ def _stack_fit(X, target, hs, spec, names):
     return np.array([est, se, est - z * se, est + z * se, resid_sd])
 
 
-def fit_horizon(y, x, endo, controls, h, spec, p, l, t_start=None):
+def fit_horizon(y, x, endo, controls, h, spec, p, l):
     """Estimate one horizon; returns the contemporaneous-shock coefficient.
 
     Inputs are aligned 1-D/2-D arrays over a common monthly axis: y the
     target, x the shock regressor, endo the lagged endogenous block
     (including the target), controls optional.
     """
-    X, target, names = _fit_design(y, x, endo, controls, spec, p, l, h,
-                                   t_start)
+    X, target, names = _fit_design(y, x, endo, controls, spec, p, l, h)
     est, se, lo, hi, resid_sd = _path(X, target, range(h, h + 1), spec,
                                       names)[:, 0]
     return HorizonEstimate(

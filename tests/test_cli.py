@@ -145,6 +145,7 @@ class TestBaseline:
         "grid byte 0xff", "region byte 0xff", "grid stamp now",
         "grid stamp empty", "config lp.h_max 3.0", "config fira.h_max 2.0",
         "config fira.lags [0.0, 0, 0]", "config seed 7.0",
+        "region 50.0,10.0", "region 50.49,10.01",
     ])
     def test_malformed_input_exits_cleanly(self, tmp_path, capsys, case):
         series, grid = _tiny_grid(tmp_path)
@@ -216,6 +217,11 @@ class TestBaseline:
             "grid byte 0xff": (3, "byte 0xff is not UTF-8 (" + grid["path"]
                                + ", line 4)"),
             "region byte 0xff": (3, "region.csv, line 2"),
+            # a row off every cell center is not the cell that holds it
+            **{f"region {row}": (3, "is not a cell center of the grid ("
+                                 + str(tmp_path / "region.csv")
+                                 + ", line 2)")
+               for row in ("50.0,10.0", "50.49,10.01")},
             "grid stamp now": (3, "time 'now' is not a YYYY-MM or YYYY-MM-DD "
                                   "month (" + grid["path"] + ", line 4)"),
             "grid stamp empty": (3, "time '' is not a YYYY-MM or YYYY-MM-DD "
@@ -242,6 +248,81 @@ class TestBaseline:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert "'region' was unexpected" in capsys.readouterr().err
+
+
+class TestInputPaths:
+    @pytest.mark.parametrize("case,named", [
+        ("grid directory", "config key grids[0].path"),
+        ("panel directory", "config key panels.sectors.path"),
+        ("region directory", "config key regions[0].path"),
+        ("region missing", "config key regions[0].path"),
+        ("config directory", "--config"),
+        ("out is a file", "--out"),
+        ("output_dir is a file", "config key output_dir"),
+    ])
+    def test_unreadable_path_names_its_key_or_flag(self, tmp_path, capsys,
+                                                   case, named):
+        # directories, not permissions: tests may run as root
+        series, grid = _tiny_grid(tmp_path)
+        write_panel_csv(SectorPanel(series.times, ("A",), np.ones((24, 1))),
+                        tmp_path / "sectors.csv")
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out = tmp_path / "out"
+        doc = {"grids": [grid],
+               "baseline": {"reference_window": [2001, 2002]},
+               "regions": [{"name": "R", "cells": "all"}],
+               "panels": {"sectors": {"path": str(tmp_path / "sectors.csv"),
+                                      "transform": "none"}},
+               "shocks": {"variable": "t", "threshold": 0.5},
+               "lp": {"h_max": 1, "p_max": 1, "l_max": 1}}
+        if case == "grid directory":
+            grid["path"] = str(folder)
+        elif case == "panel directory":
+            doc["panels"]["sectors"]["path"] = str(folder)
+        elif case.startswith("region"):
+            doc["regions"] = [{"name": "R", "path": str(
+                folder if case == "region directory"
+                else tmp_path / "nope.csv")}]
+        elif case.endswith("is a file"):
+            out.write_text("")
+        if case == "output_dir is a file":
+            doc["output_dir"] = str(out)
+        config = _write_config(tmp_path, doc)
+        argv = ["lp", "--config",
+                str(folder) if case == "config directory" else config,
+                "--quiet"]
+        if case != "output_dir is a file":
+            argv += ["--out", str(out)]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert named in err and "Traceback" not in err
+
+    def test_region_row_within_a_millionth_of_a_step_is_its_cell(
+            self, tmp_path):
+        series, grid = _tiny_grid(tmp_path)
+        region = tmp_path / "region.csv"
+        region.write_text("lat,lon\n50.2500001,10.7499999\n")
+        config = _write_config(tmp_path, {
+            "grids": [grid], "baseline": {"reference_window": [2001, 2002]},
+            "regions": [{"name": "R", "path": str(region)}]})
+        out = tmp_path / "out"
+        assert cli.main(["baseline", "--config", config,
+                         "--out", str(out), "--quiet"]) == 0
+        with open(out / "baseline_summary.csv", newline="") as fh:
+            assert [r["region"] for r in csv.DictReader(fh)] == ["R"]
+
+    def test_region_with_cells_and_path_is_a_config_error(self, tmp_path,
+                                                          capsys):
+        series, grid = _tiny_grid(tmp_path)
+        config = _write_config(tmp_path, {
+            "grids": [grid], "baseline": {"reference_window": [2001, 2002]},
+            "regions": [{"name": "R", "cells": "all",
+                         "path": str(tmp_path / "nope.csv")}]})
+        assert cli.main(["baseline", "--config", config,
+                         "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert "config key regions[0]" in capsys.readouterr().err
 
 
 class TestAnomaly:
@@ -774,6 +855,39 @@ class TestFactorsAndFira:
         config = _write_config(tmp_path, doc)
         assert cli.main(["fira", "--config", config,
                          "--out", str(tmp_path / "out")]) == 3
+
+    def test_unbounded_h_max_fails_before_any_fit_within_a_memory_cap(
+            self, demo, tmp_path):
+        # past the last horizon with any overlap, fira.h_max is a data
+        # error before any horizon runs; the cap makes a run that keeps a
+        # record per horizon fail
+        doc = self._base_config(demo)
+        doc["fira"] = {
+            "variable": "temperature_anomaly", "use_anomalies": False,
+            "lags": [0, 0, 0], "h_max": 1_000_000_000,
+            "shocks": [{"magnitude": 1.0, "center": [53.0, 11.5],
+                        "radius_km": 150.0}],
+        }
+        config = _write_config(tmp_path, doc)
+        src = Path(__file__).resolve().parent.parent / "src"
+
+        def cap_memory():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "climfact.cli", "fira", "--config",
+             config, "--out", str(tmp_path / "out"), "--quiet"],
+            # one BLAS thread: OpenBLAS reserves buffers per thread
+            env=dict(os.environ, PYTHONPATH=str(src),
+                     OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=cap_memory, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert re.search(r"h_max 1000000000 is past horizon \d+",
+                         proc.stderr)
+
 
 
 def test_no_command_imports_scipy():

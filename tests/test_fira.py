@@ -252,6 +252,40 @@ class TestFitFira:
         assert fitted.failures == tuple(
             (h, type(error).__name__, "planted") for h in (0, 1))
 
+    def test_h_max_past_the_last_overlap_fails_before_any_fit(
+            self, coarse_domain, rng, monkeypatch):
+        # the panel covers design months 5..34, so at horizon 35 the
+        # design's first month passes the panel's last
+        T = 40
+        series = _series(coarse_domain,
+                         rng.normal(size=(T,) + coarse_domain.shape))
+        design = build_design(series, lags=(0, 0, 0))
+        panel = SectorPanel(series.times[5:35], ("S0", "S1"),
+                            rng.normal(size=(30, 2)))
+        windows = []
+
+        def recording(y, v, **kwargs):
+            windows.append((y, v))
+            raise ZeroCrossCovariance("recorded")
+        monkeypatch.setattr(factors, "two_stage", recording)
+        with pytest.raises(InsufficientSample,
+                           match="h_max 36 is past horizon 35"):
+            fit_fira(design, panel, h_max=36)
+        assert windows == []
+
+        fitted = fit_fira(design, panel, h_max=35)
+        short = [(h, "InsufficientSample",
+                  f"{35 - h} overlapping months at horizon {h}")
+                 for h in range(32, 36)]
+        assert fitted.failures[-4:] == tuple(short)
+        assert len(windows) == 32
+        for h, (y, v) in enumerate(windows):
+            # the months t of the panel with t - h in the design
+            paired = np.isin(panel.times - h, design.times)
+            assert y.tobytes() == panel.values[paired].tobytes()
+            led = np.isin(design.times + h, panel.times)
+            assert v.tobytes() == design.matrix[led].tobytes()
+
 
 class TestShockSurface:
     def test_footprint_area_close_to_disk(self):

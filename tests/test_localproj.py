@@ -17,12 +17,10 @@ from climfact.ingest import SectorPanel
 from climfact.localproj import (
     LpSpec,
     fit_horizon,
-    hac_variance,
     irf,
     run_battery,
     select_lags,
     aic_value,
-    _design,
 )
 from climfact.synth import var1_simulate, var_irf_path
 
@@ -46,6 +44,24 @@ def _panel(values, start="2001-01"):
 # -- frozen reference: the pivoted-QR engine with an explicit (X'X)^-1 ------
 # The estimation core before the QR/FWL rewrite, kept verbatim as the
 # reference path; the production code must match it on randomized designs.
+# Its natural-order designs come from production's _matrix and _labels.
+
+
+def _design(y, x, endo, controls, h, p, l, spec, t_start=None):
+    """Design matrix, target vector and column labels for one horizon.
+
+    Rows are periods t with every lag available and t+h observed; passing
+    t_start pins the first usable period so lag candidates share a common
+    estimation window. Columns are in natural order: const, endo lags
+    (series by series), shock lags 0..r, then control lags grouped by lag.
+    """
+    n_ctrl = 0 if controls is None else controls.shape[1]
+    t0 = max(p, spec.r, l if n_ctrl else 0) if t_start is None else t_start
+    if len(y) - h - t0 < 1:
+        raise InsufficientSample(f"no usable rows at horizon {h}")
+    X = localproj._matrix(x, endo, controls, p, l, spec, t0, len(y) - h)
+    return X, y[t0 + h:], localproj._labels(endo.shape[1], p, l, spec,
+                                            n_ctrl)
 
 
 def _ols(X, target, labels):
@@ -223,34 +239,48 @@ class TestShockLags:
 
 
 class TestHac:
-    @staticmethod
-    def _fwl_parts(y, x):
+    def test_hac_variances_nonnegative(self, rng):
         # the shock column is last in this design, so e = R_kk q_k
+        T = 200
+        x = rng.normal(size=T)
+        y = rng.normal(size=T)
         spec = LpSpec(h_max=1, p_max=1, l_max=1)
         X, target, labels = _design(y, x, y[:, None], None, 0, 1, 0, spec)
         assert labels[-1] == "shock[-0]"
         Q, R = np.linalg.qr(X)
+        e = R[-1, -1] * Q[:, -1]
         resid = target - Q @ (Q.T @ target)
-        return X, target, labels, R[-1, -1] * Q[:, -1], resid
+        bandwidths = np.array([1, 3, 8, 24])
+        var = localproj._hac(np.tile(e, (4, 1)), np.tile(resid, (4, 1)),
+                             bandwidths, np.full(4, len(resid)))
+        assert (var >= 0.0).all()
 
-    def test_bandwidth_zero_equals_classical(self, rng):
-        T = 150
-        x = rng.normal(size=T)
-        y = 0.3 * x + rng.normal(size=T)
-        X, target, labels, e, resid = self._fwl_parts(y, x)
-        classical = hac_variance(e, resid, X.shape[1], 0)
-        _, ref_resid, xtx_inv = _ols(X, target, labels)
-        sigma2 = ref_resid @ ref_resid / (len(target) - X.shape[1])
-        np.testing.assert_allclose(classical, sigma2 * xtx_inv[-1, -1],
-                                   rtol=1e-12)
 
-    def test_hac_variances_nonnegative(self, rng):
-        T = 200
-        x = rng.normal(size=T)
-        y = rng.normal(size=T)
-        X, target, labels, e, resid = self._fwl_parts(y, x)
-        for bw in (1, 3, 8, 24):
-            assert hac_variance(e, resid, X.shape[1], bw) >= 0.0
+class TestFitDesign:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_the_reference_design_with_the_shock_moved_back(self,
+                                                                   seed):
+        # production's horizon-0 design is the reference design with the
+        # shock column moved last, to the last bit
+        rng = np.random.default_rng([seed, 43])
+        T = int(rng.integers(20, 60))
+        n_endo, n_ctrl = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        p, r = int(rng.integers(1, 6)), int(rng.integers(0, 3))
+        l = int(rng.integers(1, 5)) if n_ctrl else 0
+        spec = LpSpec(p_max=p, l_max=max(l, 1), r=r,
+                      contemporaneous_controls=bool(rng.integers(2)))
+        y, x = rng.normal(size=T), rng.normal(size=T)
+        endo = np.column_stack([y, rng.normal(size=(T, n_endo - 1))])
+        controls = rng.normal(size=(T, n_ctrl)) if n_ctrl else None
+        X, target, names = localproj._fit_design(y, x, endo, controls, spec,
+                                                 p, l)
+        ref, ref_target, labels = _design(y, x, endo, controls, 0, p, l,
+                                          spec)
+        j = labels.index("shock[-0]")
+        back = np.insert(X[:, :-1], j, X[:, -1], axis=1)
+        assert back.shape == ref.shape and back.tobytes() == ref.tobytes()
+        assert target.tobytes() == ref_target.tobytes()
+        assert names() == [*labels[:j], *labels[j + 1:], labels[j]]
 
 
 class TestSelectLags:
