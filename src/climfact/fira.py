@@ -179,7 +179,7 @@ def fit_fira(design, panel, h_max=12, tol=0.1, k=None, permutation=None,
     failures = []
     for h in range(h_max + 1):
         yrows = max(0, h - shift)
-        n = min(t_y, t_d + h - shift) - yrows
+        n = max(0, min(t_y, t_d + h - shift) - yrows)
         if n < max(p + 2, 3):
             failures.append((h, "InsufficientSample",
                              f"{n} overlapping months at horizon {h}"))

@@ -4,12 +4,13 @@ Two grid formats are accepted:
 
 * Format A, "long CSV": header ``time,lat,lon,<name>``, one row per
   cell-month, missing cells simply absent. lat/lon are cell centers.
-* Format B, "framed binary": magic ``SGF1``; little-endian header of six
-  8-byte floats (lat_min, lat_max, lon_min, lon_max, step_lat, step_lon)
-  and a 4-byte unsigned frame count; per frame a 4-byte signed timestamp
-  (days since 1970-01-01, first of month) followed by row-major 8-byte
-  float cell values, NaN = missing. Rows run south to north, columns west
-  to east.
+* Format B, "framed binary", all little-endian and packed: the header
+  ``_SGF_HEADER`` (magic ``SGF1``; lat_min, lat_max, lon_min, lon_max,
+  step_lat, step_lon as 8-byte floats; a 4-byte unsigned frame count),
+  then that many ``_sgf_frame`` records: a 4-byte signed timestamp (days
+  since 1970-01-01, first of month) and the row-major 8-byte float cell
+  values, NaN = missing. Rows run south to north, columns west to east.
+  The reader and the writer each take the frame stack as one record array.
 
 A cell that is missing in any month is masked in every month; nothing is
 ever imputed. Panels follow the same rule column-wise: a sector with any
@@ -65,6 +66,7 @@ from .errors import (
 from .grid import SurfaceSeries, build_domain
 
 _SGF_MAGIC = b"SGF1"
+_SGF_HEADER = struct.Struct("<4s6dI")
 # A format A lattice may hold at most this many cells per distinct
 # (lat, lon) pair in the file, so the dense cube stays within a fixed
 # multiple of the data however small an explicit grid step is.
@@ -414,14 +416,19 @@ def _grid_cube(path, times, lats, lons, vals, blanks, step):
                             step=(step_lat, step_lon))
 
 
+def _sgf_frame(n_lat, n_lon):
+    """One format B frame record of an (n_lat, n_lon) grid; packed, so its
+    itemsize is 4 + 8 * n_lat * n_lon."""
+    return np.dtype([("day", "<i4"), ("v", "<f8", (n_lat, n_lon))])
+
+
 def _load_gridded_binary(path, variable, weighting):
     with open(path, "rb") as fh:
         blob = fh.read()
-    header = struct.Struct("<4s6dI")
-    if len(blob) < header.size:
+    if len(blob) < _SGF_HEADER.size:
         raise ParseError("truncated header", path=path, offset=len(blob))
     magic, lat_min, lat_max, lon_min, lon_max, step_lat, step_lon, n_frames = (
-        header.unpack_from(blob, 0)
+        _SGF_HEADER.unpack_from(blob, 0)
     )
     if magic != _SGF_MAGIC:
         raise ParseError("bad magic", path=path, offset=0)
@@ -433,26 +440,22 @@ def _load_gridded_binary(path, variable, weighting):
     if not all(math.isfinite(e) and round(e) >= 1 for e in extents):
         raise ParseError("degenerate grid bounds", path=path, offset=4)
     n_lat, n_lon = (int(round(e)) for e in extents)
-    frame_bytes = 4 + 8 * n_lat * n_lon
-    expected = header.size + n_frames * frame_bytes
+    # the frame size in Python ints: a damaged header may give a grid too
+    # large for any dtype, which must still fail as a byte-count mismatch
+    expected = _SGF_HEADER.size + n_frames * (4 + 8 * n_lat * n_lon)
     if len(blob) != expected:
         raise ParseError(
             f"expected {expected} bytes for {n_frames} frames, got {len(blob)}",
             path=path, offset=min(len(blob), expected),
         )
-    days = np.empty(n_frames, dtype=np.int64)
-    cube = np.empty((n_frames, n_lat, n_lon))
-    off = header.size
-    for k in range(n_frames):
-        (day,) = struct.unpack_from("<i", blob, off)
-        days[k] = day
-        grid = np.frombuffer(blob, dtype="<f8", count=n_lat * n_lon, offset=off + 4)
-        cube[k] = grid.reshape(n_lat, n_lon)
-        off += frame_bytes
-    times = months.check_monthly(months.from_epoch_days(days), "gridded file")
+    frames = np.frombuffer(blob, _sgf_frame(n_lat, n_lon), count=n_frames,
+                           offset=_SGF_HEADER.size)
+    times = months.check_monthly(months.from_epoch_days(frames["day"]),
+                                 "gridded file")
     kwargs = dict(bounds=(lat_min, lat_max, lon_min, lon_max),
                   step=(step_lat, step_lon))
-    return _finish_series(kwargs, times, cube, variable, weighting)
+    # _finish_series copies the cells out of blob
+    return _finish_series(kwargs, times, frames["v"], variable, weighting)
 
 
 # -- gridded output ------------------------------------------------------
@@ -494,17 +497,18 @@ def write_gridded_csv(series, path):
 def write_gridded_binary(series, path):
     """Write a SurfaceSeries as format B; masked cells become NaN."""
     domain = series.domain
-    header = struct.pack(
-        "<4s6dI", _SGF_MAGIC,
-        domain.lat_min, domain.lat_max, domain.lon_min, domain.lon_max,
-        domain.step_lat, domain.step_lon, len(series),
-    )
     days = months.epoch_days(series.times)
+    frames = np.empty(len(series), _sgf_frame(*domain.shape))
+    frames["day"] = days
+    if np.any(frames["day"] != days):
+        raise OverflowError("a month's day count does not fit the 4-byte "
+                            "format B timestamp")
+    frames["v"] = series.values
     with open(path, "wb") as fh:
-        fh.write(header)
-        for k in range(len(series)):
-            fh.write(struct.pack("<i", int(days[k])))
-            fh.write(np.ascontiguousarray(series.values[k], dtype="<f8").tobytes())
+        fh.write(_SGF_HEADER.pack(
+            _SGF_MAGIC, domain.lat_min, domain.lat_max, domain.lon_min,
+            domain.lon_max, domain.step_lat, domain.step_lon, len(series)))
+        fh.write(frames)
 
 
 def write_surface_csv(surface, path, name="value"):
@@ -569,15 +573,6 @@ def _read_panel_rows(path):
     return np.array(times, dtype="datetime64[M]"), ids, np.array(values)
 
 
-def _yoy(values):
-    """100 * (level_t / level_{t-12} - 1); the first 12 months are dropped."""
-    if values.shape[0] <= 12:
-        raise ParseError("year-on-year transform needs more than 12 months")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = 100.0 * (values[12:] / values[:-12] - 1.0)
-    return out
-
-
 def _load_panel(path, transform, cls):
     times, ids, values = _read_panel_rows(path)
     order = np.argsort(times)
@@ -585,8 +580,13 @@ def _load_panel(path, transform, cls):
     months.check_monthly(times, "panel")
     zero_level = np.zeros(len(ids), dtype=bool)
     if transform == "yoy":
+        if len(times) <= 12:
+            raise ParseError("year-on-year transform needs more than 12 "
+                             "months", path=path)
         zero_level = np.any(values[:-12] == 0.0, axis=0)
-        values = _yoy(values)
+        # 100 * (level_t / level_{t-12} - 1); the first 12 months go
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = 100.0 * (values[12:] / values[:-12] - 1.0)
         times = times[12:]
     elif transform != "none":
         raise ValueError(f"unknown transform {transform!r}")

@@ -119,7 +119,7 @@ def fan_chart(horizons, estimate, lo, hi, title, width=560, height=360):
 
 
 def heatmap(matrix, row_labels, col_labels, title, cell=None, width=None):
-    """Row-by-column heatmap on a symmetric diverging scale."""
+    """Row-by-column heatmap on a symmetric diverging scale, as a canvas."""
     matrix = np.asarray(matrix, dtype=float)
     n_rows, n_cols = matrix.shape
     cw = cell or max(min(32, 640 // max(n_cols, 1)), 10)
@@ -141,11 +141,11 @@ def heatmap(matrix, row_labels, col_labels, title, cell=None, width=None):
         c.text(ml + j * cw + cw / 2, mt + n_rows * ch + 14, col_labels[j],
                size=9, anchor="middle")
     c.text(ml, h - 8, f"scale: +/-{format(vmax, '.3g')}", size=9)
-    return c.render()
+    return c
 
 
 def surface_map(domain, values, title, width=420):
-    """Raster map of one surface; masked cells are grey."""
+    """Raster map of one surface as a canvas; masked cells are grey."""
     values = np.asarray(values, dtype=float)
     n_lat, n_lon = domain.shape
     ml, mt = 46, 40
@@ -167,7 +167,7 @@ def surface_map(domain, values, title, width=420):
            f"lon {format(domain.lon_min, '.4g')}..{format(domain.lon_max, '.4g')}  "
            f"scale +/-{format(vmax, '.3g')}",
            size=9)
-    return c.render()
+    return c
 
 
 def fira_figure(domain, shock_values, response, sector_ids, horizons, title):
@@ -176,23 +176,17 @@ def fira_figure(domain, shock_values, response, sector_ids, horizons, title):
     right = heatmap(response.T, list(sector_ids),
                     [format(h, ".0f") for h in horizons],
                     "responses (sector x horizon)")
-    # crude composition: place documents side by side in a wrapper svg
-    def _body(doc, dx):
-        inner = doc.split("\n")[1:-2]  # drop header/footer lines
-        return ([f'<g transform="translate({_f(dx)},30)">'] + inner + ["</g>"])
-
-    lw = 380.0
-    right_w = float(right.split('width="')[1].split('"')[0])
-    total_w = lw + right_w + 30
-    total_h = max(float(left.split('height="')[1].split('"')[0]),
-                  float(right.split('height="')[1].split('"')[0])) + 50
+    # sizes as the two-decimal text of a rendered document reads them
+    total_w = float(_f(left.width)) + float(_f(right.width)) + 30
+    total_h = max(float(_f(left.height)), float(_f(right.height))) + 50
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(total_w)}" '
         f'height="{_f(total_h)}" viewBox="0 0 {_f(total_w)} {_f(total_h)}">',
         f'<rect x="0" y="0" width="{_f(total_w)}" height="{_f(total_h)}" fill="#ffffff"/>',
         f'<text x="16" y="20" font-size="14" font-family="sans-serif">{_esc(title)}</text>',
     ]
-    parts += _body(left, 10)
-    parts += _body(right, lw + 20)
+    for canvas, dx in ((left, 10), (right, left.width + 20)):
+        parts += [f'<g transform="translate({_f(dx)},30)">', *canvas.parts,
+                  "</g>"]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

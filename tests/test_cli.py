@@ -145,7 +145,8 @@ class TestBaseline:
         "grid byte 0xff", "region byte 0xff", "grid stamp now",
         "grid stamp empty", "config lp.h_max 3.0", "config fira.h_max 2.0",
         "config fira.lags [0.0, 0, 0]", "config seed 7.0",
-        "region 50.0,10.0", "region 50.49,10.01",
+        "region 50.0,10.0", "region 50.49,10.01", "sgf step_lon 0.0",
+        "sgf step_lon nan", "sgf bounds degenerate", "sgf one byte too many",
     ])
     def test_malformed_input_exits_cleanly(self, tmp_path, capsys, case):
         series, grid = _tiny_grid(tmp_path)
@@ -165,8 +166,14 @@ class TestBaseline:
             blob = bytearray(Path(grid["path"]).read_bytes())
             if detail == "truncated":
                 del blob[-5:]
+            elif detail == "one byte too many":
+                blob.append(0)
+            elif detail == "bounds degenerate":
+                struct.pack_into("<d", blob, 12, 50.0)  # lat_max = lat_min
             else:
-                struct.pack_into("<d", blob, 36, float(detail.split()[1]))
+                name, value = detail.split()
+                offset = {"step_lat": 36, "step_lon": 44}[name]
+                struct.pack_into("<d", blob, offset, float(value))
             Path(grid["path"]).write_bytes(bytes(blob))
         elif detail == "duplicate name":
             doc["grids"].append(dict(grid))
@@ -231,6 +238,23 @@ class TestBaseline:
             "config fira.lags [0.0, 0, 0]": (
                 2, "key fira/lags/0: 0.0 is not of type 'integer'"),
             "config seed 7.0": (2, "key seed: 7.0 is not of type 'integer'"),
+            # a 2 x 2 grid of 24 frames is 56 + 24 * (4 + 8 * 4) = 920 bytes
+            **{f"sgf {damage}": (3, f"{message} ({tmp_path / 'grid.sgf'}, "
+                                    f"offset {at})")
+               for damage, message, at in (
+                   ("step_lat 0.0", "grid step 0.0 must be finite and "
+                                    "positive", 36),
+                   ("step_lat nan", "grid step nan must be finite and "
+                                    "positive", 36),
+                   ("step_lon 0.0", "grid step 0.0 must be finite and "
+                                    "positive", 44),
+                   ("step_lon nan", "grid step nan must be finite and "
+                                    "positive", 44),
+                   ("bounds degenerate", "degenerate grid bounds", 4),
+                   ("truncated", "expected 920 bytes for 24 frames, got 915",
+                    915),
+                   ("one byte too many", "expected 920 bytes for 24 frames, "
+                                         "got 921", 920))},
         }.get(case)
         if expected:
             assert code == expected[0] and expected[1] in err

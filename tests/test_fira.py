@@ -286,6 +286,20 @@ class TestFitFira:
             led = np.isin(design.times + h, panel.times)
             assert v.tobytes() == design.matrix[led].tobytes()
 
+    def test_design_ending_before_the_panel_overlaps_zero_months(
+            self, coarse_domain, rng):
+        # design 2001-01..2003-12, panel 2006-01..2008-12: the first
+        # overlap is at horizon 24
+        series = _series(coarse_domain,
+                         rng.normal(size=(36,) + coarse_domain.shape))
+        design = build_design(series, lags=(0, 0, 0))
+        panel = SectorPanel(np.datetime64("2006-01", "M") + np.arange(36),
+                            ("S0", "S1"), rng.normal(size=(36, 2)))
+        fitted = fit_fira(design, panel, h_max=3)
+        assert fitted.failures == tuple(
+            (h, "InsufficientSample", f"0 overlapping months at horizon {h}")
+            for h in range(4))
+
 
 class TestShockSurface:
     def test_footprint_area_close_to_disk(self):

@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from climfact import months
 from climfact.errors import (
     AllMasked,
     EmptyIntersection,
@@ -11,6 +14,7 @@ from climfact.errors import (
 from climfact.grid import SurfaceSeries, build_domain
 from climfact.ingest import (
     SectorPanel,
+    _load_gridded_binary,
     align,
     load_gridded,
     load_sector_panel,
@@ -27,6 +31,17 @@ def _demo_series(rng, n_months=5, mask=None):
     values = rng.normal(size=(n_months,) + domain.shape)
     values = np.where(domain.mask[None], values, np.nan)
     return SurfaceSeries(domain, times, values, "temperature")
+
+
+def _reference_format_b(series):
+    """Format B bytes of series, packed field by field and frame by frame."""
+    d = series.domain
+    parts = [struct.pack("<4s6dI", b"SGF1", d.lat_min, d.lat_max, d.lon_min,
+                         d.lon_max, d.step_lat, d.step_lon, len(series))]
+    for day, frame in zip(months.epoch_days(series.times), series.values):
+        parts.append(struct.pack("<i", int(day)))
+        parts.append(struct.pack(f"<{frame.size}d", *frame.ravel()))
+    return b"".join(parts)
 
 
 class TestGriddedRoundTrip:
@@ -127,6 +142,70 @@ class TestGriddedRoundTrip:
         path.write_bytes(bytes(blob))
         with pytest.raises(IrregularCalendar):
             load_gridded(path)
+
+
+    @pytest.mark.parametrize("case,message,offset", [
+        ("bad magic", "bad magic", 0),
+        ("short header", "truncated header", 20),
+    ])
+    def test_binary_header_error_names_its_offset(self, tmp_path, rng, case,
+                                                  message, offset):
+        path = tmp_path / "series.sgf"
+        write_gridded_binary(_demo_series(rng), path)
+        blob = path.read_bytes()
+        path.write_bytes(b"XGF1" + blob[4:] if case == "bad magic"
+                         else blob[:20])
+        with pytest.raises(ParseError) as err:
+            _load_gridded_binary(path, None, "coslat")
+        assert str(err.value) == f"{message} ({path}, offset {offset})"
+
+    @pytest.mark.parametrize("draw", range(12))
+    def test_binary_writer_matches_a_per_frame_reference(self, tmp_path,
+                                                         draw):
+        # masked cells, one or many frames, non-square grids and steps,
+        # months before and after 1970
+        rng = np.random.default_rng([draw, 12])
+        n_lat, n_lon = (int(n) for n in rng.integers(1, 7, size=2))
+        step_lat, step_lon = (float(s) for s in rng.choice([0.25, 0.5, 2.0],
+                                                            size=2))
+        lat_min = float(rng.integers(-60, 60))
+        lon_min = float(rng.integers(-170, 170))
+        mask = rng.random((n_lat, n_lon)) < 0.7
+        mask.flat[rng.integers(mask.size)] = True
+        domain = build_domain((lat_min, lat_min + n_lat * step_lat, lon_min,
+                               lon_min + n_lon * step_lon),
+                              (step_lat, step_lon), mask)
+        n_frames = 1 if draw % 3 == 0 else int(rng.integers(2, 40))
+        times = (np.datetime64("1950-01", "M") + int(rng.integers(0, 900))
+                 + np.arange(n_frames))
+        scale = 10.0 ** int(rng.integers(-3, 4))
+        noise = scale * rng.normal(size=(n_frames,) + mask.shape)
+        values = np.where(mask, noise, np.nan)
+        series = SurfaceSeries(domain, times, values, "v")
+        path = tmp_path / "series.sgf"
+        write_gridded_binary(series, path)
+        assert path.read_bytes() == _reference_format_b(series)
+        loaded = load_gridded(path)
+        assert np.array_equal(loaded.times, series.times)
+        assert np.array_equal(loaded.domain.mask, mask)
+        assert ((loaded.domain.lat_min, loaded.domain.lat_max,
+                 loaded.domain.lon_min, loaded.domain.lon_max,
+                 loaded.domain.step_lat, loaded.domain.step_lon)
+                == (domain.lat_min, domain.lat_max, domain.lon_min,
+                    domain.lon_max, domain.step_lat, domain.step_lon))
+        assert loaded.values.tobytes() == series.values.tobytes()
+
+    def test_binary_writer_refuses_a_day_past_the_timestamp(self, tmp_path,
+                                                            rng):
+        # 10,000,000-01 is about 3.65e9 days after 1970, past "<i4"
+        series = _demo_series(rng)
+        far = SurfaceSeries(series.domain,
+                            np.datetime64("10000000-01", "M") + np.arange(5),
+                            series.values, series.name)
+        path = tmp_path / "far.sgf"
+        with pytest.raises(OverflowError, match="4-byte format B timestamp"):
+            write_gridded_binary(far, path)
+        assert not path.exists()
 
 
 class TestSectorPanel:
@@ -237,6 +316,34 @@ class TestSectorPanel:
             self._write(tmp_path, "time,CP00", rows), transform="none"
         )
         assert np.allclose(panel.values[:, 0], [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("case", [
+        "empty file", "one-column header", "wrong field count",
+        "non-numeric field", "no data rows", "12 months under yoy",
+    ])
+    def test_malformed_panel_names_the_file(self, tmp_path, case):
+        text, message, line = {
+            "empty file": ("", "empty file", 1),
+            "one-column header": (
+                "time\n2001-01\n",
+                "header needs a time column plus at least one id", 1),
+            "wrong field count": ("time,A\n2001-01,1.0\n2001-02,1.0,2.0\n",
+                                  "expected 2 fields, got 3", 3),
+            "non-numeric field": ("time,A\n2001-01,1.0\n2001-02,abc\n",
+                                  "bad numeric field 'abc'", 3),
+            "no data rows": ("time,A\n", "no data rows", 2),
+            "12 months under yoy": (
+                "time,A\n" + "".join(f"2001-{m:02d},1.0\n"
+                                     for m in range(1, 13)),
+                "year-on-year transform needs more than 12 months", None),
+        }[case]
+        path = tmp_path / "panel.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_sector_panel(path)
+        where = f"{path}" if line is None else f"{path}, line {line}"
+        assert str(err.value) == f"{message} ({where})"
+        assert (err.value.path, err.value.line) == (path, line)
 
 
 def _scalar(start, end):
