@@ -177,14 +177,6 @@ def _load_panel(config, key, required=False):
         return loader(entry["path"], **_present(entry, "transform"))
 
 
-def _permutation(section):
-    """Permutation-null settings of a factors or fira section, or None."""
-    permutation = section.get("permutation", False)
-    if not permutation:
-        return None
-    return permutation if isinstance(permutation, dict) else {}
-
-
 def _baseline(config, series):
     return cl.compute_baseline(series, **_present(
         config.get("baseline", {}), window="reference_window"))
@@ -194,13 +186,23 @@ def _anomaly_series(config, series):
     return cl.anomaly(series, _baseline(config, series))
 
 
-def _factor_inputs(config, section):
-    """The section's surface series, as anomalies unless use_anomalies is
-    false, and the sector panel."""
+def _factor_inputs(config, name):
+    """Section name (factors or fira), its permutation-null settings or
+    None, its surface series, as anomalies unless use_anomalies is false,
+    and the sector panel."""
+    section = cfg.require(config, name)
+    permutation = section.get("permutation") or None
+    if permutation is not None and "k" in section:
+        # k fixes the component count, so the null would never run
+        raise ConfigError(f"config keys {name}.k and {name}.permutation "
+                          f"exclude each other")
+    if permutation is True:
+        permutation = {}
     series = _grid(config, section["variable"])
     if section.get("use_anomalies", True):
         series = _anomaly_series(config, series)
-    return series, _load_panel(config, "sectors", required=True)
+    panel = _load_panel(config, "sectors", required=True)
+    return section, permutation, series, panel
 
 
 def _shock_table(config):
@@ -375,10 +377,8 @@ def cmd_lp(args, config, out):
 def cmd_factors(args, config, out):
     from . import factors as af
 
-    section = cfg.require(config, "factors")
-    series, panel = _factor_inputs(config, section)
+    section, permutation, series, panel = _factor_inputs(config, "factors")
     seed = _seed(args, config)
-    permutation = _permutation(section)
     result = af.associated_factors(
         panel, series, **_present(section, "tol", "k"),
         permutation=permutation, rng=np.random.default_rng(seed),
@@ -416,8 +416,7 @@ def cmd_fira(args, config, out):
     from . import fira as fr
     from . import svgplot
 
-    section = cfg.require(config, "fira")
-    series, panel = _factor_inputs(config, section)
+    section, permutation, series, panel = _factor_inputs(config, "fira")
     controls = _load_panel(config, "controls")
     seed = _seed(args, config)
 
@@ -426,7 +425,7 @@ def cmd_fira(args, config, out):
                              **_present(section, "standardize"))
     fitted = fr.fit_fira(design, panel,
                          **_present(section, "h_max", "tol", "k"),
-                         permutation=_permutation(section),
+                         permutation=permutation,
                          rng=np.random.default_rng(seed))
 
     shock_reports = []

@@ -11,13 +11,11 @@ correlations and directions.
 
 All surface algebra runs in "hat" coordinates: valid-cell values scaled
 by the square root of the quadrature weights, which turns the weighted
-surface inner product into a plain dot product. The surface covariance
-operator itself is never materialized; its spectrum comes from the T x T
-Gram matrix of the centered frames and is exact for sample operators.
-The permutation null works through the same T x T Gram matrix: when the
-grid is wider than the sample, each shuffle of the panel is scored
-against its eigensystem's scores, so the shuffled p x D cross covariance
-is never formed either.
+surface inner product into a plain dot product. The surface side enters
+the engine only through the T x T Gram of the centered frames: the cross
+SVD, the spectrum of the surface covariance operator and the permutation
+null all read it, and only the back-projection of the surface directions
+reads the frames. No p x D cross covariance is formed.
 """
 
 import warnings
@@ -77,22 +75,20 @@ def center_columns(m):
     return m - mean, mean
 
 
-def cross_singular_triplets(yc, xc, tol=0.1, k=None):
+def cross_singular_triplets(yc, v, gc, tol=0.1, k=None):
     """SVD of the sample cross-covariance operator via its p x p Gram form.
 
-    yc (T, p) and xc (T, D) are centered; returns (r, alpha, beta) where
-    beta columns are orthonormal hat vectors, alpha columns orthonormal in
-    R^p and r the singular values, descending. Components with
-    r_k <= tol * r_1 are discarded unless k pins the count explicitly.
-    Either way the count is capped at the numerical rank, the eigenvalues
-    r_k**2 of the Gram form above p * eps * r_1**2 (its rounding floor),
-    because dividing by a vanishing singular value would fabricate a
-    direction.
+    yc (T, p) is the centered panel, v (T, D) the surface rows and gc
+    the Gram of their centered rows; the Gram form is yc.T @ gc @ yc /
+    (T - 1)**2. Returns (r, alpha, beta): beta columns orthonormal hat
+    vectors, alpha orthonormal in R^p, r descending. Components with
+    r_k <= tol * r_1 are discarded unless k pins the count. Either way
+    the count is capped at the numerical rank, the eigenvalues r_k**2
+    above p * eps * r_1**2 (the rounding floor), because dividing by a
+    vanishing singular value would fabricate a direction.
     """
     T = yc.shape[0]
-    cross = yc.T @ xc / (T - 1)  # rows are the operator's coordinate surfaces
-    gram = cross @ cross.T
-    vals, vecs = np.linalg.eigh(gram)
+    vals, vecs = np.linalg.eigh(yc.T @ (gc @ yc) / (T - 1) ** 2)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     r = np.sqrt(np.clip(vals, 0.0, None))
@@ -111,7 +107,8 @@ def cross_singular_triplets(yc, xc, tol=0.1, k=None):
             raise ZeroCrossCovariance("requested zero components")
     r = r[:k]
     alpha = vecs[:, :k]
-    beta = (cross.T @ alpha) / r
+    # v needs no centering as yc is centered; v.T @ (...) would copy v
+    beta = ((yc @ alpha).T @ v).T / ((T - 1) * r)
     return r, alpha, beta
 
 
@@ -147,16 +144,15 @@ def canonical_correlations(ytil, xtil):
     return s, u, v
 
 
-def gram_eigensystem(xc, rel_tol=1e-12, max_components=None):
+def gram_eigensystem(gc, rel_tol=1e-12, max_components=None):
     """Eigenvalues and scores of the sample surface covariance operator.
 
-    Works through the T x T Gram matrix of the centered hat frames.
-    Returns (lam, scores): lam descending with lam_i > rel_tol * lam_1,
-    scores[t, i] the projection of frame t on the i-th eigensurface.
+    gc is the T x T Gram matrix of the centered hat frames. Returns (lam,
+    scores): lam descending with lam_i > rel_tol * lam_1, scores[t, i]
+    the projection of frame t on the i-th eigensurface.
     """
-    T = xc.shape[0]
-    gram = xc @ xc.T
-    vals, vecs = np.linalg.eigh(gram)
+    T = gc.shape[0]
+    vals, vecs = np.linalg.eigh(gc)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     keep = vals > rel_tol * max(vals[0], np.finfo(float).tiny)
@@ -174,14 +170,13 @@ def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None):
     Each shuffle permutes the rows of the centered panel yc (T, p) and
     takes the singular values of the cross covariance yc[perm].T @ xc /
     (T - 1); the level quantile of each rank over the shuffles is
-    returned, min(p, D, T - 1) values in all.
+    returned, min(p, D, T - 1) values for xc of shape (T, D).
 
-    The work stays in T-space: the singular values of yc[perm].T @ xc are
-    those of yc[perm].T @ Z for any Z with Z @ Z.T == xc @ xc.T. Z is the
-    narrower of xc itself (D <= T) and the (T, r) scores of the T x T
-    Gram eigensystem, formed once per call, so a shuffle costs
-    2 T p r + 2 p**2 r flops with r <= min(T, D): never more than the
-    shuffled p x D cross covariance, which for D > T is never built.
+    xc is any matrix with xc @ xc.T equal to the Gram of the centered
+    surface rows: the singular values depend on nothing else. two_stage
+    passes the (T, r) scores of that Gram's eigensystem, r <= T, so a
+    shuffle costs 2 T p r + 2 p**2 r flops however many cells the
+    surface has.
 
     Draw contract: exactly n_shuffles calls to rng.permutation(T), one
     per shuffle in order. fit_fira passes one generator through all its
@@ -190,34 +185,34 @@ def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None):
     if rng is None:
         rng = np.random.default_rng(42)
     T, p = yc.shape
-    D = xc.shape[1]
-    k_max = min(p, D, T - 1)
-    z = xc if D <= T else gram_eigensystem(xc, rel_tol=0.0)[1]
+    k_max = min(p, xc.shape[1], T - 1)
     null = np.empty((n_shuffles, k_max))
     for s in range(n_shuffles):
-        c = yc[rng.permutation(T)].T @ z
+        c = yc[rng.permutation(T)].T @ xc
         null[s] = np.linalg.eigvalsh(c @ c.T)[::-1][:k_max]
     null = np.sqrt(np.clip(null, 0.0, None)) / (T - 1)
     return np.quantile(null, level, axis=0)
 
 
-def two_stage(y, v, tol=0.1, k=None, permutation=None, rng=None):
+def two_stage(y, v, gram, tol=0.1, k=None, permutation=None, rng=None):
     """Associated factors between the rows of y (T, p) and v (T, D).
 
-    Cross-covariance SVD of the centered data (cutoff tol * r_1, or k
-    components), an optional permutation cut (dict with optional n and
-    level; ignored when k is given), CCA on the raw projections y @ alpha
-    and v @ beta, then the sign fix. Returns (r, rho, a, b_hat,
-    y_factors, x_factors): retained singular values, canonical
-    correlations, a (K, p), b_hat (K, D) and the canonical coordinates
-    of y and v.
+    gram is v @ v.T; double-centered once, it drives the cross SVD
+    (cutoff tol * r_1, or k components) and the optional permutation cut
+    (dict with optional n and level; ignored when k is given). CCA on the
+    raw projections y @ alpha and v @ beta follows, then the sign fix.
+    Returns (r, rho, a, b_hat, y_factors, x_factors): retained singular
+    values, canonical correlations, a (K, p), b_hat (K, D) and the
+    canonical coordinates of y and v.
     """
     yc, _ = center_columns(y)
-    vc, _ = center_columns(v)
-    r, alpha, beta = cross_singular_triplets(yc, vc, tol=tol, k=k)
+    gc = gram - gram.mean(axis=0)  # H @ gram @ H, H the centering projector
+    gc -= gc.mean(axis=1, keepdims=True)
+    r, alpha, beta = cross_singular_triplets(yc, v, gc, tol=tol, k=k)
     if permutation is not None and k is None:
         cut = permutation_cutoffs(
-            yc, vc,
+            # the floor drops the rounding-level directions of a rank < T gc
+            yc, gram_eigensystem(gc, rel_tol=len(gc) * np.finfo(float).eps)[1],
             n_shuffles=permutation.get("n", 199),
             level=permutation.get("level", 0.95),
             rng=rng,
@@ -255,10 +250,6 @@ class CovarianceOperators:
     cross_hat: np.ndarray = field(repr=False)  # (p, D) rows = C_YX(e_j)
     yc: np.ndarray = field(repr=False)
     xc_hat: np.ndarray = field(repr=False)
-
-    @property
-    def n_sectors(self):
-        return len(self.sector_ids)
 
     def cross_surface(self, j):
         """C_YX applied to the j-th coordinate vector, as a surface."""
@@ -343,9 +334,9 @@ def estimate_covariances(panel, series):
 
 def svd_cross(operators, tol=0.1, k=None):
     """Singular triplets of the cross operator, cutoff at tol * r_1."""
-    r, alpha, beta = cross_singular_triplets(
-        operators.yc, operators.xc_hat, tol=tol, k=k
-    )
+    xc = operators.xc_hat
+    r, alpha, beta = cross_singular_triplets(operators.yc, xc, xc @ xc.T,
+                                             tol=tol, k=k)
     return SpectralDecomposition(r, alpha, beta, operators.domain)
 
 
@@ -384,8 +375,9 @@ def associated_factors(panel, series, tol=0.1, k=None, permutation=None,
     dropped on top of the relative cutoff.
     """
     panel, series = _aligned(drop_degenerate_sectors(panel), series)
+    x = hat_matrix(series)
     r, rho, a, b_hat, y_factors, x_factors = two_stage(
-        panel.values, hat_matrix(series), tol=tol, k=k,
+        panel.values, x, x @ x.T, tol=tol, k=k,
         permutation=permutation, rng=rng,
     )
     return AssociatedFactorSet(
@@ -429,7 +421,7 @@ def regularity_diagnostic(panel, series, max_components=None,
     yc, _ = center_columns(panel.values)
     xc, _ = center_columns(hat_matrix(series))
     T = yc.shape[0]
-    lam, scores = gram_eigensystem(xc, max_components=max_components)
+    lam, scores = gram_eigensystem(xc @ xc.T, max_components=max_components)
     _, psi = np.linalg.eigh(yc.T @ yc / (T - 1))
     psi = psi[:, ::-1]
     yproj = yc @ psi

@@ -174,6 +174,10 @@ def fit_fira(design, panel, h_max=12, tol=0.1, k=None, permutation=None,
         raise InsufficientSample(
             f"h_max {h_max} is past horizon {none_left}, where the design's "
             f"first month passes the panel's last month")
+    # one Gram over every design row a horizon reads; each takes a block
+    lo = max(0, shift - h_max)
+    window = design.matrix[lo:min(t_d, none_left)]
+    gram = window @ window.T
     p = panel.values.shape[1]
     per_h = []
     failures = []
@@ -185,12 +189,12 @@ def fit_fira(design, panel, h_max=12, tol=0.1, k=None, permutation=None,
                              f"{n} overlapping months at horizon {h}"))
             per_h.append(None)
             continue
-        drows = yrows + shift - h
+        rows = slice(yrows + shift - h - lo, yrows + shift - h - lo + n)
         y = panel.values[yrows:yrows + n]
-        v = design.matrix[drows:drows + n]
         try:
             _, rho, a, b_hat, _, _ = af.two_stage(
-                y, v, tol=tol, k=k, permutation=permutation, rng=rng,
+                y, window[rows], gram=gram[rows, rows], tol=tol, k=k,
+                permutation=permutation, rng=rng,
             )
             per_h.append(FiraHorizon(h=h, rho=rho, a=a, b_hat=b_hat, nobs=n))
         except (ClimfactError, np.linalg.LinAlgError) as exc:

@@ -448,6 +448,10 @@ def _load_gridded_binary(path, variable, weighting):
             f"expected {expected} bytes for {n_frames} frames, got {len(blob)}",
             path=path, offset=min(len(blob), expected),
         )
+    # numpy needs a frame record's itemsize to fit a C int
+    if 4 + 8 * n_lat * n_lon > np.iinfo(np.intc).max:
+        raise ParseError(f"a {n_lat:.6g} x {n_lon:.6g} grid is too large "
+                         f"for one frame record", path=path, offset=4)
     frames = np.frombuffer(blob, _sgf_frame(n_lat, n_lon), count=n_frames,
                            offset=_SGF_HEADER.size)
     times = months.check_monthly(months.from_epoch_days(frames["day"]),

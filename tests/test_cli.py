@@ -147,6 +147,7 @@ class TestBaseline:
         "config fira.lags [0.0, 0, 0]", "config seed 7.0",
         "region 50.0,10.0", "region 50.49,10.01", "sgf step_lon 0.0",
         "sgf step_lon nan", "sgf bounds degenerate", "sgf one byte too many",
+        "sgf empty lat_max 1e300", "sgf empty 3e9 x 3e9",
     ])
     def test_malformed_input_exits_cleanly(self, tmp_path, capsys, case):
         series, grid = _tiny_grid(tmp_path)
@@ -170,6 +171,15 @@ class TestBaseline:
                 blob.append(0)
             elif detail == "bounds degenerate":
                 struct.pack_into("<d", blob, 12, 50.0)  # lat_max = lat_min
+            elif detail.startswith("empty"):
+                # no frames, so the byte count matches any grid
+                del blob[56:]
+                struct.pack_into("<I", blob, 52, 0)
+                if detail == "empty lat_max 1e300":
+                    struct.pack_into("<d", blob, 12, 1e300)
+                else:  # lat_min 50, lon_min 10, both steps 0.5
+                    struct.pack_into("<d", blob, 12, 50.0 + 1.5e9)
+                    struct.pack_into("<d", blob, 28, 10.0 + 1.5e9)
             else:
                 name, value = detail.split()
                 offset = {"step_lat": 36, "step_lon": 44}[name]
@@ -254,7 +264,11 @@ class TestBaseline:
                    ("truncated", "expected 920 bytes for 24 frames, got 915",
                     915),
                    ("one byte too many", "expected 920 bytes for 24 frames, "
-                                         "got 921", 920))},
+                                         "got 921", 920),
+                   ("empty lat_max 1e300", "a 2e+300 x 2 grid is too large "
+                                           "for one frame record", 4),
+                   ("empty 3e9 x 3e9", "a 3e+09 x 3e+09 grid is too large "
+                                       "for one frame record", 4))},
         }.get(case)
         if expected:
             assert code == expected[0] and expected[1] in err

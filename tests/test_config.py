@@ -9,12 +9,13 @@ and the walker rejects; it has its own test.
 """
 
 import copy
+import json
 
 import jsonschema
 import numpy as np
 import pytest
 
-from climfact import config
+from climfact import cli, config
 from climfact.config import SCHEMA, validate_config
 from climfact.errors import ConfigError
 
@@ -245,3 +246,50 @@ def test_schema_uses_only_keywords_the_walker_handles():
     # the enum check compares strings, and extra keys are always refused
     assert all(isinstance(value, str) for value in enums)
     assert set(additional) == {False}
+
+
+@pytest.fixture(scope="module")
+def factor_inputs(tmp_path_factory):
+    """A small fira-demo grid and sector panel, with their config keys."""
+    root = tmp_path_factory.mktemp("factor_inputs")
+    path = root / "synth.json"
+    path.write_text(json.dumps({
+        "output_dir": str(root / "data"),
+        "synth": {"kind": "fira-demo", "step": 0.5, "months": 120,
+                  "sectors": 4}}))
+    assert cli.main(["synth", "--config", str(path), "--quiet"]) == 0
+    return {
+        "grids": [{"name": "t",
+                   "path": str(root / "data" / "temperature_anomaly.csv")}],
+        "panels": {"sectors": {"path": str(root / "data" / "sectors.csv"),
+                               "transform": "none"}},
+    }
+
+
+_SECTIONS = {
+    "factors": {"variable": "t", "use_anomalies": False},
+    "fira": {"variable": "t", "use_anomalies": False, "h_max": 1,
+             "shocks": [{"magnitude": 1.0, "center": [53.0, 11.5],
+                         "radius_km": 150.0}]},
+}
+
+
+@pytest.mark.parametrize("section", sorted(_SECTIONS))
+@pytest.mark.parametrize("permutation", [True, {"n": 9}, False])
+def test_k_and_a_permutation_null_exclude_each_other(
+        factor_inputs, tmp_path, capsys, section, permutation):
+    """k fixes the component count, so a null set beside it would never
+    run; the command refuses the pair instead of ignoring the null."""
+    doc = dict(factor_inputs)
+    doc[section] = dict(_SECTIONS[section], k=1, permutation=permutation)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main([section, "--config", str(path),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+    if permutation is False:
+        assert code == 0
+        return
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: config keys {section}.k and {section}.permutation "
+        f"exclude each other\n")

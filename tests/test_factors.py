@@ -232,13 +232,15 @@ class TestRankCap:
         y, v = self._rank_three(rng)
         yc, _ = center_columns(y)
         vc, _ = center_columns(v)
-        r, alpha, beta = cross_singular_triplets(yc, vc, tol=1e-300)
+        r, alpha, beta = cross_singular_triplets(yc, vc, vc @ vc.T,
+                                                 tol=1e-300)
         assert len(r) == 3
         np.testing.assert_allclose(beta.T @ beta, np.eye(3), atol=1e-10)
 
     def test_tiny_tol_with_permutation_cut(self, rng):
         y, v = self._rank_three(rng)
-        r, rho, *_ = two_stage(y, v, tol=1e-300, permutation={"n": 9},
+        r, rho, *_ = two_stage(y, v, v @ v.T, tol=1e-300,
+                               permutation={"n": 9},
                                rng=np.random.default_rng(0))
         assert 1 <= len(r) <= 3
         assert np.all(rho <= 1.0 + 1e-10)
@@ -254,10 +256,11 @@ class TestRankCap:
         y[:, 5] = y[:, 4]
         yc, _ = center_columns(y)
         vc, _ = center_columns(v)
-        r, _, beta = cross_singular_triplets(yc, vc, tol=1e-300)
+        r, _, beta = cross_singular_triplets(yc, vc, vc @ vc.T,
+                                             tol=1e-300)
         assert len(r) == 5
         np.testing.assert_allclose(beta.T @ beta, np.eye(5), atol=1e-10)
-        r, rho, *_ = two_stage(y, v, tol=1e-300)
+        r, rho, *_ = two_stage(y, v, v @ v.T, tol=1e-300)
         assert len(r) == 5
         assert np.all(rho <= 1.0 + 1e-10)
 
@@ -265,11 +268,94 @@ class TestRankCap:
         for _ in range(5):
             y, v = rng.normal(size=(60, 10)), rng.normal(size=(60, 3))
             try:
-                r, *_ = two_stage(y, v, tol=1e-300, permutation={"n": 9},
-                                  rng=rng)
+                r, *_ = two_stage(y, v, v @ v.T, tol=1e-300,
+                                  permutation={"n": 9}, rng=rng)
             except ClimfactError:
                 continue
             assert len(r) <= 3
+
+
+def reference_two_stage(y, v, tol=0.1, k=None, permutation=None, rng=None):
+    """The engine before the shared Gram: an explicit p x D cross
+    covariance for the SVD, and a null scored against the centered
+    design itself when D <= T and against its Gram eigensystem's scores
+    when D > T."""
+    yc, _ = center_columns(y)
+    vc, _ = center_columns(v)
+    T = yc.shape[0]
+    cross = yc.T @ vc / (T - 1)
+    vals, vecs = np.linalg.eigh(cross @ cross.T)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    r = np.sqrt(np.clip(vals, 0.0, None))
+    if r[0] <= 0.0:
+        raise ZeroCrossCovariance("cross-covariance is identically zero")
+    rank = int(np.sum(vals > len(vals) * np.finfo(float).eps * vals[0]))
+    count = min(int(np.sum(r > tol * r[0])) if k is None else k, rank)
+    if count < 1:
+        raise ZeroCrossCovariance("no component")
+    r, alpha = r[:count], vecs[:, :count]
+    beta = cross.T @ alpha / r
+    if permutation is not None and k is None:
+        if vc.shape[1] <= T:
+            z = vc
+        else:
+            gvals, gvecs = np.linalg.eigh(vc @ vc.T)
+            gvals, gvecs = gvals[::-1], gvecs[:, ::-1]
+            z = gvecs[:, gvals > 0] * np.sqrt(gvals[gvals > 0])
+        cut = shuffled_cross_cutoffs(yc, z, permutation.get("n", 199),
+                                     permutation.get("level", 0.95), rng)
+        above = r > cut[:len(r)]
+        keep = int(np.argmin(above)) if not above.all() else len(r)
+        if keep == 0:
+            raise ZeroCrossCovariance("no component clears the null")
+        r, alpha, beta = r[:keep], alpha[:, :keep], beta[:, :keep]
+    y_proj, x_proj = y @ alpha, v @ beta
+    rho, u, w = canonical_correlations(y_proj, x_proj)
+    flips = np.sign((alpha @ u)[np.argmax(np.abs(alpha @ u), axis=0),
+                                np.arange(len(r))])
+    flips[flips == 0] = 1.0
+    return r, rho, (alpha @ u * flips).T, (beta @ w * flips).T
+
+
+class TestReferenceEngine:
+    """two_stage on the double-centered Gram against the p x D cross
+    engine it replaced, on both sides of D = T."""
+
+    @pytest.mark.parametrize("T, p, D", [
+        (60, 4, 12),     # D < T
+        (50, 5, 50),     # D = T
+        (40, 6, 150),    # D > T
+        (45, 8, 3),      # D < p
+    ])
+    @pytest.mark.parametrize("permutation", [None, {"n": 19, "level": 0.9}])
+    def test_matches_the_cross_covariance_engine(self, rng, T, p, D,
+                                                 permutation):
+        for _ in range(4):
+            v = rng.normal(size=(T, D)) * rng.uniform(0.1, 10.0, size=D)
+            v += rng.normal(size=D)  # an uncentered design
+            y = rng.normal(size=(T, p))
+            link = min(p, D, 2)
+            y[:, :link] += 2.0 * v[:, :link] / v[:, :link].std(axis=0)
+            seed = int(rng.integers(2**32))
+            ours, theirs = (np.random.default_rng(seed),
+                            np.random.default_rng(seed))
+            try:
+                want = reference_two_stage(y, v, tol=0.2,
+                                           permutation=permutation,
+                                           rng=theirs)
+            except ZeroCrossCovariance:
+                with pytest.raises(ZeroCrossCovariance):
+                    two_stage(y, v, v @ v.T, tol=0.2,
+                              permutation=permutation, rng=ours)
+            else:
+                got = two_stage(y, v, v @ v.T, tol=0.2,
+                                permutation=permutation, rng=ours)
+                assert len(got[0]) == len(want[0])
+                for g, w in zip(got[:4], want):
+                    np.testing.assert_allclose(
+                        g, w, rtol=1e-10, atol=1e-10 * np.abs(w).max())
+            # n_shuffles draws per call, so a shared generator stays in step
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestExtractFactors:

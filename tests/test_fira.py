@@ -4,6 +4,7 @@ import pytest
 from climfact import factors
 from climfact.errors import (
     CenterOutsideDomain,
+    ClimfactError,
     EmptyFootprint,
     InsufficientSample,
     NonConformable,
@@ -406,6 +407,62 @@ class TestRespond:
         shock = make_shock_surface(1.0, (52.0, 10.0), 150.0, other)
         with pytest.raises(NonConformable):
             respond(fitted, shock)
+
+
+class TestSharedGram:
+    """fit_fira cuts every horizon's Gram from one product over the design
+    rows; each horizon must match two_stage on its own window."""
+
+    @pytest.mark.parametrize("start", [-7, 0, 9])
+    @pytest.mark.parametrize("last", [True, False])
+    @pytest.mark.parametrize("permutation", [None, {"n": 9, "level": 0.8}])
+    def test_each_horizon_matches_a_fresh_window_gram(self, rng, start, last,
+                                                      permutation):
+        # D = 8 design columns, fewer than any window's rows, so a real
+        # link can clear the null
+        domain = build_domain((50.0, 52.0, 8.0, 10.0), 1.0)
+        T, t_y = 48, 36
+        cube = rng.normal(size=(T,) + domain.shape) + 0.5
+        series = _series(domain, cube)
+        design = build_design(series, lags=(1, 0, 0))
+        times = design.times[0] + start + np.arange(t_y)
+        y = 0.3 * rng.normal(size=(t_y, 3))
+        # sector 0 follows the field's mean over the last five months,
+        # where known, so the link shows at every short horizon
+        signal = dict(zip(series.times, 4.0 * cube.mean(axis=(1, 2))))
+        y[:, 0] += [sum(signal.get(t - k, 0.0) for k in range(5))
+                    for t in times]
+        panel = SectorPanel(times, ("S0", "S1", "S2"), y)
+        # out to no overlap at all, or few enough horizons that the
+        # shared Gram starts past the design's first row when start > 0
+        h_max = t_y + start if last else 4
+        ours, reference = np.random.default_rng(11), np.random.default_rng(11)
+        fitted = fit_fira(design, panel, h_max=h_max, tol=0.2,
+                          permutation=permutation, rng=ours)
+        fits = 0
+        for h, entry in zip(fitted.horizons, fitted.by_horizon):
+            yrows = np.isin(panel.times - h, design.times)
+            drows = np.isin(design.times + h, panel.times)
+            v = design.matrix[drows]
+            want = None
+            if yrows.sum() >= 5:  # fit_fira's floor, p + 2 rows
+                try:
+                    want = factors.two_stage(
+                        panel.values[yrows], v, v @ v.T, tol=0.2,
+                        permutation=permutation, rng=reference)
+                except (ClimfactError, np.linalg.LinAlgError):
+                    pass
+            if want is None:
+                assert entry is None
+                continue
+            fits += 1
+            assert entry.nobs == yrows.sum()
+            for got, ref in ((entry.rho, want[1]), (entry.a, want[2]),
+                             (entry.b_hat, want[3])):
+                np.testing.assert_allclose(got, ref, rtol=1e-10,
+                                           atol=1e-10 * np.abs(ref).max())
+        assert fits >= 3
+        assert ours.bit_generator.state == reference.bit_generator.state
 
 
 class TestProductionScale:
