@@ -14,8 +14,8 @@ by the square root of the quadrature weights, which turns the weighted
 surface inner product into a plain dot product. The surface side enters
 the engine only through the T x T Gram of the centered frames: the cross
 SVD, the spectrum of the surface covariance operator and the permutation
-null all read it, and only the back-projection of the surface directions
-reads the frames. No p x D cross covariance is formed.
+null's shuffles all read it directly, and only the back-projection of the
+surface directions reads the frames. No p x D cross covariance is formed.
 """
 
 import warnings
@@ -33,6 +33,7 @@ from .grid import Surface
 from .ingest import align
 
 COND_LIMIT = 1e10
+_BLOCK = 16  # null shuffles scored per batch; bounds the (T, m, p) gathers
 
 
 # -- hat-space embedding --------------------------------------------------
@@ -144,18 +145,18 @@ def canonical_correlations(ytil, xtil):
     return s, u, v
 
 
-def gram_eigensystem(gc, rel_tol=1e-12, max_components=None):
+def gram_eigensystem(gc, max_components=None):
     """Eigenvalues and scores of the sample surface covariance operator.
 
     gc is the T x T Gram matrix of the centered hat frames. Returns (lam,
-    scores): lam descending with lam_i > rel_tol * lam_1, scores[t, i]
+    scores): lam descending with lam_i > 1e-12 * lam_1, scores[t, i]
     the projection of frame t on the i-th eigensurface.
     """
     T = gc.shape[0]
     vals, vecs = np.linalg.eigh(gc)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
-    keep = vals > rel_tol * max(vals[0], np.finfo(float).tiny)
+    keep = vals > 1e-12 * max(vals[0], np.finfo(float).tiny)
     if max_components is not None:
         keep[max_components:] = False
     vals, vecs = vals[keep], vecs[:, keep]
@@ -167,16 +168,14 @@ def gram_eigensystem(gc, rel_tol=1e-12, max_components=None):
 def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None):
     """Null singular-value quantiles from time-index shuffles of the panel.
 
-    Each shuffle permutes the rows of the centered panel yc (T, p) and
-    takes the singular values of the cross covariance yc[perm].T @ xc /
-    (T - 1); the level quantile of each rank over the shuffles is
-    returned, min(p, D, T - 1) values for xc of shape (T, D).
-
-    xc is any matrix with xc @ xc.T equal to the Gram of the centered
-    surface rows: the singular values depend on nothing else. two_stage
-    passes the (T, r) scores of that Gram's eigensystem, r <= T, so a
-    shuffle costs 2 T p r + 2 p**2 r flops however many cells the
-    surface has.
+    Each shuffle permutes the rows of the centered panel yc (T, p); the
+    level quantile over the shuffles of each singular value of the
+    shuffled cross covariance is returned, min(p, T - 1) values (past its
+    rank, the rounding floor). xc is the T x T centered surface Gram (gc
+    in two_stage): yc[perm] is centered, so the squared singular values
+    are the eigenvalues of yc[perm].T @ xc @ yc[perm] / (T - 1)**2 however
+    wide the surface is. Shuffles are scored _BLOCK at a time, with one
+    T x (m p) gemm and one batched p x p eigensolve per block.
 
     Draw contract: exactly n_shuffles calls to rng.permutation(T), one
     per shuffle in order. fit_fira passes one generator through all its
@@ -185,11 +184,15 @@ def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None):
     if rng is None:
         rng = np.random.default_rng(42)
     T, p = yc.shape
-    k_max = min(p, xc.shape[1], T - 1)
-    null = np.empty((n_shuffles, k_max))
-    for s in range(n_shuffles):
-        c = yc[rng.permutation(T)].T @ xc
-        null[s] = np.linalg.eigvalsh(c @ c.T)[::-1][:k_max]
+    null = np.empty((n_shuffles, min(p, T - 1)))
+    for lo in range(0, n_shuffles, _BLOCK):
+        perms = np.array([rng.permutation(T)
+                          for _ in range(min(_BLOCK, n_shuffles - lo))])
+        yp = yc[perms.T]  # yp[:, s] is the panel of shuffle lo + s
+        w = (xc @ yp.reshape(T, -1)).reshape(yp.shape)
+        vals = np.linalg.eigvalsh(yp.transpose(1, 2, 0)
+                                  @ w.transpose(1, 0, 2))
+        null[lo:lo + len(perms)] = vals[:, ::-1][:, :null.shape[1]]
     null = np.sqrt(np.clip(null, 0.0, None)) / (T - 1)
     return np.quantile(null, level, axis=0)
 
@@ -197,10 +200,11 @@ def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None):
 def two_stage(y, v, gram, tol=0.1, k=None, permutation=None, rng=None):
     """Associated factors between the rows of y (T, p) and v (T, D).
 
-    gram is v @ v.T; double-centered once, it drives the cross SVD
-    (cutoff tol * r_1, or k components) and the optional permutation cut
-    (dict with optional n and level; ignored when k is given). CCA on the
-    raw projections y @ alpha and v @ beta follows, then the sign fix.
+    gram is v @ v.T; double-centered once into gc, it drives the cross
+    SVD (cutoff tol * r_1, or k components) and the null of the optional
+    permutation cut (dict with optional n and level; ignored when k is
+    given). CCA on the raw projections y @ alpha and v @ beta follows,
+    then the sign fix.
     Returns (r, rho, a, b_hat, y_factors, x_factors): retained singular
     values, canonical correlations, a (K, p), b_hat (K, D) and the
     canonical coordinates of y and v.
@@ -210,13 +214,8 @@ def two_stage(y, v, gram, tol=0.1, k=None, permutation=None, rng=None):
     gc -= gc.mean(axis=1, keepdims=True)
     r, alpha, beta = cross_singular_triplets(yc, v, gc, tol=tol, k=k)
     if permutation is not None and k is None:
-        cut = permutation_cutoffs(
-            # the floor drops the rounding-level directions of a rank < T gc
-            yc, gram_eigensystem(gc, rel_tol=len(gc) * np.finfo(float).eps)[1],
-            n_shuffles=permutation.get("n", 199),
-            level=permutation.get("level", 0.95),
-            rng=rng,
-        )
+        cut = permutation_cutoffs(yc, gc, permutation.get("n", 199),
+                                  permutation.get("level", 0.95), rng)
         above = r > cut[: len(r)]
         keep = int(np.argmin(above)) if not above.all() else len(r)
         if keep == 0:

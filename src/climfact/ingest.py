@@ -486,8 +486,8 @@ def write_gridded_csv(series, path):
     frame is written as one joined string."""
     domain = series.domain
     ii, jj = np.nonzero(domain.mask)
-    cells = [f"{format_float(domain.lat_centers[i])},"
-             f"{format_float(domain.lon_centers[j])},"
+    lat, lon = domain.lat_centers, domain.lon_centers  # each read rebuilds
+    cells = [f"{format_float(lat[i])},{format_float(lon[j])},"
              for i, j in zip(ii, jj)]
     write_csv(path, ["time", "lat", "lon", series.name], ())
     with open(path, "a", newline="", encoding="utf-8") as fh:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import climfact.factors as factors_module
 from climfact.errors import (
     ClimfactError,
     SingularFactorCovariance,
@@ -195,6 +196,30 @@ def shuffled_cross_cutoffs(yc, xc, n_shuffles, level, rng):
 
 
 class TestPermutationCutoffs:
+    """The null takes the centered Gram xc @ xc.T; its leading min(p, D,
+    T - 1) quantiles are those of the shuffled p x D cross covariance."""
+
+    @staticmethod
+    def _check_against_reference(rng, T, p, D, n_shuffles):
+        for _ in range(3):
+            yc, _ = center_columns(rng.normal(size=(T, p)))
+            xc, _ = center_columns(rng.normal(size=(T, D))
+                                   * rng.uniform(0.1, 10.0, size=D))
+            level = float(rng.uniform(0.5, 0.99))
+            seed = int(rng.integers(2**32))
+            ours, theirs = (np.random.default_rng(seed),
+                            np.random.default_rng(seed))
+            got = permutation_cutoffs(yc, xc @ xc.T, n_shuffles, level, ours)
+            want = shuffled_cross_cutoffs(yc, xc, n_shuffles, level, theirs)
+            rank = min(p, D, T - 1)
+            assert got.shape == (min(p, T - 1),)
+            np.testing.assert_allclose(got[:rank], want, rtol=1e-10)
+            # past the cross covariance's rank only rounding is left
+            floor = np.sqrt(T * np.finfo(float).eps) * got[0]
+            assert np.all(got[rank:] <= floor)
+            # same draws, so a generator shared across calls stays in step
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
     @pytest.mark.parametrize("T, p, D", [
         (60, 5, 12),     # D < T
         (40, 6, 90),     # D > T
@@ -205,20 +230,16 @@ class TestPermutationCutoffs:
     @pytest.mark.parametrize("n_shuffles", [1, 16, 37])
     def test_matches_the_shuffled_cross_reference(self, rng, T, p, D,
                                                   n_shuffles):
-        for _ in range(3):
-            yc, _ = center_columns(rng.normal(size=(T, p)))
-            xc, _ = center_columns(rng.normal(size=(T, D))
-                                   * rng.uniform(0.1, 10.0, size=D))
-            level = float(rng.uniform(0.5, 0.99))
-            seed = int(rng.integers(2**32))
-            ours, theirs = (np.random.default_rng(seed),
-                            np.random.default_rng(seed))
-            got = permutation_cutoffs(yc, xc, n_shuffles, level, ours)
-            want = shuffled_cross_cutoffs(yc, xc, n_shuffles, level, theirs)
-            assert got.shape == (min(p, D, T - 1),)
-            np.testing.assert_allclose(got, want, rtol=1e-10)
-            # same draws, so a generator shared across calls stays in step
-            assert ours.bit_generator.state == theirs.bit_generator.state
+        self._check_against_reference(rng, T, p, D, n_shuffles)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("T, p, D", [(40, 6, 90), (50, 8, 3)])
+    def test_block_edges(self, rng, monkeypatch, block, T, p, D):
+        monkeypatch.setattr(factors_module, "_BLOCK", block)
+        edges = {block - 1, block, block + 1, 2 * block - 1, 2 * block,
+                 2 * block + 1}
+        for n_shuffles in sorted(edges - {0} | {1, 37}):
+            self._check_against_reference(rng, T, p, D, n_shuffles)
 
 
 class TestRankCap:
