@@ -582,6 +582,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, "
+                              f"got {args.seed}")
         with _named("--config", args.config):
             config = cfg.load_config(args.config)
         return COMMANDS[args.command](args, config,

@@ -34,13 +34,14 @@ _PANEL = {
     "additionalProperties": False,
 }
 
-# true runs the null at its defaults; an object overrides n and level
+# true runs the null at its defaults; an object overrides n and level.
+# The null keeps one value per shuffle for each component it reads.
 _PERMUTATION = {
     "anyOf": [
         {"type": "boolean"},
         {"type": "object",
          "properties": {
-             "n": {"type": "integer", "minimum": 1},
+             "n": {"type": "integer", "minimum": 1, "maximum": 1000000},
              "level": {"type": "number", "exclusiveMinimum": 0,
                        "exclusiveMaximum": 1},
          },
@@ -313,6 +314,7 @@ _KEYWORDS = {
     "minItems": _min_items,
     "maxItems": _max_items,
     "minimum": _bound(operator.lt, "less than the minimum of"),
+    "maximum": _bound(operator.gt, "greater than the maximum of"),
     "exclusiveMinimum": _bound(operator.le,
                                "less than or equal to the minimum of"),
     "exclusiveMaximum": _bound(operator.ge,

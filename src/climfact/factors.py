@@ -16,8 +16,14 @@ the engine only through the T x T Gram of the centered frames: the cross
 SVD, the spectrum of the surface covariance operator and the permutation
 null's shuffles all read it directly, and only the back-projection of the
 surface directions reads the frames. No p x D cross covariance is formed.
+
+The permutation null never forms a shuffled panel or a p x p matrix
+either: a Lanczos iteration applies each shuffle's operator to a vector
+with gemms over a block of shuffles, and converges only the leading
+singular values that the keep rule reads.
 """
 
+import copy
 import warnings
 from dataclasses import dataclass, field
 
@@ -33,7 +39,9 @@ from .grid import Surface
 from .ingest import align
 
 COND_LIMIT = 1e10
-_BLOCK = 16  # null shuffles scored per batch; bounds the (T, m, p) gathers
+_BLOCK = 100  # null shuffles per Krylov block; bounds its (m, p, p) basis
+_RITZ_RTOL = 1e-12  # Ritz residual, relative to theta_1, counted converged
+_CHECK_CHUNK = 16  # tridiagonals solved per batched eigh in a full check
 
 
 # -- hat-space embedding --------------------------------------------------
@@ -165,36 +173,211 @@ def gram_eigensystem(gc, max_components=None):
     return lam, scores
 
 
-def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None):
+class _KrylovBlock:
+    """Lanczos on the null operators of one block of shuffles at once.
+
+    Shuffle s of the block scores A_s = yc[perm_s].T @ gc @ yc[perm_s],
+    applied to one vector per shuffle by three gemms over the block (yc @
+    X, a gather by the permutations, gc @ Z, the inverse gather, yc.T @
+    V); neither A_s nor the T x (m p) shuffled panel is formed. Every
+    shuffle starts from the same fixed vector, and every step
+    reorthogonalizes against the whole basis twice. A Ritz value theta_i
+    of the k-step tridiagonal has converged when its residual |beta_k
+    s_ki| is at most _RITZ_RTOL * theta_1 (s_ki the last entry of its
+    eigenvector), or when k = p, where the Ritz values are A_s's
+    eigenvalues. Once some beta_j is at most _RITZ_RTOL * theta_1, the
+    Krylov space has (numerically) broken down: it holds an invariant
+    subspace, whose eigenvalues are found exactly but need not lead, as
+    the rest of R^p can hold larger ones (a second copy of a repeated
+    eigenvalue, say). Such a shuffle converges only at k = p, and an
+    exact breakdown restarts from a fresh axis. As in all single-vector
+    Lanczos, a value can still be missed if the leading ones converge
+    before the breakdown shows: a second copy of a repeated eigenvalue,
+    or an eigenvector orthogonal to the start. The shuffled operators of
+    a real panel have neither. The state persists, so asking for more
+    components continues the iteration.
+    """
+
+    def __init__(self, yc, gc, draws, m):
+        """Block of m shuffles, drawn by m calls to draws.permutation(T)."""
+        T, p = yc.shape
+        self.yc, self.gc, self.p = yc, gc, p
+        # flat indices into (T, m) arrays, z[t, s] = y[perm_s[t], s] and
+        # its inverse u[perm_s[t], s] = w[t, s], built in place
+        self.fwd = np.empty((T, m), dtype=np.intp)
+        for s in range(m):
+            self.fwd[:, s] = draws.permutation(T)
+        self.inv = np.empty_like(self.fwd)
+        np.put_along_axis(self.inv, self.fwd, np.arange(T)[:, None], axis=0)
+        for flat in (self.fwd, self.inv):
+            flat *= m
+            flat += np.arange(m)
+        self.basis = np.empty((m, p, p))  # basis[s, j] = q_j of shuffle s
+        # the fixed start, a pseudo-random unit vector: generic, so no
+        # structured eigenvector of the null operators is orthogonal to it
+        start = np.random.default_rng(0).standard_normal(p)
+        self.basis[:, 0] = start / np.linalg.norm(start)
+        self.alpha = np.empty((m, p))
+        self.beta = np.zeros((m, p))
+        self.k = 0
+        self.theta = [np.empty(0)] * m  # converged leading Ritz values
+        self.res = np.full((m, p), np.inf)  # relative residuals, last check
+
+    def _step(self):
+        """One Lanczos step on every shuffle of the block."""
+        j = self.k
+        q = self.basis[:, j]
+        w = np.take(self.gc @ np.take(self.yc @ q.T, self.fwd),
+                    self.inv).T @ self.yc
+        self.alpha[:, j] = np.einsum("sp,sp->s", w, q)
+        self.k = k = j + 1
+        if k == self.p:
+            return
+        basis = self.basis[:, :k]
+        w = _deflate(basis, w)
+        first = np.sqrt(np.einsum("sp,sp->s", w, w))
+        w = _deflate(basis, w)
+        beta = np.sqrt(np.einsum("sp,sp->s", w, w))
+        # a second pass that halves w finds it in the span (breakdown):
+        # restart from the coordinate axis the basis covers least
+        lost = beta <= 0.5 * first
+        if lost.any():
+            held = basis[lost]
+            axis = np.argmin(np.einsum("sjp,sjp->sp", held, held), axis=1)
+            w[lost] = _deflate(held, _deflate(held, np.eye(self.p)[axis]))
+            beta[lost] = np.sqrt(np.einsum("sp,sp->s", w[lost], w[lost]))
+        self.basis[:, k] = w / beta[:, None]
+        self.beta[:, j] = np.where(lost, 0.0, beta)
+
+    def _ritz(self, sel):
+        """Ritz values of shuffles sel, descending, the length of each
+        one's converged leading run and each value's relative residual."""
+        k = self.k
+        t = np.zeros((len(sel), k, k))
+        i = np.arange(k)
+        t[:, i, i] = self.alpha[sel, :k]
+        t[:, i[1:], i[:-1]] = self.beta[sel, :k - 1]
+        if k == self.p:
+            return (np.linalg.eigvalsh(t)[:, ::-1], np.full(len(sel), k),
+                    np.zeros((len(sel), k)))
+        theta, vecs = np.linalg.eigh(t)
+        theta = theta[:, ::-1]
+        res = (self.beta[sel, k - 1, None] * np.abs(vecs[:, -1, ::-1])
+               / np.maximum(theta[:, :1], np.finfo(float).tiny))
+        # a beta at the rounding floor: broken down, these need not lead
+        broken = (self.beta[sel, :k] <= _RITZ_RTOL * theta[:, :1]).any(axis=1)
+        res[broken] = np.inf
+        ok = res <= _RITZ_RTOL
+        return theta, np.where(ok.all(axis=1), k, np.argmin(ok, axis=1)), res
+
+    def leading(self, need):
+        """(m, K) leading Ritz values, K >= need converged on every shuffle.
+
+        After each step only the probe's tridiagonal is solved: the open
+        shuffle whose need-th value was least converged when last checked.
+        Once it has converged, every open shuffle is checked, _CHECK_CHUNK
+        at a time.
+        """
+        open_ = np.array([len(t) < need for t in self.theta])
+        while open_.any():
+            checked = np.flatnonzero(open_)
+            probe = checked[np.argmax(self.res[checked, need - 1])]
+            if self.k == 0 or (self.k < self.p
+                               and self._ritz([probe])[1][0] < need):
+                self._step()
+                continue
+            for lo in range(0, len(checked), _CHECK_CHUNK):
+                sel = checked[lo:lo + _CHECK_CHUNK]
+                theta, run, self.res[sel, :self.k] = self._ritz(sel)
+                for s, th, n in zip(sel, theta, run):
+                    if n >= need:
+                        self.theta[s], open_[s] = th[:n], False
+            if open_.any():
+                self._step()
+        got = min(len(t) for t in self.theta)
+        return np.array([t[:got] for t in self.theta])
+
+
+def _deflate(basis, w):
+    """w with each row's components along its basis rows removed."""
+    return w - ((basis @ w[:, :, None]).transpose(0, 2, 1) @ basis)[:, 0]
+
+
+def _null_cut(theta, level, T):
+    """level quantile over the shuffles (rows) of the null singular values
+    whose squares, times (T - 1)**2, are theta."""
+    return np.quantile(np.sqrt(np.clip(theta, 0.0, None)) / (T - 1), level,
+                       axis=0)
+
+
+def _reads(r, cut, wanted):
+    """How many quantiles two_stage's keep rule reads from cut: up to and
+    including the first that r does not clear, or all wanted of them.
+    None when r clears every one of fewer than wanted."""
+    short = r[:len(cut)] <= cut
+    if short.any():
+        return int(np.argmax(short)) + 1
+    return len(cut) if len(cut) == wanted else None
+
+
+def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None,
+                        r=None):
     """Null singular-value quantiles from time-index shuffles of the panel.
 
     Each shuffle permutes the rows of the centered panel yc (T, p); the
     level quantile over the shuffles of each singular value of the
-    shuffled cross covariance is returned, min(p, T - 1) values (past its
-    rank, the rounding floor). xc is the T x T centered surface Gram (gc
-    in two_stage): yc[perm] is centered, so the squared singular values
-    are the eigenvalues of yc[perm].T @ xc @ yc[perm] / (T - 1)**2 however
-    wide the surface is. Shuffles are scored _BLOCK at a time, with one
-    T x (m p) gemm and one batched p x p eigensolve per block.
+    shuffled cross covariance is returned. xc is the T x T centered
+    surface Gram (gc in two_stage): yc[perm] is centered, so the squared
+    singular values are the eigenvalues of yc[perm].T @ xc @ yc[perm] /
+    (T - 1)**2 however wide the surface is. Shuffles are scored _BLOCK at
+    a time by a matrix-free Lanczos iteration (_KrylovBlock) that
+    converges only the leading values asked for.
+
+    With r (the observed singular values, descending) the call returns
+    the quantiles two_stage's keep rule reads: those up to and including
+    the first component r does not clear, or len(r) of them. The first
+    block sets how deep every block converges: from two components,
+    doubling, it goes deeper until the keep rule on its own quantiles
+    stops, and every block then converges as many as that rule read.
+    Should the quantiles over all shuffles read deeper still, every
+    block is re-scored from the same permutations, twice as deep. With r
+    None it returns all min(p, T - 1) (past the cross covariance's rank,
+    the rounding floor).
 
     Draw contract: exactly n_shuffles calls to rng.permutation(T), one
-    per shuffle in order. fit_fira passes one generator through all its
-    horizons, so every later horizon's draws depend on this count.
+    per shuffle in order; a re-scoring replays them from a copy of the
+    generator, so it keeps no permutations. fit_fira passes one
+    generator through all its horizons, so every later horizon's draws
+    depend on this count.
     """
     if rng is None:
         rng = np.random.default_rng(42)
     T, p = yc.shape
-    null = np.empty((n_shuffles, min(p, T - 1)))
-    for lo in range(0, n_shuffles, _BLOCK):
-        perms = np.array([rng.permutation(T)
-                          for _ in range(min(_BLOCK, n_shuffles - lo))])
-        yp = yc[perms.T]  # yp[:, s] is the panel of shuffle lo + s
-        w = (xc @ yp.reshape(T, -1)).reshape(yp.shape)
-        vals = np.linalg.eigvalsh(yp.transpose(1, 2, 0)
-                                  @ w.transpose(1, 0, 2))
-        null[lo:lo + len(perms)] = vals[:, ::-1][:, :null.shape[1]]
-    null = np.sqrt(np.clip(null, 0.0, None)) / (T - 1)
-    return np.quantile(null, level, axis=0)
+    wanted = min(p, T - 1) if r is None else min(len(r), p, T - 1)
+    need = wanted if r is None else min(2, wanted)
+    start = copy.deepcopy(rng)  # replays the draws for a re-scoring
+    draws, pilot = rng, r is not None
+    while True:
+        theta = []
+        for lo in range(0, n_shuffles, _BLOCK):
+            block = _KrylovBlock(yc, xc, draws, min(_BLOCK, n_shuffles - lo))
+            while pilot and lo == 0:
+                first = block.leading(need)[:, :wanted]
+                reads = _reads(r, _null_cut(first, level, T), wanted)
+                if reads is not None:
+                    need = reads
+                    break
+                need = min(wanted, 2 * first.shape[1])
+            theta.append(block.leading(need)[:, :wanted])
+            del block  # frees its basis before the next block is built
+        got = min(t.shape[1] for t in theta)
+        cut = _null_cut(np.concatenate([t[:, :got] for t in theta]), level, T)
+        if r is None:
+            return cut
+        reads = _reads(r, cut, wanted)
+        if reads is not None:
+            return cut[:reads]
+        need, draws, pilot = min(wanted, 2 * got), copy.deepcopy(start), False
 
 
 def two_stage(y, v, gram, tol=0.1, k=None, permutation=None, rng=None):
@@ -215,8 +398,8 @@ def two_stage(y, v, gram, tol=0.1, k=None, permutation=None, rng=None):
     r, alpha, beta = cross_singular_triplets(yc, v, gc, tol=tol, k=k)
     if permutation is not None and k is None:
         cut = permutation_cutoffs(yc, gc, permutation.get("n", 199),
-                                  permutation.get("level", 0.95), rng)
-        above = r > cut[: len(r)]
+                                  permutation.get("level", 0.95), rng, r=r)
+        above = r[:len(cut)] > cut
         keep = int(np.argmin(above)) if not above.all() else len(r)
         if keep == 0:
             raise ZeroCrossCovariance(

@@ -833,6 +833,41 @@ class TestFactorsAndFira:
             loadings[name] = (out / "factor_loadings.csv").read_bytes()
         assert loadings["true"] == loadings["explicit"]
 
+    @pytest.mark.parametrize("section", ["factors", "fira"])
+    def test_a_null_past_the_shuffle_limit_is_exit_2(self, demo, tmp_path,
+                                                      capsys, monkeypatch,
+                                                      section):
+        from climfact import factors
+
+        def no_null(*args, **kwargs):
+            raise AssertionError("the null ran")
+
+        monkeypatch.setattr(factors, "permutation_cutoffs", no_null)
+        doc = self._base_config(demo)
+        doc[section] = {"variable": "temperature_anomaly",
+                        "use_anomalies": False,
+                        "permutation": {"n": 10**11}}
+        if section == "fira":
+            doc[section]["shocks"] = [{"magnitude": 1.0,
+                                       "center": [53.0, 11.5],
+                                       "radius_km": 150.0}]
+        config = _write_config(tmp_path, doc)
+        assert cli.main([section, "--config", config,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert (f"config error: config key {section}/permutation: "
+                f"{{'n': 100000000000}} is not valid under any of the given "
+                f"schemas") in capsys.readouterr().err
+
+    def test_negative_seed_is_exit_2(self, demo, tmp_path, capsys):
+        doc = self._base_config(demo)
+        doc["factors"] = {"variable": "temperature_anomaly",
+                          "use_anomalies": False, "permutation": {"n": 9}}
+        config = _write_config(tmp_path, doc)
+        assert cli.main(["factors", "--config", config, "--seed", "-1",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert ("config error: --seed must be a non-negative integer, "
+                "got -1") in capsys.readouterr().err
+
     def test_omitted_tol_takes_the_engine_default(self, demo, tmp_path):
         default = inspect.signature(two_stage).parameters["tol"].default
         digests = []

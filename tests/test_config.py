@@ -114,7 +114,8 @@ def _get(doc, path):
 
 def _bound_edges(schema):
     integer = schema.get("type") == "integer"
-    for keyword in ("minimum", "exclusiveMinimum", "exclusiveMaximum"):
+    for keyword in ("minimum", "maximum", "exclusiveMinimum",
+                    "exclusiveMaximum"):
         if keyword in schema:
             bound = schema[keyword]
             yield from ((bound - 1, bound, bound + 1) if integer else
@@ -141,7 +142,7 @@ _MUTATIONS = {
         lambda rng, node, s: str(rng.choice(["nope", "ALL", "Auto", " all"]))),
     "bound edge": (
         lambda node, s: any(k in s for k in (
-            "minimum", "exclusiveMinimum", "exclusiveMaximum")),
+            "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")),
         lambda rng, node, s: rng.choice(list(_bound_edges(s))).item()),
     "short array": (
         lambda node, s: isinstance(node, list) and "minItems" in s,

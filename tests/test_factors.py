@@ -197,7 +197,8 @@ def shuffled_cross_cutoffs(yc, xc, n_shuffles, level, rng):
 
 class TestPermutationCutoffs:
     """The null takes the centered Gram xc @ xc.T; its leading min(p, D,
-    T - 1) quantiles are those of the shuffled p x D cross covariance."""
+    T - 1) quantiles are those of the shuffled p x D cross covariance.
+    Given r, it returns only those the keep rule reads."""
 
     @staticmethod
     def _check_against_reference(rng, T, p, D, n_shuffles):
@@ -231,6 +232,108 @@ class TestPermutationCutoffs:
     def test_matches_the_shuffled_cross_reference(self, rng, T, p, D,
                                                   n_shuffles):
         self._check_against_reference(rng, T, p, D, n_shuffles)
+
+    @pytest.mark.parametrize("T, p, D, dup", [
+        (60, 5, 12, False),   # D < T
+        (40, 6, 90, False),   # D > T
+        (50, 8, 3, False),    # D < p
+        (40, 1, 30, False),   # p = 1
+        (30, 29, 50, False),  # p = T - 1
+        (60, 7, 25, True),    # a duplicated sector
+    ])
+    @pytest.mark.parametrize("n", ["1", "block-1", "block+1", "37"])
+    def test_keep_rule_reads_the_components_it_needs(self, rng, T, p, D, dup,
+                                                     n):
+        block = factors_module._BLOCK
+        n_shuffles = {"1": 1, "block-1": block - 1, "block+1": block + 1,
+                      "37": 37}[n]
+        rank = min(p - dup, D, T - 1)
+        for _ in range(2):
+            y = rng.normal(size=(T, p))
+            if dup:
+                y[:, -1] = y[:, 0]
+            yc, _ = center_columns(y)
+            xc, _ = center_columns(rng.normal(size=(T, D))
+                                   * rng.uniform(0.1, 10.0, size=D))
+            level = float(rng.uniform(0.5, 0.99))
+            seed = int(rng.integers(2**32))
+            ours, theirs = (np.random.default_rng(seed),
+                            np.random.default_rng(seed))
+            want = shuffled_cross_cutoffs(yc, xc, n_shuffles, level,
+                                          theirs)[:rank]
+            # r clears want up to entry i, which sits 1e-9 above or below
+            # its cut; later entries fall either side at random
+            i = int(rng.integers(rank))
+            side = rng.choice([-1.0, 1.0], size=rank)
+            side[:i] = 1.0
+            r = want * (1.0 + 1e-9 * side)
+            r = r[:int(rng.integers(i + 1, rank + 1))]
+            short = r <= want[:len(r)]
+            length = int(np.argmax(short)) + 1 if short.any() else len(r)
+            got = permutation_cutoffs(yc, xc @ xc.T, n_shuffles, level, ours,
+                                      r=r)
+            assert len(got) == length
+            np.testing.assert_allclose(got, want[:length], rtol=1e-10)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("n_shuffles", [1, 9])
+    def test_a_repeated_top_eigenvalue_is_counted_twice(self, rng,
+                                                         n_shuffles):
+        # yc has orthogonal columns with squared norms 4, 4 and 1, and the
+        # Gram is the centering projector, so every shuffle's operator is
+        # diag(4, 4, 1); the start vector's Krylov space holds one copy of
+        # 4 and breaks down after two steps
+        T = 12
+        q, _ = np.linalg.qr(center_columns(rng.normal(size=(T, 3)))[0])
+        yc = q * np.sqrt([4.0, 4.0, 1.0])
+        gc = np.eye(T) - 1.0 / T
+        want = np.sqrt([4.0, 4.0, 1.0]) / (T - 1)
+        # the last r stops the keep rule at the second component
+        for r in (None, np.array([1.0, 1.0, 1.0]), np.array([1.0, 0.01])):
+            got = permutation_cutoffs(yc, gc, n_shuffles, 0.9,
+                                      np.random.default_rng(3), r=r)
+            np.testing.assert_allclose(got, want[:3 if r is None else len(r)],
+                                       rtol=1e-12)
+
+    def test_the_first_block_sets_the_depth_of_every_block(self, rng,
+                                                           monkeypatch):
+        # r clears the first two cuts threefold and misses the next two
+        # as widely, so the first block's quantiles read as deep as those
+        # of all shuffles and no block is scored twice
+        built = []
+
+        class Counted(factors_module._KrylovBlock):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(factors_module, "_KrylovBlock", Counted)
+        T, p, D = 120, 40, 100
+        n_shuffles = 2 * factors_module._BLOCK + 1
+        yc, _ = center_columns(rng.normal(size=(T, p)))
+        xc, _ = center_columns(rng.normal(size=(T, D)))
+        want = shuffled_cross_cutoffs(yc, xc, n_shuffles, 0.9,
+                                      np.random.default_rng(5))
+        r = want[:4] * [3.0, 3.0, 1.0 / 3.0, 1.0 / 3.0]
+        got = permutation_cutoffs(yc, xc @ xc.T, n_shuffles, 0.9,
+                                  np.random.default_rng(5), r=r)
+        np.testing.assert_allclose(got, want[:3], rtol=1e-10)
+        assert len(built) == 3
+
+    def test_a_zero_operator_breaks_down_to_zero_cutoffs(self, rng):
+        # every Lanczos vector after the start finds the Krylov space
+        # exhausted, so each step restarts from a fresh axis
+        T, p = 30, 4
+        xc, _ = center_columns(rng.normal(size=(T, 6)))
+        ours, theirs = np.random.default_rng(1), np.random.default_rng(1)
+        for r in (None, np.array([1.0, 0.5])):
+            got = permutation_cutoffs(np.zeros((T, p)), xc @ xc.T, 7, 0.9,
+                                      ours, r=r)
+            np.testing.assert_array_equal(got, np.zeros(p if r is None
+                                                         else len(r)))
+            for _ in range(7):
+                theirs.permutation(T)
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     @pytest.mark.parametrize("T, p, D", [(40, 6, 90), (50, 8, 3)])
