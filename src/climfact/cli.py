@@ -160,7 +160,7 @@ def _region_mask(domain, i, entry):
 
 
 def _regions(config, domain):
-    entries = config.get("regions") or [{"name": "ALL", "cells": "all"}]
+    entries = config.get("regions", [{"name": "ALL", "cells": "all"}])
     return {e["name"]: _region_mask(domain, i, e)
             for i, e in enumerate(entries)}
 
@@ -191,12 +191,14 @@ def _factor_inputs(config, name):
     None, its surface series, as anomalies unless use_anomalies is false,
     and the sector panel."""
     section = cfg.require(config, name)
-    permutation = section.get("permutation") or None
-    if permutation is not None and "k" in section:
+    permutation = section.get("permutation", False)
+    if permutation is False:
+        permutation = None
+    elif "k" in section:
         # k fixes the component count, so the null would never run
         raise ConfigError(f"config keys {name}.k and {name}.permutation "
                           f"exclude each other")
-    if permutation is True:
+    elif permutation is True:
         permutation = {}
     series = _grid(config, section["variable"])
     if section.get("use_anomalies", True):

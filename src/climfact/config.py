@@ -97,6 +97,7 @@ SCHEMA = {
                 "required": ["name"],
                 "additionalProperties": False,
             },
+            "minItems": 1,
         },
         "baseline": {
             "type": "object",
@@ -106,7 +107,8 @@ SCHEMA = {
         "anomaly": {
             "type": "object",
             "properties": {
-                "variables": {"type": "array", "items": {"type": "string"}},
+                "variables": {"type": "array", "items": {"type": "string"},
+                              "minItems": 1},
                 "write_grids": {"type": "boolean"},
             },
             "additionalProperties": False,
@@ -334,16 +336,20 @@ def validate_config(doc):
 
 
 # lists of ids, where a repeat would run a cell twice or collapse silently
-_DISTINCT = (("lp", "sectors"), ("shocks", "variants"))
+_DISTINCT = (("lp", "sectors"), ("shocks", "variants"),
+             ("anomaly", "variables"))
 
 
 def _check_distinct(doc):
-    for section, key in _DISTINCT:
-        items = doc.get(section, {}).get(key)
+    lists = [(f"{section}.{key}", doc.get(section, {}).get(key))
+             for section, key in _DISTINCT]
+    # a repeated region name would overwrite the first region's outputs
+    lists.append(("regions", [e["name"] for e in doc.get("regions", ())]))
+    for where, items in lists:
         if isinstance(items, list):
             repeated = [x for i, x in enumerate(items) if x in items[:i]]
             if repeated:
-                raise ConfigError(f"config key {section}.{key} lists "
+                raise ConfigError(f"config key {where} lists "
                                   f"{repeated[0]!r} more than once")
 
 

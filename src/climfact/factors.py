@@ -41,7 +41,6 @@ from .ingest import align
 COND_LIMIT = 1e10
 _BLOCK = 100  # null shuffles per Krylov block; bounds its (m, p, p) basis
 _RITZ_RTOL = 1e-12  # Ritz residual, relative to theta_1, counted converged
-_CHECK_CHUNK = 16  # tridiagonals solved per batched eigh in a full check
 
 
 # -- hat-space embedding --------------------------------------------------
@@ -275,8 +274,7 @@ class _KrylovBlock:
 
         After each step only the probe's tridiagonal is solved: the open
         shuffle whose need-th value was least converged when last checked.
-        Once it has converged, every open shuffle is checked, _CHECK_CHUNK
-        at a time.
+        Once it has converged, one batched solve checks every open shuffle.
         """
         open_ = np.array([len(t) < need for t in self.theta])
         while open_.any():
@@ -286,12 +284,10 @@ class _KrylovBlock:
                                and self._ritz([probe])[1][0] < need):
                 self._step()
                 continue
-            for lo in range(0, len(checked), _CHECK_CHUNK):
-                sel = checked[lo:lo + _CHECK_CHUNK]
-                theta, run, self.res[sel, :self.k] = self._ritz(sel)
-                for s, th, n in zip(sel, theta, run):
-                    if n >= need:
-                        self.theta[s], open_[s] = th[:n], False
+            theta, run, self.res[checked, :self.k] = self._ritz(checked)
+            for s, th, n in zip(checked, theta, run):
+                if n >= need:
+                    self.theta[s], open_[s] = th[:n], False
             if open_.any():
                 self._step()
         got = min(len(t) for t in self.theta)
@@ -320,8 +316,8 @@ def _reads(r, cut, wanted):
     return len(cut) if len(cut) == wanted else None
 
 
-def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None,
-                        r=None):
+def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None, *,
+                        r):
     """Null singular-value quantiles from time-index shuffles of the panel.
 
     Each shuffle permutes the rows of the centered panel yc (T, p); the
@@ -333,16 +329,16 @@ def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None,
     a time by a matrix-free Lanczos iteration (_KrylovBlock) that
     converges only the leading values asked for.
 
-    With r (the observed singular values, descending) the call returns
+    r is the observed singular values, descending; the call returns
     the quantiles two_stage's keep rule reads: those up to and including
     the first component r does not clear, or len(r) of them. The first
     block sets how deep every block converges: from two components,
     doubling, it goes deeper until the keep rule on its own quantiles
     stops, and every block then converges as many as that rule read.
     Should the quantiles over all shuffles read deeper still, every
-    block is re-scored from the same permutations, twice as deep. With r
-    None it returns all min(p, T - 1) (past the cross covariance's rank,
-    the rounding floor).
+    block is re-scored from the same permutations, twice as deep. An r
+    of infinities clears every cut, so all min(p, T - 1) are returned
+    (past the cross covariance's rank, the rounding floor).
 
     Draw contract: exactly n_shuffles calls to rng.permutation(T), one
     per shuffle in order; a re-scoring replays them from a copy of the
@@ -353,10 +349,10 @@ def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None,
     if rng is None:
         rng = np.random.default_rng(42)
     T, p = yc.shape
-    wanted = min(p, T - 1) if r is None else min(len(r), p, T - 1)
-    need = wanted if r is None else min(2, wanted)
+    wanted = min(len(r), p, T - 1)
+    need = min(2, wanted)
     start = copy.deepcopy(rng)  # replays the draws for a re-scoring
-    draws, pilot = rng, r is not None
+    draws, pilot = rng, True
     while True:
         theta = []
         for lo in range(0, n_shuffles, _BLOCK):
@@ -372,8 +368,6 @@ def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None,
             del block  # frees its basis before the next block is built
         got = min(t.shape[1] for t in theta)
         cut = _null_cut(np.concatenate([t[:, :got] for t in theta]), level, T)
-        if r is None:
-            return cut
         reads = _reads(r, cut, wanted)
         if reads is not None:
             return cut[:reads]

@@ -395,6 +395,32 @@ class TestAnomaly:
                          "--out", str(tmp_path / "out")]) == 2
         assert "'humidity'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,named", [
+        ("regions", [], "config key regions: [] should be non-empty"),
+        ("variables", [],
+         "config key anomaly/variables: [] should be non-empty"),
+        ("regions", [{"name": "EA", "cells": "all"}] * 2,
+         "config key regions lists 'EA' more than once"),
+        ("variables", ["temperature", "temperature"],
+         "config key anomaly.variables lists 'temperature' more than once"),
+    ])
+    def test_empty_or_repeated_list_exits_cleanly(self, normals_fixture,
+                                                  tmp_path, capsys, key,
+                                                  value, named):
+        # an empty list would fall back to every region or grid; a repeat
+        # would collapse into one, or overwrite the first region's files
+        doc = {"grids": _grid_entries(normals_fixture)[:1],
+               "regions": [{"name": "EA", "cells": "all"}],
+               "anomaly": {"variables": ["temperature"]}}
+        (doc if key == "regions" else doc["anomaly"])[key] = value
+        config = _write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["anomaly", "--config", config, "--out", str(out),
+                         "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, normals_fixture, tmp_path):
@@ -820,7 +846,7 @@ class TestFactorsAndFira:
 
     def test_permutation_true_runs_the_default_null(self, demo, tmp_path):
         loadings = {}
-        for name, permutation in (("true", True),
+        for name, permutation in (("true", True), ("empty", {}),
                                   ("explicit", {"n": 199, "level": 0.95})):
             doc = self._base_config(demo)
             doc["factors"] = {"variable": "temperature_anomaly",
@@ -831,7 +857,7 @@ class TestFactorsAndFira:
             assert cli.main(["factors", "--config", config, "--out",
                              str(out), "--quiet"]) == 0
             loadings[name] = (out / "factor_loadings.csv").read_bytes()
-        assert loadings["true"] == loadings["explicit"]
+        assert loadings["true"] == loadings["empty"] == loadings["explicit"]
 
     @pytest.mark.parametrize("section", ["factors", "fira"])
     def test_a_null_past_the_shuffle_limit_is_exit_2(self, demo, tmp_path,

@@ -276,7 +276,7 @@ _SECTIONS = {
 
 
 @pytest.mark.parametrize("section", sorted(_SECTIONS))
-@pytest.mark.parametrize("permutation", [True, {"n": 9}, False])
+@pytest.mark.parametrize("permutation", [True, {"n": 9}, False, {}])
 def test_k_and_a_permutation_null_exclude_each_other(
         factor_inputs, tmp_path, capsys, section, permutation):
     """k fixes the component count, so a null set beside it would never

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -210,7 +212,9 @@ class TestPermutationCutoffs:
             seed = int(rng.integers(2**32))
             ours, theirs = (np.random.default_rng(seed),
                             np.random.default_rng(seed))
-            got = permutation_cutoffs(yc, xc @ xc.T, n_shuffles, level, ours)
+            # an all-clearing r reads every quantile
+            got = permutation_cutoffs(yc, xc @ xc.T, n_shuffles, level, ours,
+                                      r=np.full(min(p, T - 1), np.inf))
             want = shuffled_cross_cutoffs(yc, xc, n_shuffles, level, theirs)
             rank = min(p, D, T - 1)
             assert got.shape == (min(p, T - 1),)
@@ -289,11 +293,11 @@ class TestPermutationCutoffs:
         gc = np.eye(T) - 1.0 / T
         want = np.sqrt([4.0, 4.0, 1.0]) / (T - 1)
         # the last r stops the keep rule at the second component
-        for r in (None, np.array([1.0, 1.0, 1.0]), np.array([1.0, 0.01])):
+        for r in (np.full(3, np.inf), np.array([1.0, 1.0, 1.0]),
+                  np.array([1.0, 0.01])):
             got = permutation_cutoffs(yc, gc, n_shuffles, 0.9,
                                       np.random.default_rng(3), r=r)
-            np.testing.assert_allclose(got, want[:3 if r is None else len(r)],
-                                       rtol=1e-12)
+            np.testing.assert_allclose(got, want[:len(r)], rtol=1e-12)
 
     def test_the_first_block_sets_the_depth_of_every_block(self, rng,
                                                            monkeypatch):
@@ -326,11 +330,10 @@ class TestPermutationCutoffs:
         T, p = 30, 4
         xc, _ = center_columns(rng.normal(size=(T, 6)))
         ours, theirs = np.random.default_rng(1), np.random.default_rng(1)
-        for r in (None, np.array([1.0, 0.5])):
+        for r in (np.full(p, np.inf), np.array([1.0, 0.5])):
             got = permutation_cutoffs(np.zeros((T, p)), xc @ xc.T, 7, 0.9,
                                       ours, r=r)
-            np.testing.assert_array_equal(got, np.zeros(p if r is None
-                                                         else len(r)))
+            np.testing.assert_array_equal(got, np.zeros(len(r)))
             for _ in range(7):
                 theirs.permutation(T)
             assert ours.bit_generator.state == theirs.bit_generator.state
@@ -343,6 +346,47 @@ class TestPermutationCutoffs:
                  2 * block + 1}
         for n_shuffles in sorted(edges - {0} | {1, 37}):
             self._check_against_reference(rng, T, p, D, n_shuffles)
+
+
+class TestKrylovBlock:
+    """Every shuffle's leading Ritz values are the leading eigenvalues of
+    its own operator, not only the one a quantile happens to pick."""
+
+    @pytest.mark.parametrize("T, p, D, copies", [
+        (60, 5, 12, 0),   # D < T
+        (40, 6, 90, 0),   # D > T
+        (30, 29, 50, 0),  # p = T - 1
+        (60, 7, 25, 2),   # a sector copied twice: a double zero
+                          # eigenvalue, so the Krylov space breaks down
+        (50, 8, 3, 0),    # D < p: it breaks down after D + 1 steps
+    ])
+    @pytest.mark.parametrize("need", [1, 2, "all"])
+    def test_each_shuffle_matches_its_own_eigensolve(self, rng, T, p, D,
+                                                     copies, need):
+        m = 9
+        need = p if need == "all" else need
+        for _ in range(2):
+            y = rng.normal(size=(T, p))
+            y[:, p - copies:] = y[:, :1]
+            yc, _ = center_columns(y)
+            xc, _ = center_columns(rng.normal(size=(T, D))
+                                   * rng.uniform(0.1, 10.0, size=D))
+            gc = xc @ xc.T
+            draws = np.random.default_rng(int(rng.integers(2**32)))
+            block = factors_module._KrylovBlock(yc, gc, copy.deepcopy(draws),
+                                                m)
+            got = block.leading(need)
+            assert got.shape[0] == m and got.shape[1] >= need
+            rank = min(p - copies, D, T - 1)
+            for theta in got:
+                perm = draws.permutation(T)
+                want = np.linalg.eigvalsh(yc[perm].T @ gc @ yc[perm])[::-1]
+                want = want[:len(theta)]
+                np.testing.assert_allclose(theta[:rank], want[:rank],
+                                           rtol=1e-10)
+                # past the operator's rank only rounding is left
+                np.testing.assert_allclose(theta[rank:], want[rank:],
+                                           rtol=0, atol=1e-10 * want[0])
 
 
 class TestRankCap:

@@ -1,8 +1,9 @@
-"""The traced benchmark's work counter for the permutation null.
+"""The traced benchmark's work counters against the engine.
 
-``perfbench/spans.py`` binds the arguments of ``factors.permutation_cutoffs``
-by name to count its flops, so a renamed argument fails every traced
-command. This test runs the counter against the engine.
+``perfbench/spans.py`` binds the arguments of the functions in its
+``COUNTS`` table by name and reads their results to count work, so a
+renamed argument or result field fails every traced command. These tests
+run each counter on a small fixture.
 """
 
 import importlib
@@ -12,9 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from climfact import factors
+from climfact import factors, fira, ingest, localproj
+from climfact.climatology import ShockConditioning, ShockSeries
+from climfact.grid import SurfaceSeries, build_domain
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+MONTH0 = np.datetime64("2001-01", "M")
 
 
 def _load_spans():
@@ -24,7 +28,9 @@ def _load_spans():
     return module
 
 
-def test_permutation_span_counts_the_gram_gemm(monkeypatch):
+@pytest.fixture
+def traced(monkeypatch):
+    """(spans module, Recorder) with every TARGETS function instrumented."""
     spans = _load_spans()
     modules = {layer: importlib.import_module(f"climfact.{layer}")
                for layer in spans.TARGETS}
@@ -34,7 +40,15 @@ def test_permutation_span_counts_the_gram_gemm(monkeypatch):
                                 getattr(modules[layer], name))
     recorder = spans.Recorder()
     spans.instrument(recorder, modules)
+    return spans, recorder
 
+
+def _counted(recorder, name):
+    return [s[4] for s in recorder.spans if s[0] == name]
+
+
+def test_permutation_span_counts_the_gram_gemm(traced):
+    _, recorder = traced
     rng = np.random.default_rng(5)
     T, p, D, n = 30, 4, 50, 9
     v = rng.normal(size=(T, D))
@@ -43,8 +57,50 @@ def test_permutation_span_counts_the_gram_gemm(monkeypatch):
     factors.two_stage(y, v, v @ v.T, permutation={"n": n},
                       rng=np.random.default_rng(0))
 
-    counted = [s[4] for s in recorder.spans
-               if s[0] == "factors.permutation_cutoffs"]
+    counted = _counted(recorder, "factors.permutation_cutoffs")
     assert len(counted) == 1
     assert counted[0]["gflop"] == pytest.approx(n * 2.0 * T * p * T / 1e9,
                                                 rel=1e-12)
+
+
+def test_every_counter_binds_its_function(traced, tmp_path):
+    spans, recorder = traced
+    rng = np.random.default_rng(7)
+    T, p = 60, 3
+    times = MONTH0 + np.arange(T)
+    domain = build_domain((40.0, 43.0, 5.0, 8.0), 1.0)
+    series = SurfaceSeries(domain, times,
+                           rng.normal(size=(T,) + domain.shape), "t")
+    panel = ingest.SectorPanel(times, ("S0", "S1", "S2"),
+                               rng.normal(size=(T, p)))
+    controls = ingest.ControlPanel(times, ("Z0",), rng.normal(size=(T, 1)))
+    shock = ShockSeries(times, np.where(rng.random(T) < 0.3, 1.0, 0.0), 0.5,
+                        ShockConditioning(), "all")
+
+    path = tmp_path / "t.csv"
+    ingest.write_gridded_csv(series, path)
+    ingest.load_gridded(path)
+    spec = localproj.LpSpec(h_max=2, p_max=2, l_max=2)
+    localproj.run_battery(panel, {"all": shock}, spec, controls=controls)
+    yc, _ = factors.center_columns(panel.values)
+    xc, _ = factors.center_columns(factors.hat_matrix(series))
+    factors.permutation_cutoffs(yc, xc @ xc.T, 9, 0.9,
+                                np.random.default_rng(0),
+                                r=np.full(p, np.inf))
+    design = fira.build_design(series, lags=(1, 0, 0))
+    fira.fit_fira(design, panel, h_max=1, k=1)
+
+    counted = {name: _counted(recorder, name) for name in spans.COUNTS}
+    rows = T * domain.n_valid
+    assert counted == {
+        "ingest.load_gridded": [{"rows": rows}],
+        "ingest.write_gridded_csv": [{"rows": rows}],
+        "localproj.run_battery": [{"cells": p, "cells_failed": 0}],
+        # one lag search per sector, over p_max x l_max with controls
+        "localproj.select_lags": [{"aic_candidates": 4}] * p,
+        "factors.permutation_cutoffs": [
+            {"gflop": pytest.approx(9 * 2.0 * T * p * T / 1e9, rel=1e-12)}],
+        "fira.build_design": [
+            {"design_mb": (T - 1) * 2 * domain.n_valid * 8 / 1e6}],
+        "fira.fit_fira": [{"horizons_failed": 0}],
+    }
