@@ -14,10 +14,8 @@ its own body, so a command pays at start-up only for its own work.
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -30,9 +28,7 @@ from .errors import (
     ClimfactError,
     ConfigError,
     DataError,
-    EmptyRegion,
     NumericalError,
-    ParseError,
 )
 
 EXIT_OK = 0
@@ -110,14 +106,6 @@ def _grid(config, name):
                                    **_present(entry, "step", "weighting"))
 
 
-def _lattice_index(value, origin, step):
-    """Index of the cell centered at value, or None when value lies more
-    than 1e-6 of a step off every center."""
-    at = (value - origin) / step - 0.5
-    index = round(at)
-    return index if abs(at - index) <= 1e-6 else None
-
-
 def _region_mask(domain, i, entry):
     """Boolean raster from regions[i]: 'cells': 'all', or a CSV of the
     lat,lon cell centers in the region."""
@@ -127,36 +115,8 @@ def _region_mask(domain, i, entry):
                           f"cells and path")
     if path is None:
         return np.ones(domain.shape, dtype=bool)
-    mask = np.zeros(domain.shape, dtype=bool)
-    with _named(f"config key regions[{i}].path", path), \
-            ingest.open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["lat", "lon"]:
-            raise ParseError("region file needs header lat,lon", path=path, line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                lat, lon = map(float, row)
-            except ValueError:
-                raise ParseError(f"region row {row} is not lat,lon",
-                                 path=path, line=lineno) from None
-            if not (math.isfinite(lat) and math.isfinite(lon)):
-                raise ParseError(f"non-finite region cell ({lat}, {lon})",
-                                 path=path, line=lineno)
-            row_i = _lattice_index(lat, domain.lat_min, domain.step_lat)
-            col_j = _lattice_index(lon, domain.lon_min, domain.step_lon)
-            if row_i is None or col_j is None:
-                raise ParseError(f"region row ({lat}, {lon}) is not a cell "
-                                 f"center of the grid", path=path,
-                                 line=lineno)
-            if not (0 <= row_i < domain.n_lat and 0 <= col_j < domain.n_lon):
-                raise EmptyRegion(
-                    f"region cell ({lat}, {lon}) lies outside the grid"
-                )
-            mask[row_i, col_j] = True
-    return mask
+    with _named(f"config key regions[{i}].path", path):
+        return ingest.load_region_mask(path, domain)
 
 
 def _regions(config, domain):
@@ -187,9 +147,11 @@ def _anomaly_series(config, series):
 
 
 def _factor_inputs(config, name):
-    """Section name (factors or fira), its permutation-null settings or
-    None, its surface series, as anomalies unless use_anomalies is false,
-    and the sector panel."""
+    """Section name (factors or fira), its filled-in permutation-null
+    settings or None, its surface series, as anomalies unless
+    use_anomalies is false, and the sector panel."""
+    from . import factors as af
+
     section = cfg.require(config, name)
     permutation = section.get("permutation", False)
     if permutation is False:
@@ -198,8 +160,9 @@ def _factor_inputs(config, name):
         # k fixes the component count, so the null would never run
         raise ConfigError(f"config keys {name}.k and {name}.permutation "
                           f"exclude each other")
-    elif permutation is True:
-        permutation = {}
+    else:
+        permutation = {**af.PERMUTATION_DEFAULTS,
+                       **({} if permutation is True else permutation)}
     series = _grid(config, section["variable"])
     if section.get("use_anomalies", True):
         series = _anomaly_series(config, series)
@@ -468,6 +431,7 @@ def cmd_fira(args, config, out):
         "k_per_horizon": [e.k if e else 0 for e in fitted.by_horizon],
         "rho_per_horizon": [e.rho if e else [] for e in fitted.by_horizon],
         "failures": [list(f) for f in fitted.failures],
+        "permutation": permutation,
         "shocks": shock_reports,
         "seed": seed,
     })

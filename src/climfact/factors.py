@@ -41,6 +41,8 @@ from .ingest import align
 COND_LIMIT = 1e10
 _BLOCK = 100  # null shuffles per Krylov block; bounds its (m, p, p) basis
 _RITZ_RTOL = 1e-12  # Ritz residual, relative to theta_1, counted converged
+# shuffle count and quantile level of a null whose dict leaves them out
+PERMUTATION_DEFAULTS = {"n": 199, "level": 0.95}
 
 
 # -- hat-space embedding --------------------------------------------------
@@ -316,8 +318,7 @@ def _reads(r, cut, wanted):
     return len(cut) if len(cut) == wanted else None
 
 
-def permutation_cutoffs(yc, xc, n_shuffles=199, level=0.95, rng=None, *,
-                        r):
+def permutation_cutoffs(yc, xc, n_shuffles, level, rng=None, *, r):
     """Null singular-value quantiles from time-index shuffles of the panel.
 
     Each shuffle permutes the rows of the centered panel yc (T, p); the
@@ -379,9 +380,9 @@ def two_stage(y, v, gram, tol=0.1, k=None, permutation=None, rng=None):
 
     gram is v @ v.T; double-centered once into gc, it drives the cross
     SVD (cutoff tol * r_1, or k components) and the null of the optional
-    permutation cut (dict with optional n and level; ignored when k is
-    given). CCA on the raw projections y @ alpha and v @ beta follows,
-    then the sign fix.
+    permutation cut (dict with optional n and level, PERMUTATION_DEFAULTS
+    filling the rest; ignored when k is given). CCA on the raw
+    projections y @ alpha and v @ beta follows, then the sign fix.
     Returns (r, rho, a, b_hat, y_factors, x_factors): retained singular
     values, canonical correlations, a (K, p), b_hat (K, D) and the
     canonical coordinates of y and v.
@@ -391,8 +392,8 @@ def two_stage(y, v, gram, tol=0.1, k=None, permutation=None, rng=None):
     gc -= gc.mean(axis=1, keepdims=True)
     r, alpha, beta = cross_singular_triplets(yc, v, gc, tol=tol, k=k)
     if permutation is not None and k is None:
-        cut = permutation_cutoffs(yc, gc, permutation.get("n", 199),
-                                  permutation.get("level", 0.95), rng, r=r)
+        null = {**PERMUTATION_DEFAULTS, **permutation}
+        cut = permutation_cutoffs(yc, gc, null["n"], null["level"], rng, r=r)
         above = r[:len(cut)] > cut
         keep = int(np.argmin(above)) if not above.all() else len(r)
         if keep == 0:

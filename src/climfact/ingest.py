@@ -1,4 +1,4 @@
-"""File ingestion: gridded climate series, sector/control panels, alignment.
+"""File ingestion: gridded series, panels, region files; window alignment.
 
 Two grid formats are accepted:
 
@@ -18,12 +18,13 @@ gap in the loaded window is dropped (and reported), never filled.
 
 A valid format A file is parsed in one C-level ``np.loadtxt`` pass. A
 file that pass cannot take as it stands (a malformed row, a quoted
-field, a number only Python's ``float`` spells) is read again row by row;
-that reader words every error with its file line, blank lines counted,
-and both give the same series wherever both succeed. The writer formats
-each cell's ``lat,lon,`` once and writes one joined string per frame.
-Every CSV input is read as UTF-8; a byte that is not is a ParseError
-naming its line.
+field, a number only Python's ``float`` spells) is read again row by row,
+and both give the same series wherever both succeed. That row reader,
+the panel reader and the region reader (a ``lat,lon`` header, then one
+cell center per row) share ``_csv_rows``: each reads UTF-8 and words
+every error with its file and line, blank lines counted. A panel header
+names each column once. The writer formats each cell's ``lat,lon,``
+once and writes one joined string per frame.
 
 A format A file is parsed once per content. After a parse succeeds,
 ``load_gridded`` also writes the series as a format B file, its twin,
@@ -40,6 +41,7 @@ read or written is skipped, and a file that fails to parse leaves no twin.
 Deleting the directory is always safe.
 """
 
+import array
 import contextlib
 import csv
 import functools
@@ -59,6 +61,7 @@ from .errors import (
     AllMasked,
     DataError,
     EmptyIntersection,
+    EmptyRegion,
     NoSectorsRemain,
     ParseError,
     first_non_utf8,
@@ -91,17 +94,35 @@ _TWIN_CACHE_BYTES = 1 << 30
 _STALE_TMP_S = 3600
 
 
-@contextlib.contextmanager
-def open_csv(path):
-    """Open a CSV input as UTF-8 text; a byte that is not UTF-8 ends the
-    read as a ParseError naming the file and the byte's line."""
+def _csv_rows(path, check_header):
+    """Yield the header of a CSV input, then (file line, fields) of each
+    data row. check_header(header) gives None or the message of a
+    ParseError on line 1; a byte that is not UTF-8, no header, a field
+    count not the header's and no data row are ParseErrors too."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            yield fh
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            problem = "empty file" if header is None else check_header(header)
+            if problem is not None:
+                raise ParseError(problem, path=path, line=1)
+            yield header
+            n_rows = 0
+            for line, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"expected {len(header)} fields, got {len(row)}",
+                        path=path, line=line)
+                n_rows += 1
+                yield line, row
         except UnicodeDecodeError:
             byte, line = first_non_utf8(path)
             raise ParseError(f"byte {byte:#04x} is not UTF-8", path=path,
                              line=line) from None
+    if not n_rows:
+        raise ParseError("no data rows", path=path, line=2)
 
 
 # -- panels --------------------------------------------------------------
@@ -176,26 +197,16 @@ def _infer_axis(centers, axis, step=None):
     return origin, origin + n * step, step, n
 
 
-def _grid_reader(fh, path):
-    """csv reader over an open format A file, past its checked header."""
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file", path=path, line=1) from None
+def _grid_header(header):
     if len(header) != 4 or header[0].strip().lower() != "time":
-        raise ParseError(
-            f"expected header time,lat,lon,<name>, got {header}",
-            path=path, line=1,
-        )
-    return reader, header
+        return f"expected header time,lat,lon,<name>, got {header}"
+    return None
 
 
 def _load_gridded_csv(path, variable, step, weighting):
     """Format A: the file's twin when one matches its bytes, else the
     loadtxt pass or, on any failure, the row reader."""
-    with open_csv(path) as fh:
-        _, header = _grid_reader(fh, path)
+    header = next(_csv_rows(path, _grid_header))
     name = variable or header[3].strip()
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -211,9 +222,9 @@ def _load_gridded_csv(path, variable, step, weighting):
             return series
     grid = None
     try:
-        # no blank-line offsets: an error here is discarded, and the row
-        # reader below raises it again with its file line
-        grid = _grid_cube(path, *_parse_grid_body(path, raw), (), step)
+        # no file lines: an error here is discarded, and the row reader
+        # below raises it again with its line
+        grid = _grid_cube(path, *_parse_grid_body(path, raw), None, step)
     except (ValueError, Warning, ParseError):
         pass
     if grid is None:
@@ -330,46 +341,29 @@ def _parse_grid_body(path, raw):
 
 def _read_grid_rows(path):
     """Row-by-row format A parse, the reader that words every error with
-    its line; also returns the data-row count at each skipped blank line."""
-    rows = []
-    blanks = []
-    with open_csv(path) as fh:
-        reader, _ = _grid_reader(fh, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                blanks.append(len(rows))
-                continue
-            if len(row) != 4:
-                raise ParseError(
-                    f"expected 4 fields, got {len(row)}", path=path, line=lineno
-                )
-            try:
-                t = months.parse_month(row[0])
-                lat = float(row[1])
-                lon = float(row[2])
-                val = float(row[3])
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from None
-            rows.append((t, lat, lon, val))
-    if not rows:
-        raise ParseError("no data rows", path=path, line=2)
-    return (np.array([r[0] for r in rows], dtype="datetime64[M]"),
-            np.array([r[1] for r in rows]),
-            np.array([r[2] for r in rows]),
-            np.array([r[3] for r in rows]),
-            blanks)
+    its line; also returns each row's file line."""
+    rows = _csv_rows(path, _grid_header)
+    next(rows)
+    times, numbers, lines = [], [], array.array("q")
+    for line, (t, lat, lon, val) in rows:
+        try:
+            times.append(months.parse_month(t))
+            numbers.append((float(lat), float(lon), float(val)))
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=line) from None
+        lines.append(line)
+    return (np.array(times, dtype="datetime64[M]"),
+            *np.array(numbers).T, lines)
 
 
-def _grid_cube(path, times, lats, lons, vals, blanks, step):
+def _grid_cube(path, times, lats, lons, vals, lines, step):
     """Check parsed format A rows and fill the dense (time, lat, lon) cube.
 
     Returns the monthly axis, the cube and the domain's bounds and step.
-    blanks lists the data-row count at each skipped blank line, so an
-    error names the file line of its row."""
+    lines holds each row's file line for an error to name, or is None."""
 
     def line_of(k):
-        """File line of data row k, counting the skipped blank lines."""
-        return k + 2 + int(np.searchsorted(blanks, k, side="right"))
+        return None if lines is None else lines[k]
 
     finite = np.isfinite(lats) & np.isfinite(lons) & np.isfinite(vals)
     if not finite.all():
@@ -529,51 +523,49 @@ def write_surface_csv(surface, path, name="value"):
 # -- panels --------------------------------------------------------------
 
 
+def _panel_header(header):
+    if len(header) < 2:
+        return "header needs a time column plus at least one id"
+    first = {}
+    for column, name in enumerate(header[1:], start=2):
+        name = name.strip()
+        if not name:
+            return f"id in column {column} is empty"
+        if name in first:
+            return (f"id {name!r} in column {column} repeats column "
+                    f"{first[name]}")
+        first[name] = column
+    return None
+
+
 def _read_panel_rows(path):
-    with open_csv(path) as fh:
-        reader = csv.reader(fh)
+    rows = _csv_rows(path, _panel_header)
+    ids = tuple(h.strip() for h in next(rows)[1:])
+    times = []
+    values = []
+    for line, row in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", path=path, line=1) from None
-        if len(header) < 2:
-            raise ParseError("header needs a time column plus at least one id",
-                             path=path, line=1)
-        ids = tuple(h.strip() for h in header[1:])
-        times = []
-        values = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(row)}",
-                    path=path, line=lineno,
-                )
-            try:
-                times.append(months.parse_month(row[0]))
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from None
-            parsed = []
-            for cell in row[1:]:
-                cell = cell.strip()
-                if cell == "":
-                    parsed.append(math.nan)
-                else:
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise ParseError(
-                            f"bad numeric field {cell!r}", path=path, line=lineno
-                        ) from None
-                    if not math.isfinite(value):
-                        raise ParseError(
-                            f"non-finite number {cell!r}; a missing value is "
-                            "an empty field", path=path, line=lineno)
-                    parsed.append(value)
-            values.append(parsed)
-    if not times:
-        raise ParseError("no data rows", path=path, line=2)
+            times.append(months.parse_month(row[0]))
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=line) from None
+        parsed = []
+        for cell in row[1:]:
+            cell = cell.strip()
+            if cell == "":
+                parsed.append(math.nan)
+            else:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"bad numeric field {cell!r}", path=path, line=line
+                    ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"non-finite number {cell!r}; a missing value is "
+                        "an empty field", path=path, line=line)
+                parsed.append(value)
+        values.append(parsed)
     return np.array(times, dtype="datetime64[M]"), ids, np.array(values)
 
 
@@ -623,6 +615,44 @@ def write_panel_csv(panel, path, time_label="time"):
               ([str(t), *(format_float(v) if math.isfinite(v) else ""
                           for v in row)]
                for t, row in zip(panel.times, panel.values)))
+
+
+# -- regions -------------------------------------------------------------
+
+
+def _region_header(header):
+    if [h.strip().lower() for h in header] != ["lat", "lon"]:
+        return "region file needs header lat,lon"
+    return None
+
+
+def load_region_mask(path, domain):
+    """Boolean raster over domain of the cells a region file lists: a
+    lat,lon header, then one cell center per row."""
+    mask = np.zeros(domain.shape, dtype=bool)
+    rows = _csv_rows(path, _region_header)
+    next(rows)
+    for line, row in rows:
+        try:
+            lat, lon = map(float, row)
+        except ValueError:
+            raise ParseError(f"region row {row} is not lat,lon",
+                             path=path, line=line) from None
+        if not (math.isfinite(lat) and math.isfinite(lon)):
+            raise ParseError(f"non-finite region cell ({lat}, {lon})",
+                             path=path, line=line)
+        # the cell whose center lies within 1e-6 of a step of the row
+        at = ((lat - domain.lat_min) / domain.step_lat - 0.5,
+              (lon - domain.lon_min) / domain.step_lon - 0.5)
+        row_i, col_j = round(at[0]), round(at[1])
+        if abs(at[0] - row_i) > 1e-6 or abs(at[1] - col_j) > 1e-6:
+            raise ParseError(f"region row ({lat}, {lon}) is not a cell "
+                             f"center of the grid", path=path, line=line)
+        if not (0 <= row_i < domain.n_lat and 0 <= col_j < domain.n_lon):
+            raise EmptyRegion(
+                f"region cell ({lat}, {lon}) lies outside the grid")
+        mask[row_i, col_j] = True
+    return mask
 
 
 # -- alignment -----------------------------------------------------------

@@ -337,6 +337,55 @@ class TestInputPaths:
         assert code == 2, err
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["grid", "panel", "region"])
+    @pytest.mark.parametrize("case", [
+        "empty file", "header only", "blank line before a short row",
+        "byte 0xff",
+    ])
+    def test_csv_input_errors_name_file_and_line(self, tmp_path, capsys,
+                                                 kind, case):
+        # lp reads the grid, then the region file, then the panel, each
+        # through the one CSV row reader
+        series, grid = _tiny_grid(tmp_path)
+        paths = {"grid": Path(grid["path"]),
+                 "panel": tmp_path / "sectors.csv",
+                 "region": tmp_path / "region.csv"}
+        write_panel_csv(SectorPanel(series.times, ("A",), np.ones((24, 1))),
+                        paths["panel"])
+        paths["region"].write_text("lat,lon\n50.25,10.25\n50.25,10.75\n")
+        path = paths[kind]
+        lines = path.read_text().splitlines(keepends=True)
+        n_fields = lines[0].count(",") + 1
+        if case == "empty file":
+            path.write_text("")
+        elif case == "header only":
+            path.write_text(lines[0])
+        elif case == "blank line before a short row":
+            short = lines[2].split(",")[0]
+            path.write_text("".join(lines[:2]) + "\n" + short + "\n")
+        else:
+            _spoil_line(path, 3)
+        config = _write_config(tmp_path, {
+            "grids": [grid],
+            "baseline": {"reference_window": [2001, 2002]},
+            "regions": [{"name": "R", "path": str(paths["region"])}],
+            "panels": {"sectors": {"path": str(paths["panel"]),
+                                   "transform": "none"}},
+            "shocks": {"variable": "t", "threshold": 0.5},
+            "lp": {"h_max": 1, "p_max": 1, "l_max": 1}})
+        code = cli.main(["lp", "--config", config,
+                         "--out", str(tmp_path / "out"), "--quiet"])
+        message, line = {
+            "empty file": ("empty file", 1),
+            "header only": ("no data rows", 2),
+            "blank line before a short row": (
+                f"expected {n_fields} fields, got 1", 4),
+            "byte 0xff": ("byte 0xff is not UTF-8", 3),
+        }[case]
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {message} ({path}, line {line})\n")
+
     def test_region_row_within_a_millionth_of_a_step_is_its_cell(
             self, tmp_path):
         series, grid = _tiny_grid(tmp_path)
@@ -469,6 +518,20 @@ class TestShocks:
         assert (out / "shocks_all.csv").exists()
         # positive-filtered events must also appear in the all filter
         assert report["events"]["positive"] == report["events"]["all"]
+
+    def test_omitted_variants_run_all_only(self, normals_fixture, tmp_path):
+        # not the eight variants that shock_variants defaults to
+        config = _write_config(tmp_path, {
+            "grids": _grid_entries(normals_fixture)[:1],
+            "shocks": {"variable": "temperature", "threshold": 1.0},
+        })
+        out = tmp_path / "out"
+        assert cli.main(["shocks", "--config", config, "--out", str(out),
+                         "--quiet"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "shocks_all.csv", "shocks_report.json"]
+        report = json.loads((out / "shocks_report.json").read_text())
+        assert list(report["events"]) == ["all"]
 
     def test_nonpositive_auto_threshold_is_data_error(self, tmp_path,
                                                       capsys):
@@ -649,6 +712,7 @@ class TestLp:
     @pytest.mark.parametrize("case", [
         "all-gap panel", "zero level under yoy", "flat auto threshold",
         "inf panel", "panel byte 0xff", "panel stamp now",
+        "repeated panel id",
     ])
     def test_malformed_input_exits_cleanly(self, tmp_path, capsys, case):
         series, grid = _tiny_grid(tmp_path)
@@ -668,6 +732,9 @@ class TestLp:
             panel.write_text("".join(lines))
         elif case == "panel byte 0xff":
             _spoil_line(panel, 5)
+        elif case == "repeated panel id":
+            # read as given, it would run A twice and report two rows of it
+            panel.write_text(panel.read_text().replace("time,A,B", "time,A,A"))
         threshold = "auto" if case == "flat auto threshold" else 0.5
         config = _write_config(tmp_path, {
             "grids": [grid],
@@ -685,6 +752,9 @@ class TestLp:
                 else "sectors.csv") in err
         if case in ("inf panel", "panel byte 0xff", "panel stamp now"):
             assert "sectors.csv, line 5" in err
+        if case == "repeated panel id":
+            assert "id 'A' in column 3 repeats column 2 (" in err
+            assert "sectors.csv, line 1)" in err
 
     def test_unknown_sector_is_config_error(self, planted, tmp_path):
         config = _write_config(tmp_path, {
@@ -844,20 +914,43 @@ class TestFactorsAndFira:
         assert all(float(r["response"]) == 0.0 for r in rows)
         assert (out / "fira_shock_1.svg").read_text().startswith("<svg")
 
-    def test_permutation_true_runs_the_default_null(self, demo, tmp_path):
-        loadings = {}
+    def _null_runs(self, demo, tmp_path, section, extra):
+        """Output directory of each permutation setting of section."""
+        outs = {}
         for name, permutation in (("true", True), ("empty", {}),
-                                  ("explicit", {"n": 199, "level": 0.95})):
+                                  ("explicit", {"n": 199, "level": 0.95}),
+                                  ("none", False)):
             doc = self._base_config(demo)
-            doc["factors"] = {"variable": "temperature_anomaly",
-                              "use_anomalies": False, "tol": 0.01,
-                              "permutation": permutation}
+            doc[section] = {"variable": "temperature_anomaly",
+                            "use_anomalies": False, "tol": 0.01,
+                            "permutation": permutation, **extra}
             config = _write_config(tmp_path, doc, f"{name}.json")
-            out = tmp_path / name
-            assert cli.main(["factors", "--config", config, "--out",
-                             str(out), "--quiet"]) == 0
-            loadings[name] = (out / "factor_loadings.csv").read_bytes()
+            outs[name] = tmp_path / name
+            assert cli.main([section, "--config", config, "--out",
+                             str(outs[name]), "--quiet"]) == 0
+        return outs
+
+    def test_permutation_true_runs_the_default_null(self, demo, tmp_path):
+        outs = self._null_runs(demo, tmp_path, "factors", {})
+        loadings = {name: (out / "factor_loadings.csv").read_bytes()
+                    for name, out in outs.items()}
         assert loadings["true"] == loadings["empty"] == loadings["explicit"]
+        reports = {name: json.loads((out / "factors_report.json").read_text())
+                   for name, out in outs.items()}
+        assert reports["true"] == reports["empty"] == reports["explicit"]
+        assert reports["true"]["permutation"] == {"n": 199, "level": 0.95}
+        assert reports["none"]["permutation"] is None
+
+    def test_fira_report_records_the_null_that_ran(self, demo, tmp_path):
+        outs = self._null_runs(demo, tmp_path, "fira", {
+            "h_max": 2, "shocks": [{"magnitude": 1.0, "center": [53.0, 11.5],
+                                    "radius_km": 150.0}]})
+        trees = {name: _tree_digest(out) for name, out in outs.items()}
+        assert trees["true"] == trees["empty"] == trees["explicit"]
+        reports = {name: json.loads((out / "fira_report.json").read_text())
+                   for name, out in outs.items()}
+        assert reports["true"]["permutation"] == {"n": 199, "level": 0.95}
+        assert reports["none"]["permutation"] is None
 
     @pytest.mark.parametrize("section", ["factors", "fira"])
     def test_a_null_past_the_shuffle_limit_is_exit_2(self, demo, tmp_path,

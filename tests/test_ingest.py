@@ -16,6 +16,7 @@ from climfact.ingest import (
     SectorPanel,
     _load_gridded_binary,
     align,
+    load_control_panel,
     load_gridded,
     load_sector_panel,
     write_gridded_binary,
@@ -344,6 +345,24 @@ class TestSectorPanel:
         where = f"{path}" if line is None else f"{path}, line {line}"
         assert str(err.value) == f"{message} ({where})"
         assert (err.value.path, err.value.line) == (path, line)
+
+    @pytest.mark.parametrize("loader", [load_sector_panel, load_control_panel])
+    @pytest.mark.parametrize("header,message", [
+        ("time,A,A,B", "id 'A' in column 3 repeats column 2"),
+        ("time,A,B, A ", "id 'A' in column 4 repeats column 2"),
+        ("time,A,,B", "id in column 3 is empty"),
+        ("time, ", "id in column 2 is empty"),
+    ])
+    def test_empty_or_repeated_id_names_it(self, tmp_path, loader, header,
+                                           message):
+        # a repeated id would be estimated twice and read back as its first
+        # column; an empty one names no sector
+        fields = ",1.0" * header.count(",")
+        path = self._write(tmp_path, header,
+                           [f"2001-{m:02d}{fields}" for m in range(1, 4)])
+        with pytest.raises(ParseError) as err:
+            loader(path, transform="none")
+        assert str(err.value) == f"{message} ({path}, line 1)"
 
 
 def _scalar(start, end):
