@@ -239,12 +239,8 @@ def cmd_anomaly(args, config, out):
         if section.get("write_grids", False):
             ingest.write_gridded_csv(anomalies, out / f"anomaly_{name}.csv")
         for region_name, region in _regions(config, series.domain).items():
-            scalar = cl.regional_mean(anomalies, region)
-            ingest.write_csv(
-                out / f"anomaly_mean_{name}_{region_name}.csv",
-                ["time", "value"],
-                ([str(t), ingest.format_float(v)]
-                 for t, v in zip(scalar.times, scalar.values)))
+            cl.write_shock_csv(cl.regional_mean(anomalies, region),
+                               out / f"anomaly_mean_{name}_{region_name}.csv")
     _say(args, f"anomaly: {len(grids)} variable(s) -> {out}")
     return EXIT_OK
 
@@ -450,21 +446,15 @@ def cmd_synth(args, config, out):
     fmt = section.get("format", "csv")
     manifest = {"kind": kind, "seed": seed, "files": []}
 
+    def write(writer, data, name):
+        writer(data, out / name)
+        manifest["files"].append(name)
+
     def write_grid(series, stem):
         if fmt == "binary":
-            path = out / f"{stem}.sgf"
-            ingest.write_gridded_binary(series, path)
+            write(ingest.write_gridded_binary, series, f"{stem}.sgf")
         else:
-            path = out / f"{stem}.csv"
-            ingest.write_gridded_csv(series, path)
-        manifest["files"].append(path.name)
-        return path
-
-    def write_panel(panel, stem):
-        path = out / f"{stem}.csv"
-        ingest.write_panel_csv(panel, path)
-        manifest["files"].append(path.name)
-        return path
+            write(ingest.write_gridded_csv, series, f"{stem}.csv")
 
     if kind == "normals":
         domain = synth.ea_domain(**_present(section, "step"))
@@ -494,7 +484,7 @@ def cmd_synth(args, config, out):
         panel = ingest.SectorPanel(shock.times[:t],
                                    tuple(f"CP{j:03d}" for j in range(p)),
                                    values)
-        write_panel(panel, "sectors")
+        write(ingest.write_panel_csv, panel, "sectors.csv")
         manifest["planted"] = {"sector": "CP000", "coefficient": 0.6,
                                "threshold": threshold}
     elif kind == "planted-factor":
@@ -505,12 +495,12 @@ def cmd_synth(args, config, out):
             **_present(section, "snr"),
         )
         write_grid(series, "planted")
-        write_panel(panel, "sectors")
+        write(ingest.write_panel_csv, panel, "sectors.csv")
     elif kind == "fira-demo":
         panel, series, _ = synth.fira_demo_instance(
             rng, **_present(section, "step", p="sectors", T="months"))
         write_grid(series, "temperature_anomaly")
-        write_panel(panel, "sectors")
+        write(ingest.write_panel_csv, panel, "sectors.csv")
     _write_json(out / "synth_manifest.json", manifest)
     _say(args, f"synth: {kind} -> {out}")
     return EXIT_OK

@@ -229,7 +229,7 @@ def shock_variants(anomaly_series, threshold, extreme_multiplier=1.5,
 
 
 def write_shock_csv(shock, path):
-    """Export a shock series as ``time,value`` for external inspection."""
+    """Export a shock or any other scalar series as ``time,value``."""
     write_csv(path, ["time", "value"],
               ([str(t), format_float(v)]
                for t, v in zip(shock.times, shock.values)))

@@ -375,23 +375,29 @@ def permutation_cutoffs(yc, xc, n_shuffles, level, rng=None, *, r):
         need, draws, pilot = min(wanted, 2 * got), copy.deepcopy(start), False
 
 
+def _check_k_or_permutation(k, permutation):
+    if k is not None and permutation is not None:  # the null would not run
+        raise ValueError("k and permutation exclude each other")
+
+
 def two_stage(y, v, gram, tol=0.1, k=None, permutation=None, rng=None):
     """Associated factors between the rows of y (T, p) and v (T, D).
 
     gram is v @ v.T; double-centered once into gc, it drives the cross
     SVD (cutoff tol * r_1, or k components) and the null of the optional
     permutation cut (dict with optional n and level, PERMUTATION_DEFAULTS
-    filling the rest; ignored when k is given). CCA on the raw
-    projections y @ alpha and v @ beta follows, then the sign fix.
+    filling the rest). k and permutation exclude each other. CCA on the
+    raw projections y @ alpha and v @ beta follows, then the sign fix.
     Returns (r, rho, a, b_hat, y_factors, x_factors): retained singular
     values, canonical correlations, a (K, p), b_hat (K, D) and the
     canonical coordinates of y and v.
     """
+    _check_k_or_permutation(k, permutation)
     yc, _ = center_columns(y)
     gc = gram - gram.mean(axis=0)  # H @ gram @ H, H the centering projector
     gc -= gc.mean(axis=1, keepdims=True)
     r, alpha, beta = cross_singular_triplets(yc, v, gc, tol=tol, k=k)
-    if permutation is not None and k is None:
+    if permutation is not None:
         null = {**PERMUTATION_DEFAULTS, **permutation}
         cut = permutation_cutoffs(yc, gc, null["n"], null["level"], rng, r=r)
         above = r[:len(cut)] > cut
@@ -547,10 +553,11 @@ def associated_factors(panel, series, tol=0.1, k=None, permutation=None,
                        rng=None):
     """Full two-stage pipeline: cross SVD, projection, CCA on factors.
 
-    permutation, when given, is a dict with keys n (shuffles) and level;
-    components whose singular value falls below the null quantile are
-    dropped on top of the relative cutoff.
+    permutation, when given (never beside k), is a dict with keys n
+    (shuffles) and level; components whose singular value falls below
+    the null quantile are dropped on top of the relative cutoff.
     """
+    _check_k_or_permutation(k, permutation)
     panel, series = _aligned(drop_degenerate_sectors(panel), series)
     x = hat_matrix(series)
     r, rho, a, b_hat, y_factors, x_factors = two_stage(
@@ -590,8 +597,7 @@ class RegularityReport:
         return len(self.eigenvalues)
 
 
-def regularity_diagnostic(panel, series, max_components=None,
-                          tail_limit=0.25):
+def regularity_diagnostic(panel, series, max_components=None):
     """Probe whether the cross loadings decay fast enough relative to
     the surface spectrum; diagnostic only."""
     (panel, series), _ = align(panel, series)
@@ -615,7 +621,7 @@ def regularity_diagnostic(panel, series, max_components=None,
         grown = total - sums_sq[half - 1]
         nonzero = total > 0
         tail[nonzero] = grown[nonzero] / total[nonzero]
-    flagged = tail > tail_limit
+    flagged = tail > 0.25  # over a quarter from the later half
     return RegularityReport(
         eigenvalues=lam, partial_sums_sq=sums_sq, partial_sums_abs=sums_abs,
         flagged=flagged, tail_fraction=tail,

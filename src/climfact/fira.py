@@ -150,8 +150,8 @@ def fit_fira(design, panel, h_max=12, tol=0.1, k=None, permutation=None,
              rng=None):
     """Associated factors between the panel and the lagged design per horizon.
 
-    permutation, when given (dict with n and level), calibrates the
-    retained component count per horizon against time-shuffled nulls.
+    permutation, when given (a dict with n and level; never beside k),
+    calibrates the retained count per horizon against shuffled nulls.
     Failures at individual horizons (a ClimfactError such as no
     detectable association, or a LinAlgError) are recorded and leave a
     gap; they never abort the fit. Any other exception is a fault and
@@ -159,6 +159,7 @@ def fit_fira(design, panel, h_max=12, tol=0.1, k=None, permutation=None,
     month passes the panel's last month raises InsufficientSample before
     any fit.
     """
+    af._check_k_or_permutation(k, permutation)
     if not isinstance(panel, SectorPanel):
         raise NonConformable("fit_fira needs a sector panel")
     if permutation is not None and rng is None:

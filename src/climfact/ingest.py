@@ -10,6 +10,7 @@ Two grid formats are accepted:
   then that many ``_sgf_frame`` records: a 4-byte signed timestamp (days
   since 1970-01-01, first of month) and the row-major 8-byte float cell
   values, NaN = missing. Rows run south to north, columns west to east.
+  The bounds span a whole number of steps by ``build_domain``'s rule.
   The reader and the writer each take the frame stack as one record array.
 
 A cell that is missing in any month is masked in every month; nothing is
@@ -22,7 +23,8 @@ field, a number only Python's ``float`` spells) is read again row by row,
 and both give the same series wherever both succeed. That row reader,
 the panel reader and the region reader (a ``lat,lon`` header, then one
 cell center per row) share ``_csv_rows``: each reads UTF-8 and words
-every error with its file and line, blank lines counted. A panel header
+every error with its file and the physical line its row starts on, blank
+lines and the line breaks inside quoted fields counted. A panel header
 names each column once. The writer formats each cell's ``lat,lon,``
 once and writes one joined string per frame.
 
@@ -34,11 +36,13 @@ source path and the sha256 of the file's bytes, the grid step, numpy's
 version and the source of the modules that parse it, so a later load that
 hashes the same bytes with the same code reads the twin in place of
 parsing, and any edit, even one that keeps the size and modification
-time, parses again. Each source path keeps one twin, the directory is
-kept within 1 GiB by deleting the least recently used twins, and a .tmp
-file a dead writer left is deleted after an hour. A cache that cannot be
-read or written is skipped, and a file that fails to parse leaves no twin.
-Deleting the directory is always safe.
+time, parses again. The parse reads the file again, so a file whose size
+or modification time moved since its bytes were hashed leaves no twin.
+Each source path keeps one twin, the directory is kept within 1 GiB by
+deleting the least recently used twins, and a .tmp file a dead writer
+left is deleted after an hour. A cache that cannot be read or written is
+skipped, and a file that fails to parse leaves no twin. Deleting the
+directory is always safe.
 """
 
 import array
@@ -61,12 +65,12 @@ from .errors import (
     AllMasked,
     DataError,
     EmptyIntersection,
-    EmptyRegion,
     NoSectorsRemain,
+    NonConformableMask,
     ParseError,
     first_non_utf8,
 )
-from .grid import SurfaceSeries, build_domain
+from .grid import SurfaceSeries, _cell_counts, build_domain
 
 _SGF_MAGIC = b"SGF1"
 _SGF_HEADER = struct.Struct("<4s6dI")
@@ -96,9 +100,10 @@ _STALE_TMP_S = 3600
 
 def _csv_rows(path, check_header):
     """Yield the header of a CSV input, then (file line, fields) of each
-    data row. check_header(header) gives None or the message of a
-    ParseError on line 1; a byte that is not UTF-8, no header, a field
-    count not the header's and no data row are ParseErrors too."""
+    data row, from the physical line it starts on. check_header(header)
+    gives None or the message of a ParseError on line 1; a byte that is
+    not UTF-8, no header, a field count not the header's and no data row
+    (on the line after the header) are ParseErrors too."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             reader = csv.reader(fh)
@@ -108,21 +113,23 @@ def _csv_rows(path, check_header):
                 raise ParseError(problem, path=path, line=1)
             yield header
             n_rows = 0
-            for line, row in enumerate(reader, start=2):
+            after_header = line = reader.line_num + 1
+            for row in reader:      # line_num counts the physical lines
+                start, line = line, reader.line_num + 1
                 if not row:
                     continue
                 if len(row) != len(header):
                     raise ParseError(
                         f"expected {len(header)} fields, got {len(row)}",
-                        path=path, line=line)
+                        path=path, line=start)
                 n_rows += 1
-                yield line, row
+                yield start, row
         except UnicodeDecodeError:
             byte, line = first_non_utf8(path)
             raise ParseError(f"byte {byte:#04x} is not UTF-8", path=path,
                              line=line) from None
     if not n_rows:
-        raise ParseError("no data rows", path=path, line=2)
+        raise ParseError("no data rows", path=path, line=after_header)
 
 
 # -- panels --------------------------------------------------------------
@@ -208,6 +215,7 @@ def _load_gridded_csv(path, variable, step, weighting):
     loadtxt pass or, on any failure, the row reader."""
     header = next(_csv_rows(path, _grid_header))
     name = variable or header[3].strip()
+    keyed = _stamp(path)
     with open(path, "rb") as fh:
         raw = fh.read()
     twin = _twin_path(path, raw, step)
@@ -231,9 +239,16 @@ def _load_gridded_csv(path, variable, step, weighting):
         grid = _grid_cube(path, *_read_grid_rows(path), step)
     axis, cube, domain_kwargs = grid
     series = _finish_series(domain_kwargs, axis, cube, name, weighting)
-    if twin is not None:
+    if twin is not None and _stamp(path) == keyed:
         _write_twin(series, twin)
     return series
+
+
+def _stamp(path):
+    """Size and modification time of path; None when it cannot be read."""
+    with contextlib.suppress(OSError):
+        info = os.stat(path)
+        return info.st_size, info.st_mtime_ns
 
 
 def _twin_path(path, raw, step):
@@ -361,16 +376,13 @@ def _grid_cube(path, times, lats, lons, vals, lines, step):
 
     Returns the monthly axis, the cube and the domain's bounds and step.
     lines holds each row's file line for an error to name, or is None."""
-
-    def line_of(k):
-        return None if lines is None else lines[k]
-
     finite = np.isfinite(lats) & np.isfinite(lons) & np.isfinite(vals)
     if not finite.all():
         k = int(np.argmin(finite))
         raise ParseError(
             f"non-finite number in row ({lats[k]}, {lons[k]}, {vals[k]}); "
-            "a missing cell is an absent row", path=path, line=line_of(k))
+            "a missing cell is an absent row", path=path,
+            line=lines[k] if lines else None)
 
     axis = months.check_monthly(np.unique(times), "gridded file")
     step_lat = step_lon = None
@@ -402,7 +414,7 @@ def _grid_cube(path, times, lats, lons, vals, lines, step):
         raise ParseError(
             f"duplicate row for {times[k]} at ({lats[k]}, {lons[k]})",
             path=path,
-            line=line_of(k),
+            line=lines[k] if lines else None,
         )
     cube[t_idx, i_idx, j_idx] = vals
 
@@ -430,10 +442,12 @@ def _load_gridded_binary(path, variable, weighting):
         if not (math.isfinite(step) and step > 0):
             raise ParseError(f"grid step {step} must be finite and positive",
                              path=path, offset=offset)
-    extents = ((lat_max - lat_min) / step_lat, (lon_max - lon_min) / step_lon)
-    if not all(math.isfinite(e) and round(e) >= 1 for e in extents):
-        raise ParseError("degenerate grid bounds", path=path, offset=4)
-    n_lat, n_lon = (int(round(e)) for e in extents)
+    try:    # build_domain's lattice rule; a NaN or infinite extent fails too
+        n_lat, n_lon = _cell_counts(lat_min, lat_max, lon_min, lon_max,
+                                    step_lat, step_lon)
+    except (NonConformableMask, ValueError, OverflowError):
+        raise ParseError("degenerate grid bounds", path=path,
+                         offset=4) from None
     # the frame size in Python ints: a damaged header may give a grid too
     # large for any dtype, which must still fail as a byte-count mismatch
     expected = _SGF_HEADER.size + n_frames * (4 + 8 * n_lat * n_lon)
@@ -608,10 +622,10 @@ def load_control_panel(path, transform="yoy"):
     return _load_panel(path, transform, ControlPanel)
 
 
-def write_panel_csv(panel, path, time_label="time"):
+def write_panel_csv(panel, path):
     """Write a panel; a non-finite value is written as an empty field,
     the panel format's missing value."""
-    write_csv(path, [time_label, *panel.sector_ids],
+    write_csv(path, ["time", *panel.sector_ids],
               ([str(t), *(format_float(v) if math.isfinite(v) else ""
                           for v in row)]
                for t, row in zip(panel.times, panel.values)))
@@ -649,8 +663,8 @@ def load_region_mask(path, domain):
             raise ParseError(f"region row ({lat}, {lon}) is not a cell "
                              f"center of the grid", path=path, line=line)
         if not (0 <= row_i < domain.n_lat and 0 <= col_j < domain.n_lon):
-            raise EmptyRegion(
-                f"region cell ({lat}, {lon}) lies outside the grid")
+            raise ParseError(f"region cell ({lat}, {lon}) lies outside "
+                             f"the grid", path=path, line=line)
         mask[row_i, col_j] = True
     return mask
 

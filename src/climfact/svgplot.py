@@ -29,12 +29,6 @@ def _diverging_color(value, vmax):
     return f"#{int(r):02x}{int(g):02x}{int(b):02x}"
 
 
-def _ticks(lo, hi, n=5):
-    if hi <= lo:
-        hi = lo + 1.0
-    return np.linspace(lo, hi, n)
-
-
 class SvgCanvas:
     """Accumulates elements; render() emits the final document."""
 
@@ -69,11 +63,11 @@ class SvgCanvas:
             f'<polygon points="{pts}" fill="{fill}" opacity="{_f(opacity)}"/>'
         )
 
-    def text(self, x, y, content, size=11, anchor="start", color="#000000"):
+    def text(self, x, y, content, size=11, anchor="start"):
         self.parts.append(
             f'<text x="{_f(x)}" y="{_f(y)}" font-size="{_f(size)}" '
             f'font-family="sans-serif" text-anchor="{anchor}" '
-            f'fill="{color}">{_esc(content)}</text>'
+            f'fill="#000000">{_esc(content)}</text>'
         )
 
     def render(self):
@@ -83,8 +77,9 @@ class SvgCanvas:
         return "\n".join([head, *self.parts, "</svg>"]) + "\n"
 
 
-def fan_chart(horizons, estimate, lo, hi, title, width=560, height=360):
+def fan_chart(horizons, estimate, lo, hi, title):
     """Impulse-response path with its confidence band and a zero line."""
+    width, height = 560, 360
     horizons = np.asarray(horizons, dtype=float)
     ml, mr, mt, mb = 52, 16, 34, 34
     pw, ph = width - ml - mr, height - mt - mb
@@ -102,7 +97,7 @@ def fan_chart(horizons, estimate, lo, hi, title, width=560, height=360):
     c = SvgCanvas(width, height)
     c.rect(0, 0, width, height, "#ffffff")
     c.text(ml, 20, title, size=13)
-    for tv in _ticks(ymin, ymax):
+    for tv in np.linspace(ymin, ymax, 5):   # ymin < 0 < ymax: pad > 0
         c.line(ml, sy(tv), ml + pw, sy(tv), "#eeeeee")
         c.text(ml - 6, sy(tv) + 4, format(tv, ".3g"), size=9, anchor="end")
     for h in horizons[:: max(len(horizons) // 8, 1)]:
@@ -118,14 +113,14 @@ def fan_chart(horizons, estimate, lo, hi, title, width=560, height=360):
     return c.render()
 
 
-def heatmap(matrix, row_labels, col_labels, title, cell=None, width=None):
+def heatmap(matrix, row_labels, col_labels, title):
     """Row-by-column heatmap on a symmetric diverging scale, as a canvas."""
     matrix = np.asarray(matrix, dtype=float)
     n_rows, n_cols = matrix.shape
-    cw = cell or max(min(32, 640 // max(n_cols, 1)), 10)
+    cw = max(min(32, 640 // max(n_cols, 1)), 10)
     ch = max(min(22, 480 // max(n_rows, 1)), 10)
     ml, mt = 86, 40
-    w = width or ml + n_cols * cw + 20
+    w = ml + n_cols * cw + 20
     h = mt + n_rows * ch + 40
     vmax = float(np.nanmax(np.abs(matrix))) if matrix.size else 0.0
     c = SvgCanvas(w, h)
@@ -144,8 +139,9 @@ def heatmap(matrix, row_labels, col_labels, title, cell=None, width=None):
     return c
 
 
-def surface_map(domain, values, title, width=420):
+def surface_map(domain, values, title):
     """Raster map of one surface as a canvas; masked cells are grey."""
+    width = 380
     values = np.asarray(values, dtype=float)
     n_lat, n_lon = domain.shape
     ml, mt = 46, 40
@@ -172,7 +168,7 @@ def surface_map(domain, values, title, width=420):
 
 def fira_figure(domain, shock_values, response, sector_ids, horizons, title):
     """Shock map beside the sector-by-horizon response heatmap."""
-    left = surface_map(domain, shock_values, "shock surface", width=380)
+    left = surface_map(domain, shock_values, "shock surface")
     right = heatmap(response.T, list(sector_ids),
                     [format(h, ".0f") for h in horizons],
                     "responses (sector x horizon)")

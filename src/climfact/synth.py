@@ -11,7 +11,7 @@ the structural factor model enforces its block orthogonality in sample
 import numpy as np
 
 from . import months
-from .climatology import ScalarSeries
+from .climatology import DEFAULT_THRESHOLD_WINDOW, ScalarSeries
 from .grid import SurfaceSeries, build_domain
 from .ingest import SectorPanel
 
@@ -32,41 +32,38 @@ EA_MONTHLY_NORMALS = {
 # Mean temperature deviation 2001-2021 used as the default shock threshold.
 TEMPERATURE_DEVIATION_MEANS = {"EA": 1.30, "DE": 1.33}
 
+# First month of the factor-model and smooth-anomaly fixtures.
+_FIXTURE_START = np.datetime64("2001-01", "M")
+
 
 def year_axis(y0, y1):
     """Monthly axis covering calendar years y0..y1 inclusive."""
     return months.month_range(f"{y0}-01", f"{y1}-12")
 
 
-def ea_domain(step=2.0, weighting="coslat"):
+def ea_domain(step=2.0):
     """Small euro-area-like raster for normals fixtures."""
-    return build_domain((40.0, 56.0, 0.0, 16.0), step, weighting=weighting)
+    return build_domain((40.0, 56.0, 0.0, 16.0), step)
 
 
-def de_domain(step=0.25, weighting="coslat"):
+def de_domain(step=0.25):
     """Germany-like raster at the native grid spacing."""
-    return build_domain((47.0, 55.0, 6.0, 15.0), step, weighting=weighting)
+    return build_domain((47.0, 55.0, 6.0, 15.0), step)
 
 
-def _spatial_pattern(domain, scale=0.01):
-    """Fixed smooth perturbation field, zero-free and deterministic."""
-    lat = domain.lat_centers[:, None]
-    lon = domain.lon_centers[None, :]
-    return scale * (np.sin(0.7 * lat) + np.cos(0.5 * lon) + 2.5)
-
-
-def normals_series(domain, variable, years=(1950, 1980), warming=None,
-                   warming_window=(2001, 2021)):
+def normals_series(domain, variable, years=(1950, 1980), warming=None):
     """Series whose per-month means over the reference years equal the
     bundled normals exactly.
 
     Year-to-year variation enters through a spatial pattern times integer
     year offsets that sum to zero over the reference window (and over the
     warming window when a warming level shift is requested), so the
-    averaged values cancel to float rounding.
+    averaged values cancel to float rounding. The warming window is the
+    default threshold window, so a warming shift is its mean deviation.
     """
     normals = np.array(EA_MONTHLY_NORMALS[variable])
-    times = year_axis(years[0], years[1] if warming is None else warming_window[1])
+    w0, w1 = DEFAULT_THRESHOLD_WINDOW
+    times = year_axis(years[0], years[1] if warming is None else w1)
     year = months.years(times)
     month = months.month_numbers(times)
 
@@ -75,30 +72,31 @@ def normals_series(domain, variable, years=(1950, 1980), warming=None,
     ref = (year >= years[0]) & (year <= years[1])
     eta[ref] = year[ref] - np.unique(year[ref]).mean()
     if warming is not None:
-        w0, w1 = warming_window
         in_w = (year >= w0) & (year <= w1)
         eta[in_w] = year[in_w] - np.unique(year[in_w]).mean()
         between = (year > years[1]) & (year < w0)
         if between.any():
             eta[between] = year[between] - np.unique(year[between]).mean()
 
-    pattern = _spatial_pattern(domain)
+    # a fixed smooth perturbation field, zero-free and deterministic
+    pattern = 0.01 * (np.sin(0.7 * domain.lat_centers[:, None])
+                      + np.cos(0.5 * domain.lon_centers[None, :]) + 2.5)
     values = normals[month - 1][:, None, None] + pattern[None] * eta[:, None, None]
     if warming is not None:
-        offset = np.where(year >= warming_window[0], float(warming), 0.0)
+        offset = np.where(year >= w0, float(warming), 0.0)
         values = values + offset[:, None, None]
     values = np.where(domain.mask[None], values, np.nan)
     return SurfaceSeries(domain, times, values, variable)
 
 
-def anomaly_scalar_series(mean, window=(2001, 2021), amplitude=0.5):
+def anomaly_scalar_series(mean, window=(2001, 2021)):
     """Scalar anomaly series whose mean over the window equals `mean` to
     float rounding: deviations come in exactly cancelling +/- pairs."""
     times = year_axis(window[0], window[1])
     n = len(times)
     dev = np.zeros(n)
     half = n // 2
-    wiggle = amplitude * (1.0 + np.arange(half) % 7)
+    wiggle = 0.5 * (1.0 + np.arange(half) % 7)
     dev[: 2 * half : 2] = wiggle
     dev[1 : 2 * half : 2] = -wiggle
     return ScalarSeries(times, float(mean) + dev, "anomaly")
@@ -107,13 +105,14 @@ def anomaly_scalar_series(mean, window=(2001, 2021), amplitude=0.5):
 # -- local-projection fixtures ---------------------------------------------
 
 
-def var1_simulate(T, phi, b, rng, shock_sd=1.0, noise_sd=1.0, burn=100):
-    """Simulate W_t = phi W_{t-1} + b x_t + eps_t with an iid exogenous x."""
+def var1_simulate(T, phi, b, rng):
+    """Simulate W_t = phi W_{t-1} + b x_t + eps_t, x and eps iid N(0, 1)."""
+    burn = 100  # periods simulated first and dropped
     phi = np.asarray(phi, dtype=float)
     b = np.asarray(b, dtype=float)
     m = phi.shape[0]
-    x = rng.normal(0.0, shock_sd, T + burn)
-    eps = rng.normal(0.0, noise_sd, (T + burn, m))
+    x = rng.normal(size=T + burn)
+    eps = rng.normal(size=(T + burn, m))
     W = np.zeros((T + burn, m))
     for t in range(1, T + burn):
         W[t] = phi @ W[t - 1] + b * x[t] + eps[t]
@@ -154,15 +153,7 @@ def _residualize(block, *bases):
     return block
 
 
-def _series_from_hat(domain, times, hat, name="x"):
-    sqrt_w = np.sqrt(domain.valid_weights)
-    cube = np.full((hat.shape[0],) + domain.shape, np.nan)
-    cube[:, domain.mask] = hat / sqrt_w
-    return SurfaceSeries(domain, times, cube, name)
-
-
-def exact_factor_model(domain, p, k, T, rng, start="2001-01",
-                       y_noise=0.6, x_noise=0.8):
+def exact_factor_model(domain, p, k, T, rng):
     """Structural factor model whose block orthogonality holds in sample.
 
     k shared factors drive both the panel and the surface series; the
@@ -184,13 +175,16 @@ def exact_factor_model(domain, p, k, T, rng, start="2001-01",
     e2 = _residualize(_centered(rng, (T, p - k)), f, g, e1)
 
     mix = rng.normal(size=(k, k)) + 2.0 * np.eye(k)
-    y_shared = f @ mix.T + y_noise * e1
+    y_shared = f @ mix.T + 0.6 * e1
     y = y_shared @ v.T + e2 @ v_perp.T
-    x_hat = f @ u.T + x_noise * (g @ u_perp.T)
+    x_hat = f @ u.T + 0.8 * (g @ u_perp.T)
 
-    times = months.month_range(start, start)[0] + np.arange(T)
+    cube = np.full((T,) + domain.shape, np.nan)
+    cube[:, domain.mask] = x_hat / np.sqrt(domain.valid_weights)
+    times = _FIXTURE_START + np.arange(T)
     ids = tuple(f"S{j:02d}" for j in range(p))
-    return SectorPanel(times, ids, y), _series_from_hat(domain, times, x_hat)
+    return (SectorPanel(times, ids, y),
+            SurfaceSeries(domain, times, cube, "x"))
 
 
 def unit_bump_surface(domain, center, width_deg=2.0):
@@ -205,29 +199,27 @@ def unit_bump_surface(domain, center, width_deg=2.0):
     return bump / scale
 
 
-def planted_factor_instance(domain, p, T, rng, snr=10.0, center=None,
-                            start="2001-01"):
+def planted_factor_instance(domain, p, T, rng, snr=10.0):
     """Rank-one planted link: one panel column loads on one surface shape.
 
     X_t = Y_{t,0} * g + noise with the signal-to-noise ratio measured in
-    the weighted norm. Returns (panel, series, g) where g has unit norm.
+    the weighted norm, g a bump at the domain's center. Returns (panel,
+    series, g) where g has unit norm.
     """
-    if center is None:
-        center = ((domain.lat_min + domain.lat_max) / 2,
-                  (domain.lon_min + domain.lon_max) / 2)
-    g = unit_bump_surface(domain, center)
+    g = unit_bump_surface(domain, ((domain.lat_min + domain.lat_max) / 2,
+                                   (domain.lon_min + domain.lon_max) / 2))
     y = rng.normal(size=(T, p))
     noise = rng.normal(size=(T,) + domain.shape) / np.sqrt(snr)
     cube = y[:, 0, None, None] * g[None] + np.where(domain.mask, noise, np.nan)
-    times = months.month_range(start, start)[0] + np.arange(T)
+    times = _FIXTURE_START + np.arange(T)
     ids = tuple(f"S{j:02d}" for j in range(p))
     panel = SectorPanel(times, ids, y)
     return panel, SurfaceSeries(domain, times, cube, "planted"), g
 
 
-def smooth_anomaly_series(domain, T, rng, n_modes=6, start="2001-01",
-                          name="temperature_anomaly"):
-    """Random smooth surface series built from a few bump modes plus noise."""
+def smooth_anomaly_series(domain, T, rng):
+    """Random smooth surface series built from six bump modes plus noise."""
+    n_modes = 6
     lat = rng.uniform(domain.lat_min, domain.lat_max, n_modes)
     lon = rng.uniform(domain.lon_min, domain.lon_max, n_modes)
     modes = np.stack([
@@ -238,19 +230,19 @@ def smooth_anomaly_series(domain, T, rng, n_modes=6, start="2001-01",
     cube = np.einsum("tr,rij->tij", scores, modes)
     cube += 0.1 * rng.normal(size=cube.shape)
     cube = np.where(domain.mask[None], cube, np.nan)
-    times = months.month_range(start, start)[0] + np.arange(T)
-    return SurfaceSeries(domain, times, cube, name)
+    return SurfaceSeries(domain, _FIXTURE_START + np.arange(T), cube,
+                         "temperature_anomaly")
 
 
-def fira_demo_instance(rng, p=8, T=252, step=0.5, planted_sector=2,
-                       planted_center=(53.0, 11.5), strength=1.5):
-    """Germany-like demo: one sector responds to a localized surface mode."""
+def fira_demo_instance(rng, p=8, T=252, step=0.5, planted_sector=2):
+    """Germany-like demo: one sector responds to a localized surface mode
+    centered at 53.0 N, 11.5 E."""
     domain = de_domain(step=step)
     series = smooth_anomaly_series(domain, T, rng)
-    g = unit_bump_surface(domain, planted_center)
+    g = unit_bump_surface(domain, (53.0, 11.5))
     proj = series.valid_matrix() @ (domain.valid_weights * g[domain.mask])
     y = rng.normal(size=(T, p))
-    y[:, planted_sector] += strength * proj / max(proj.std(), 1e-12)
+    y[:, planted_sector] += 1.5 * proj / max(proj.std(), 1e-12)
     ids = tuple(f"CP{j:03d}" for j in range(p))
     panel = SectorPanel(series.times, ids, y)
     return panel, series, g

@@ -148,6 +148,7 @@ class TestBaseline:
         "region 50.0,10.0", "region 50.49,10.01", "sgf step_lon 0.0",
         "sgf step_lon nan", "sgf bounds degenerate", "sgf one byte too many",
         "sgf empty lat_max 1e300", "sgf empty 3e9 x 3e9",
+        "sgf lat extent 1.5 steps",
     ])
     def test_malformed_input_exits_cleanly(self, tmp_path, capsys, case):
         series, grid = _tiny_grid(tmp_path)
@@ -171,6 +172,9 @@ class TestBaseline:
                 blob.append(0)
             elif detail == "bounds degenerate":
                 struct.pack_into("<d", blob, 12, 50.0)  # lat_max = lat_min
+            elif detail == "lat extent 1.5 steps":
+                # rounds to the 2 rows the frames hold, but no step divides
+                struct.pack_into("<d", blob, 12, 50.75)
             elif detail.startswith("empty"):
                 # no frames, so the byte count matches any grid
                 del blob[56:]
@@ -234,6 +238,10 @@ class TestBaseline:
             "grid byte 0xff": (3, "byte 0xff is not UTF-8 (" + grid["path"]
                                + ", line 4)"),
             "region byte 0xff": (3, "region.csv, line 2"),
+            "region 60.25,10.25": (3, "region cell (60.25, 10.25) lies "
+                                      "outside the grid ("
+                                   + str(tmp_path / "region.csv")
+                                   + ", line 2)"),
             # a row off every cell center is not the cell that holds it
             **{f"region {row}": (3, "is not a cell center of the grid ("
                                  + str(tmp_path / "region.csv")
@@ -261,6 +269,7 @@ class TestBaseline:
                    ("step_lon nan", "grid step nan must be finite and "
                                     "positive", 44),
                    ("bounds degenerate", "degenerate grid bounds", 4),
+                   ("lat extent 1.5 steps", "degenerate grid bounds", 4),
                    ("truncated", "expected 920 bytes for 24 frames, got 915",
                     915),
                    ("one byte too many", "expected 920 bytes for 24 frames, "
@@ -340,7 +349,7 @@ class TestInputPaths:
     @pytest.mark.parametrize("kind", ["grid", "panel", "region"])
     @pytest.mark.parametrize("case", [
         "empty file", "header only", "blank line before a short row",
-        "byte 0xff",
+        "byte 0xff", "quoted field over two lines before a short row",
     ])
     def test_csv_input_errors_name_file_and_line(self, tmp_path, capsys,
                                                  kind, case):
@@ -363,6 +372,11 @@ class TestInputPaths:
         elif case == "blank line before a short row":
             short = lines[2].split(",")[0]
             path.write_text("".join(lines[:2]) + "\n" + short + "\n")
+        elif case.startswith("quoted field"):
+            # the first data row's last number ends in a quoted line break
+            first, last = lines[1].rstrip("\n").rsplit(",", 1)
+            short = lines[2].split(",")[0]
+            path.write_text(f'{lines[0]}{first},"{last}\n"\n{short}\n')
         else:
             _spoil_line(path, 3)
         config = _write_config(tmp_path, {
@@ -381,6 +395,8 @@ class TestInputPaths:
             "blank line before a short row": (
                 f"expected {n_fields} fields, got 1", 4),
             "byte 0xff": ("byte 0xff is not UTF-8", 3),
+            "quoted field over two lines before a short row": (
+                f"expected {n_fields} fields, got 1", 4),
         }[case]
         assert code == 3
         assert capsys.readouterr().err == (

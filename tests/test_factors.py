@@ -389,6 +389,21 @@ class TestKrylovBlock:
                                            rtol=0, atol=1e-10 * want[0])
 
 
+class TestKOrPermutation:
+    def test_two_stage_refuses_both(self, rng):
+        y, v = TestRankCap()._rank_three(rng)
+        with pytest.raises(ValueError, match="k and permutation exclude"):
+            two_stage(y, v, v @ v.T, k=1, permutation={"n": 9},
+                      rng=np.random.default_rng(0))
+
+    def test_associated_factors_refuses_both(self, small_domain, rng):
+        panel, series = exact_factor_model(small_domain, p=4, k=1, T=40,
+                                           rng=rng)
+        with pytest.raises(ValueError, match="k and permutation exclude"):
+            associated_factors(panel, series, k=1, permutation={},
+                               rng=np.random.default_rng(0))
+
+
 class TestRankCap:
     def _rank_three(self, rng, T=60, p=10):
         v = rng.normal(size=(T, 3))

@@ -120,6 +120,14 @@ class TestFitFira:
             wins += np.argmax(rho1) == 3
         assert wins >= 0.8 * n_sims
 
+    def test_k_beside_a_permutation_null_is_refused(self, coarse_domain,
+                                                     rng):
+        cube = rng.normal(size=(40,) + coarse_domain.shape)
+        design = build_design(_series(coarse_domain, cube), lags=(0, 0, 0))
+        with pytest.raises(ValueError, match="k and permutation exclude"):
+            fit_fira(design, _panel(rng.normal(size=(40, 3))), h_max=1, k=1,
+                     permutation={"n": 9})
+
     def test_scaling_panel_leaves_rho_unchanged(self, coarse_domain, rng):
         T = 120
         cube = rng.normal(size=(T,) + coarse_domain.shape)

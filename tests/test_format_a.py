@@ -465,6 +465,26 @@ def test_changed_value_of_the_same_size_and_time_misses(tmp_path,
     assert new != old
 
 
+def test_file_rewritten_during_the_parse_leaves_no_twin(tmp_path,
+                                                        monkeypatch,
+                                                        twin_cache):
+    path = tmp_path / "grid.csv"
+    old = "\n".join(["time,lat,lon,value", *_BODY, ""])
+    path.write_text(old)
+    parse = ingest._parse_grid_body
+
+    def rewritten(path, raw):
+        # the parse reads the path again, which now holds other bytes
+        path.write_text(old.replace(",4.5", ",44.5"))
+        return parse(path, raw)
+    monkeypatch.setattr(ingest, "_parse_grid_body", rewritten)
+    assert load_gridded(path, step=1.0).values[1, 0, 1] == 44.5
+    assert _twins(twin_cache) == []
+    monkeypatch.setattr(ingest, "_parse_grid_body", parse)
+    path.write_text(old)
+    assert load_gridded(path, step=1.0).values[1, 0, 1] == 4.5
+
+
 def test_step_is_part_of_the_key(tmp_path, twin_cache):
     path = tmp_path / "grid.csv"
     path.write_text("\n".join(["time,lat,lon,value", *_BODY, ""]))

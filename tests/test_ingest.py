@@ -321,6 +321,8 @@ class TestSectorPanel:
     @pytest.mark.parametrize("case", [
         "empty file", "one-column header", "wrong field count",
         "non-numeric field", "no data rows", "12 months under yoy",
+        "bad field after a two-line header", "no data rows after a two-line "
+        "header",
     ])
     def test_malformed_panel_names_the_file(self, tmp_path, case):
         text, message, line = {
@@ -333,6 +335,12 @@ class TestSectorPanel:
             "non-numeric field": ("time,A\n2001-01,1.0\n2001-02,abc\n",
                                   "bad numeric field 'abc'", 3),
             "no data rows": ("time,A\n", "no data rows", 2),
+            # a line names the physical line its row starts on
+            "bad field after a two-line header": (
+                'time,"A\nB"\n2001-01,1.0\n2001-02,x\n',
+                "bad numeric field 'x'", 4),
+            "no data rows after a two-line header": (
+                'time,"A\nB"\n', "no data rows", 3),
             "12 months under yoy": (
                 "time,A\n" + "".join(f"2001-{m:02d},1.0\n"
                                      for m in range(1, 13)),
