@@ -12,7 +12,7 @@ root of the surface covariance and the two-stage route never does.
 import numpy as np
 
 from climfact import associated_factors, estimate_covariances, svd_cross
-from climfact.factors import hat_matrix, regularity_diagnostic
+from climfact.factors import hat_matrix
 from climfact.grid import build_domain
 from climfact.synth import de_domain, exact_factor_model, planted_factor_instance
 
@@ -65,6 +65,6 @@ print(f"structural slopes: {np.round(slopes, 6)} (equal rho)")
 # ---------------------------------------------------------------------------
 # decay diagnostic: growing partial sums warn that the surface spectrum
 # decays too fast relative to the cross loadings
-report = regularity_diagnostic(panel, series)
+report = result.regularity  # the diagnostic of the pair the factors fit
 print(f"\nregularity diagnostic over {report.n_components} components; "
       f"flagged sectors: {int(report.flagged.sum())} of {len(report.flagged)}")

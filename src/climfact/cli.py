@@ -291,9 +291,15 @@ def cmd_lp(args, config, out):
         sectors = panel.sector_ids
     else:
         missing = [s for s in sectors if s not in panel.sector_ids]
-        if missing:
+        unknown = [s for s in missing if s not in panel.dropped]
+        if unknown:
             raise ConfigError(f"config key lp.sectors names unknown ids "
-                              f"{missing}")
+                              f"{unknown}")
+        if missing:
+            raise DataError(
+                f"config key lp.sectors names {missing}, dropped from "
+                f"{config['panels']['sectors']['path']} (a column with a "
+                f"gap, or a zero level under the yoy transform)")
     spec = lp.LpSpec(**_present(
         section, *(f.name for f in dataclasses.fields(lp.LpSpec))))
 
@@ -344,7 +350,7 @@ def cmd_factors(args, config, out):
         panel, series, **_present(section, "tol", "k"),
         permutation=permutation, rng=np.random.default_rng(seed),
     )
-    diagnostic = af.regularity_diagnostic(panel, series)
+    diagnostic = result.regularity
 
     ingest.write_csv(
         out / "factor_loadings.csv",
@@ -377,11 +383,15 @@ def cmd_fira(args, config, out):
     from . import fira as fr
     from . import svgplot
 
+    lags = config.get("fira", {}).get("lags", [0, 0, 0])
+    if lags[2] > 0 and config.get("panels", {}).get("controls") is None:
+        # build_design would drop the control block without a word
+        raise ConfigError(f"config key fira.lags asks for {lags[2]} control "
+                          f"lag(s), but panels.controls is absent")
     section, permutation, series, panel = _factor_inputs(config, "fira")
     controls = _load_panel(config, "controls")
     seed = _seed(args, config)
 
-    lags = section.get("lags", [0, 0, 0])
     design = fr.build_design(series, y=panel, z=controls, lags=lags,
                              **_present(section, "standardize"))
     fitted = fr.fit_fira(design, panel,
@@ -389,12 +399,13 @@ def cmd_fira(args, config, out):
                          permutation=permutation,
                          rng=np.random.default_rng(seed))
 
-    shock_reports = []
-    for idx, spec in enumerate(section["shocks"]):
-        shock = fr.make_shock_surface(
-            spec["magnitude"], tuple(spec["center"]), spec["radius_km"],
-            series.domain, **_present(spec, "profile"),
-        )
+    shocks = [fr.make_shock_surface(
+        spec["magnitude"], tuple(spec["center"]), spec["radius_km"],
+        series.domain, **_present(spec, "profile"),
+    ) for spec in section["shocks"]]
+    # with no horizon fitted every response is zero, so none is written
+    fitted_any = any(e is not None for e in fitted.by_horizon)
+    for idx, shock in enumerate(shocks if fitted_any else []):
         response = fr.respond(fitted, shock)
         ingest.write_csv(
             out / f"fira_response_{idx + 1}.csv",
@@ -411,14 +422,6 @@ def cmd_fira(args, config, out):
             f"radius {shock.radius_km:g} km",
         )
         (out / f"fira_shock_{idx + 1}.svg").write_text(figure, encoding="utf-8")
-        shock_reports.append({
-            "magnitude": shock.magnitude,
-            "center": list(shock.center),
-            "radius_km": shock.radius_km,
-            "profile": shock.profile,
-            "footprint_area_km2": shock.footprint_area_km2,
-            "n_cells": shock.n_cells,
-        })
 
     _write_json(out / "fira_report.json", {
         "variable": section["variable"],
@@ -428,10 +431,20 @@ def cmd_fira(args, config, out):
         "rho_per_horizon": [e.rho if e else [] for e in fitted.by_horizon],
         "failures": [list(f) for f in fitted.failures],
         "permutation": permutation,
-        "shocks": shock_reports,
+        "shocks": [{
+            "magnitude": shock.magnitude,
+            "center": list(shock.center),
+            "radius_km": shock.radius_km,
+            "profile": shock.profile,
+            "footprint_area_km2": shock.footprint_area_km2,
+            "n_cells": shock.n_cells,
+        } for shock in shocks],
         "seed": seed,
     })
-    _say(args, f"fira: {len(shock_reports)} shock(s), "
+    if not fitted_any:
+        raise NumericalError("every fira horizon failed; see "
+                             "fira_report.json")
+    _say(args, f"fira: {len(shocks)} shock(s), "
                f"h_max={fitted.horizons[-1]} -> {out}")
     return EXIT_OK
 

@@ -26,6 +26,7 @@ singular values that the keep rule reads.
 import copy
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -383,11 +384,12 @@ def _check_k_or_permutation(k, permutation):
 def two_stage(y, v, gram, tol=0.1, k=None, permutation=None, rng=None):
     """Associated factors between the rows of y (T, p) and v (T, D).
 
-    gram is v @ v.T; double-centered once into gc, it drives the cross
-    SVD (cutoff tol * r_1, or k components) and the null of the optional
-    permutation cut (dict with optional n and level, PERMUTATION_DEFAULTS
-    filling the rest). k and permutation exclude each other. CCA on the
-    raw projections y @ alpha and v @ beta follows, then the sign fix.
+    gram is v @ v.T, or the Gram of v's centered rows; double-centered
+    once into gc, it drives the cross SVD (cutoff tol * r_1, or k
+    components) and the null of the optional permutation cut (dict with
+    optional n and level, PERMUTATION_DEFAULTS filling the rest). k and
+    permutation exclude each other. CCA on the raw projections y @ alpha
+    and v @ beta follows, then the sign fix.
     Returns (r, rho, a, b_hat, y_factors, x_factors): retained singular
     values, canonical correlations, a (K, p), b_hat (K, D) and the
     canonical coordinates of y and v.
@@ -469,6 +471,8 @@ class AssociatedFactorSet:
     a[k] is a price-side direction with unit-variance projection; b_hat[k]
     the paired surface direction in hat coordinates. y_factors/x_factors
     are the raw canonical coordinates <a_k, Y_t> and <b_k, X_t>.
+    regularity is the decay diagnostic of the panel and centered Gram
+    the factors were fitted on, computed on first read.
     """
 
     rho: np.ndarray
@@ -480,6 +484,7 @@ class AssociatedFactorSet:
     times: np.ndarray = None
     domain: object = None
     singular_values: np.ndarray = None
+    _frame: tuple = field(default=None, repr=False)  # (panel values, gc)
 
     @property
     def k(self):
@@ -487,6 +492,10 @@ class AssociatedFactorSet:
 
     def b_surface(self, k):
         return surface_from_hat(self.domain, self.b_hat[k])
+
+    @cached_property
+    def regularity(self):
+        return _regularity(*self._frame)
 
 
 # -- operations ------------------------------------------------------------
@@ -499,6 +508,19 @@ def _aligned(panel, series):
     if T < p + 2:
         raise InsufficientSample(f"need T >= p + 2, got T={T} with p={p}")
     return panel, series
+
+
+def _frame(panel, series):
+    """The pair the factors fit, constant sectors dropped and the window
+    aligned, with the hat frames x of its series and the Gram gc of their
+    centered rows. Centering first keeps gc's rounding at the scale of
+    the frames' spread: on levels far from zero, x @ x.T rounds at the
+    scale of their mean, which buries the small eigenvalues the
+    regularity diagnostic divides by."""
+    panel, series = _aligned(drop_degenerate_sectors(panel), series)
+    x = hat_matrix(series)
+    xc, _ = center_columns(x)
+    return panel, series, x, xc @ xc.T
 
 
 def estimate_covariances(panel, series):
@@ -526,9 +548,10 @@ def svd_cross(operators, tol=0.1, k=None):
 def drop_degenerate_sectors(panel):
     """Remove zero-variance columns; the price-side covariance must be
     invertible for the final rotation. Warns with the dropped ids."""
-    variances = np.var(panel.values, axis=0, ddof=1)
-    degenerate = variances <= 0.0
-    if not degenerate.any():
+    # equal values, tested exactly: the computed variance of a constant
+    # column is often a rounding residue above zero
+    degenerate = np.ptp(panel.values, axis=0) == 0.0
+    if not degenerate.any() or len(panel.times) < 2:  # _aligned: too short
         return panel
     dropped = tuple(i for i, bad in zip(panel.sector_ids, degenerate) if bad)
     if degenerate.all():
@@ -538,7 +561,7 @@ def drop_degenerate_sectors(panel):
     warnings.warn(
         f"dropping zero-variance sector(s) before factor extraction: "
         f"{', '.join(dropped)}",
-        stacklevel=3,
+        stacklevel=4,
     )
     keep = ~degenerate
     return type(panel)(
@@ -558,16 +581,15 @@ def associated_factors(panel, series, tol=0.1, k=None, permutation=None,
     the null quantile are dropped on top of the relative cutoff.
     """
     _check_k_or_permutation(k, permutation)
-    panel, series = _aligned(drop_degenerate_sectors(panel), series)
-    x = hat_matrix(series)
+    panel, series, x, gc = _frame(panel, series)
     r, rho, a, b_hat, y_factors, x_factors = two_stage(
-        panel.values, x, x @ x.T, tol=tol, k=k,
+        panel.values, x, gc, tol=tol, k=k,
         permutation=permutation, rng=rng,
     )
     return AssociatedFactorSet(
         rho=rho, a=a, b_hat=b_hat, y_factors=y_factors, x_factors=x_factors,
         sector_ids=panel.sector_ids, times=panel.times, domain=series.domain,
-        singular_values=r,
+        singular_values=r, _frame=(panel.values, gc),
     )
 
 
@@ -599,12 +621,19 @@ class RegularityReport:
 
 def regularity_diagnostic(panel, series, max_components=None):
     """Probe whether the cross loadings decay fast enough relative to
-    the surface spectrum; diagnostic only."""
-    (panel, series), _ = align(panel, series)
-    yc, _ = center_columns(panel.values)
-    xc, _ = center_columns(hat_matrix(series))
+    the surface spectrum; diagnostic only. It reads the frame that
+    associated_factors fits: constant sectors dropped with a warning,
+    and the same errors for a window too short or a panel all constant."""
+    panel, _, _, gc = _frame(panel, series)
+    return _regularity(panel.values, gc, max_components)
+
+
+def _regularity(y, gc, max_components=None):
+    """The diagnostic of panel rows y against the surface rows whose
+    centered rows' Gram is gc."""
+    yc, _ = center_columns(y)
     T = yc.shape[0]
-    lam, scores = gram_eigensystem(xc @ xc.T, max_components=max_components)
+    lam, scores = gram_eigensystem(gc, max_components=max_components)
     _, psi = np.linalg.eigh(yc.T @ yc / (T - 1))
     psi = psi[:, ::-1]
     yproj = yc @ psi

@@ -15,7 +15,9 @@ Two grid formats are accepted:
 
 A cell that is missing in any month is masked in every month; nothing is
 ever imputed. Panels follow the same rule column-wise: a sector with any
-gap in the loaded window is dropped (and reported), never filled.
+gap in the loaded window is dropped, never filled. The dropped ids are
+reported in ``SectorPanel.dropped``; on the CLI only the error for an
+``lp.sectors`` entry that names one reports them.
 
 A valid format A file is parsed in one C-level ``np.loadtxt`` pass. A
 file that pass cannot take as it stands (a malformed row, a quoted
@@ -613,7 +615,8 @@ def _load_panel(path, transform, cls):
 
 
 def load_sector_panel(path, transform="yoy"):
-    """Load a sector price panel; gap columns are dropped and reported."""
+    """Load a sector price panel; gap columns are dropped, listed in
+    ``dropped``."""
     return _load_panel(path, transform, SectorPanel)
 
 

@@ -785,6 +785,37 @@ class TestLp:
         assert cli.main(["lp", "--config", config,
                          "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("spoil, transform", [
+        ("", "none"),      # a gap
+        ("0", "yoy"),      # a zero level, whose year-on-year change is inf
+    ])
+    def test_dropped_sector_is_data_error(self, planted, tmp_path, capsys,
+                                          spoil, transform):
+        # the loader drops CP001, so the id is known but has no column
+        with open(planted / "data" / "sectors.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[3][rows[0].index("CP001")] = spoil
+        if transform == "yoy":  # positive levels, so only CP001 drops
+            for row in rows[1:]:
+                row[1:] = [str(100.0 + float(v)) if v != "0" else v
+                           for v in row[1:]]
+        path = tmp_path / "spoiled.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        config = _write_config(tmp_path, {
+            "grids": [{"name": "temperature",
+                       "path": str(planted / "data" / "temperature.csv")}],
+            "panels": {"sectors": {"path": str(path),
+                                   "transform": transform}},
+            "shocks": {"variable": "temperature"},
+            "lp": {"sectors": ["CP000", "CP001"]},
+        })
+        assert cli.main(["lp", "--config", config,
+                         "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert (f"data error: config key lp.sectors names ['CP001'], "
+                f"dropped from {path}") in err
+
     @pytest.mark.parametrize("key,value,named", [
         ("lp.sectors", [], "lp/sectors"),
         ("shocks.variants", [], "shocks/variants"),
@@ -902,6 +933,73 @@ class TestFactorsAndFira:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6
         assert (out / "factor_b_1.csv").exists()
+
+    def test_a_constant_sector_leaves_the_diagnostic_too(self, demo,
+                                                          tmp_path):
+        panel = load_sector_panel(demo / "data" / "sectors.csv",
+                                  transform="none")
+        ids = panel.sector_ids[:3] + ("FLAT",) + panel.sector_ids[3:]
+        values = np.insert(panel.values, 3, 4.2, axis=1)
+        write_panel_csv(SectorPanel(panel.times, ids, values),
+                        tmp_path / "sectors.csv")
+        doc = self._base_config(demo)
+        doc["panels"]["sectors"]["path"] = str(tmp_path / "sectors.csv")
+        doc["factors"] = {"variable": "temperature_anomaly",
+                          "use_anomalies": False}
+        config = _write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="zero-variance.*FLAT"):
+            assert cli.main(["factors", "--config", config, "--out",
+                             str(out), "--quiet"]) == 0
+        with open(out / "factor_loadings.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["sector"] for r in rows] == list(panel.sector_ids)
+        report = json.loads((out / "factors_report.json").read_text())
+        assert len(report["regularity"]["tail_fraction"]) == len(rows)
+        assert len(report["regularity"]["flagged"]) == len(rows)
+
+    def test_every_horizon_failing_is_exit_4(self, demo, tmp_path, capsys):
+        # no singular value clears 5 * r_1, so every horizon fails
+        doc = self._base_config(demo)
+        doc["fira"] = {
+            "variable": "temperature_anomaly", "use_anomalies": False,
+            "lags": [0, 0, 0], "h_max": 2, "tol": 5.0,
+            "shocks": [{"magnitude": 1.5, "center": [53.0, 11.5],
+                        "radius_km": 150.0}],
+        }
+        config = _write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["fira", "--config", config, "--out", str(out),
+                         "--quiet"]) == 4
+        assert ("numerical failure: every fira horizon failed; see "
+                "fira_report.json") in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["fira_report.json"]
+        report = json.loads((out / "fira_report.json").read_text())
+        assert [f[:2] for f in report["failures"]] == [
+            [h, "ZeroCrossCovariance"] for h in range(3)]
+        assert report["k_per_horizon"] == [0, 0, 0]
+        assert report["shocks"][0]["magnitude"] == 1.5
+
+    def test_control_lags_without_controls_is_exit_2(self, demo, tmp_path,
+                                                     capsys, monkeypatch):
+        # build_design would drop the control block without a word
+        def no_load(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(cli.ingest, "load_gridded", no_load)
+        doc = self._base_config(demo)
+        doc["fira"] = {
+            "variable": "temperature_anomaly", "use_anomalies": False,
+            "lags": [0, 0, 2], "h_max": 2,
+            "shocks": [{"magnitude": 1.5, "center": [53.0, 11.5],
+                        "radius_km": 150.0}],
+        }
+        config = _write_config(tmp_path, doc)
+        assert cli.main(["fira", "--config", config,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert ("config error: config key fira.lags asks for 2 control "
+                "lag(s), but panels.controls is absent"
+                ) in capsys.readouterr().err
 
     def test_fira_report_and_responses(self, demo, tmp_path):
         doc = self._base_config(demo)

@@ -11,11 +11,13 @@ from climfact.errors import (
     ZeroCrossCovariance,
 )
 from climfact.factors import (
+    RegularityReport,
     associated_factors,
     canonical_correlations,
     center_columns,
     cross_singular_triplets,
     estimate_covariances,
+    gram_eigensystem,
     hat_matrix,
     permutation_cutoffs,
     regularity_diagnostic,
@@ -23,7 +25,7 @@ from climfact.factors import (
     two_stage,
 )
 from climfact.grid import Surface, SurfaceSeries, build_domain
-from climfact.ingest import SectorPanel
+from climfact.ingest import SectorPanel, align
 from climfact.synth import exact_factor_model, planted_factor_instance
 
 MONTH0 = np.datetime64("2001-01", "M")
@@ -764,3 +766,107 @@ class TestRegularityDiagnostic:
         report = regularity_diagnostic(panel, series)
         assert report.partial_sums_sq.shape == report.partial_sums_abs.shape
         assert report.flagged.shape == (2,)
+
+
+def reference_regularity(panel, series, max_components=None):
+    """The diagnostic before it read the factor fit's frame: its own
+    alignment, hat embedding and Gram of the centered hat frames, with
+    every sector kept, constant ones too."""
+    (panel, series), _ = align(panel, series)
+    yc, _ = center_columns(panel.values)
+    xc, _ = center_columns(hat_matrix(series))
+    T = yc.shape[0]
+    lam, scores = gram_eigensystem(xc @ xc.T, max_components=max_components)
+    _, psi = np.linalg.eigh(yc.T @ yc / (T - 1))
+    psi = psi[:, ::-1]
+    yproj = yc @ psi
+    c = scores.T @ yproj / (T - 1)         # (n, p)
+    terms_sq = c**2 / lam[:, None]
+    terms_abs = np.abs(c) / lam[:, None]
+    sums_sq = np.cumsum(terms_sq, axis=0)
+    sums_abs = np.cumsum(terms_abs, axis=0)
+    n = len(lam)
+    tail = np.zeros(yc.shape[1])
+    if n >= 4:
+        half = n // 2
+        total = sums_sq[-1]
+        grown = total - sums_sq[half - 1]
+        nonzero = total > 0
+        tail[nonzero] = grown[nonzero] / total[nonzero]
+    flagged = tail > 0.25  # over a quarter from the later half
+    return RegularityReport(
+        eigenvalues=lam, partial_sums_sq=sums_sq, partial_sums_abs=sums_abs,
+        flagged=flagged, tail_fraction=tail,
+    )
+
+
+class TestReferenceRegularity:
+    """The diagnostic on the factor fit's frame against the one that
+    built its own, on both sides of D = T."""
+
+    def _pair(self, rng, domain, T, level, spread, p=5):
+        """A surface series of T months that starts a year before the
+        panel: a per-cell climatology around level, three latent modes
+        and noise, all of scale spread; the panel loads on the modes."""
+        n = T + 12
+        modes = rng.normal(size=(n, 3)) * spread
+        cube = (level + 3.0 * spread * rng.normal(size=domain.shape)
+                + np.einsum("tk,kij->tij", modes,
+                            rng.normal(size=(3,) + domain.shape))
+                + spread * rng.normal(size=(n,) + domain.shape))
+        series = _series(domain, cube)
+        y = modes[12:] @ rng.normal(size=(3, p)) + rng.normal(size=(T, p))
+        return SectorPanel(MONTH0 + 12 + np.arange(T),
+                           tuple(f"S{j}" for j in range(p)), y), series
+
+    @pytest.mark.parametrize("step, T", [
+        (1.0, 400),   # 25 cells, D < T
+        (0.5, 120),   # 288 cells, D > T
+    ])
+    @pytest.mark.parametrize("level, spread", [
+        (0.0, 1.0),     # anomalies
+        (280.0, 3.0),   # raw levels in kelvin
+    ])
+    def test_matches_the_diagnostic_on_its_own_frame(self, rng, step, T,
+                                                     level, spread):
+        domain = build_domain((45.0, 53.0, 0.0, 9.0), step)
+        if step == 1.0:
+            domain = build_domain((45.0, 50.0, 0.0, 5.0), step)
+        for _ in range(3):
+            panel, series = self._pair(rng, domain, T, level, spread)
+            want = reference_regularity(panel, series)
+            got = regularity_diagnostic(panel, series)
+            assert got.n_components == want.n_components
+            np.testing.assert_allclose(got.tail_fraction, want.tail_fraction,
+                                       rtol=0.0, atol=1e-10)
+
+    def test_a_constant_sector_is_dropped_first(self, rng):
+        domain = build_domain((45.0, 50.0, 0.0, 5.0), 1.0)
+        for level, spread in ((0.0, 1.0), (280.0, 3.0)):
+            panel, series = self._pair(rng, domain, 200, level, spread)
+            ids = panel.sector_ids[:2] + ("FLAT",) + panel.sector_ids[2:]
+            values = np.insert(panel.values, 2, 4.2, axis=1)
+            with_flat = SectorPanel(panel.times, ids, values)
+            want = reference_regularity(panel, series)
+            with pytest.warns(UserWarning, match="zero-variance.*FLAT"):
+                got = regularity_diagnostic(with_flat, series)
+            assert got.n_components == want.n_components
+            np.testing.assert_allclose(got.tail_fraction, want.tail_fraction,
+                                       rtol=0.0, atol=1e-10)
+
+    def test_the_fit_carries_the_diagnostic_of_its_frame(self, rng):
+        domain = build_domain((45.0, 50.0, 0.0, 5.0), 1.0)
+        panel, series = self._pair(rng, domain, 200, 280.0, 3.0)
+        values = np.insert(panel.values, 0, 101.7, axis=1)
+        panel = SectorPanel(panel.times, ("FLAT",) + panel.sector_ids, values)
+        with pytest.warns(UserWarning, match="FLAT"):
+            result = associated_factors(panel, series, k=2)
+        with pytest.warns(UserWarning, match="FLAT"):
+            alone = regularity_diagnostic(panel, series)
+        report = result.regularity
+        assert report is result.regularity  # computed once
+        assert len(report.tail_fraction) == len(result.sector_ids) == 5
+        for name in ("eigenvalues", "partial_sums_sq", "partial_sums_abs",
+                     "flagged", "tail_fraction"):
+            np.testing.assert_array_equal(getattr(report, name),
+                                          getattr(alone, name))

@@ -8,12 +8,13 @@ run each counter on a small fixture.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from climfact import factors, fira, ingest, localproj
+from climfact import cli, factors, fira, ingest, localproj
 from climfact.climatology import ShockConditioning, ShockSeries
 from climfact.grid import SurfaceSeries, build_domain
 
@@ -104,3 +105,35 @@ def test_every_counter_binds_its_function(traced, tmp_path):
             {"design_mb": (T - 1) * 2 * domain.n_valid * 8 / 1e6}],
         "fira.fit_fira": [{"horizons_failed": 0}],
     }
+
+
+def test_factors_command_hat_embeds_once(traced, tmp_path):
+    """cmd_factors reads the spectrum diagnostic off the factor fit: one
+    hat embedding, one Gram eigensystem and no regularity_diagnostic."""
+    _, recorder = traced
+    rng = np.random.default_rng(11)
+    T = 60
+    times = MONTH0 + np.arange(T)
+    domain = build_domain((40.0, 43.0, 5.0, 8.0), 1.0)
+    cube = rng.normal(size=(T,) + domain.shape)
+    ingest.write_gridded_csv(SurfaceSeries(domain, times, cube, "t"),
+                             tmp_path / "t.csv")
+    y = rng.normal(size=(T, 3))
+    y[:, 0] += 2.0 * cube[:, 1, 1]
+    ingest.write_panel_csv(ingest.SectorPanel(times, ("S0", "S1", "S2"), y),
+                           tmp_path / "sectors.csv")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "grids": [{"name": "t", "path": str(tmp_path / "t.csv")}],
+        "panels": {"sectors": {"path": str(tmp_path / "sectors.csv"),
+                               "transform": "none"}},
+        "factors": {"variable": "t", "use_anomalies": False},
+    }))
+    assert cli.main(["factors", "--config", str(config), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 0
+
+    names = [span[0] for span in recorder.spans]
+    assert names.count("factors.associated_factors") == 1
+    assert names.count("factors.hat_matrix") == 1
+    assert names.count("factors.gram_eigensystem") == 1
+    assert names.count("factors.regularity_diagnostic") == 0
