@@ -64,11 +64,15 @@ def _named(source, path, action="read"):
                           f"({exc.strerror})") from None
 
 
-def _out_dir(args, config):
+def _out_dir(args, config, needs):
+    """Make the output directory once every key in needs is set."""
     out = args.out or config.get("output_dir")
+    present = {*config, *(f"panels.{key}" for key in config.get("panels", {}))}
+    absent = [key for key in needs if key not in present]
     if not out:
-        raise ConfigError("config is missing required key output_dir "
-                          "(or pass --out)")
+        absent.append("output_dir (or pass --out)")
+    if absent:
+        raise ConfigError(f"config is missing required key {absent[0]}")
     path = Path(out)
     source = "--out" if args.out else "config key output_dir"
     with _named(source, out, "create directory"):
@@ -93,14 +97,8 @@ def _present(section, *keys, **renamed):
 
 def _grid(config, name):
     """Load the one grids[] entry called name."""
-    found = [(i, entry) for i, entry in enumerate(cfg.require(config, "grids"))
-             if entry["name"] == name]
-    if not found:
-        raise ConfigError(f"config names unknown grid variable {name!r}")
-    if len(found) > 1:
-        raise ConfigError(f"config key grids lists {name!r} "
-                          f"{len(found)} times")
-    i, entry = found[0]
+    i, entry = next((i, entry) for i, entry in enumerate(config["grids"])
+                    if entry["name"] == name)
     with _named(f"config key grids[{i}].path", entry["path"]):
         return ingest.load_gridded(entry["path"], variable=name,
                                    **_present(entry, "step", "weighting"))
@@ -109,27 +107,21 @@ def _grid(config, name):
 def _region_mask(domain, i, entry):
     """Boolean raster from regions[i]: 'cells': 'all', or a CSV of the
     lat,lon cell centers in the region."""
-    path = entry.get("path")
-    if ("cells" in entry) == (path is not None):
-        raise ConfigError(f"config key regions[{i}] needs exactly one of "
-                          f"cells and path")
-    if path is None:
+    if "cells" in entry:
         return np.ones(domain.shape, dtype=bool)
-    with _named(f"config key regions[{i}].path", path):
-        return ingest.load_region_mask(path, domain)
+    with _named(f"config key regions[{i}].path", entry["path"]):
+        return ingest.load_region_mask(entry["path"], domain)
 
 
 def _regions(config, domain):
-    entries = config.get("regions", [{"name": "ALL", "cells": "all"}])
+    entries = config.get("regions", cfg.DEFAULT_REGIONS)
     return {e["name"]: _region_mask(domain, i, e)
             for i, e in enumerate(entries)}
 
 
-def _load_panel(config, key, required=False):
+def _load_panel(config, key):
     entry = config.get("panels", {}).get(key)
     if entry is None:
-        if required:
-            raise ConfigError(f"config is missing required key panels.{key}")
         return None
     loader = (ingest.load_sector_panel if key == "sectors"
               else ingest.load_control_panel)
@@ -152,39 +144,28 @@ def _factor_inputs(config, name):
     use_anomalies is false, and the sector panel."""
     from . import factors as af
 
-    section = cfg.require(config, name)
-    permutation = section.get("permutation", False)
-    if permutation is False:
-        permutation = None
-    elif "k" in section:
-        # k fixes the component count, so the null would never run
-        raise ConfigError(f"config keys {name}.k and {name}.permutation "
-                          f"exclude each other")
-    else:
-        permutation = {**af.PERMUTATION_DEFAULTS,
-                       **({} if permutation is True else permutation)}
+    section = config[name]
+    null = section.get("permutation", False)
+    permutation = None if null is False else {
+        **af.PERMUTATION_DEFAULTS, **({} if null is True else null)}
     series = _grid(config, section["variable"])
     if section.get("use_anomalies", True):
         series = _anomaly_series(config, series)
-    panel = _load_panel(config, "sectors", required=True)
+    panel = _load_panel(config, "sectors")
     return section, permutation, series, panel
 
 
 def _shock_table(config):
     """Threshold + conditioned shock variants from the shocks config."""
-    section = cfg.require(config, "shocks")
+    section = config["shocks"]
     series = _grid(config, section["variable"])
     anomalies = _anomaly_series(config, series)
     regions = _regions(config, series.domain)
-    region_name = section.get("region")
-    if region_name is None:
-        region_name = next(iter(regions))
-    if region_name not in regions:
-        raise ConfigError(f"config names unknown region {region_name!r}")
+    region_name = section.get("region", next(iter(regions)))
     scalar = cl.regional_mean(anomalies, regions[region_name])
-    window = section.get("threshold_window", cl.DEFAULT_THRESHOLD_WINDOW)
-    threshold = section.get("threshold", "auto")
+    threshold, window = section.get("threshold", "auto"), None
     if threshold == "auto":
+        window = section.get("threshold_window", cl.DEFAULT_THRESHOLD_WINDOW)
         threshold = cl.default_threshold(scalar, window)
         if threshold <= 0.0:
             raise DataError(
@@ -202,7 +183,7 @@ def _shock_table(config):
 
 def cmd_baseline(args, config, out):
     grids = {entry["name"]: _grid(config, entry["name"])
-             for entry in cfg.require(config, "grids")}
+             for entry in config["grids"]}
     summary_rows = []
     for name, series in grids.items():
         baseline = _baseline(config, series)
@@ -232,7 +213,7 @@ def cmd_baseline(args, config, out):
 def cmd_anomaly(args, config, out):
     section = config.get("anomaly", {})
     names = section.get("variables") or [
-        entry["name"] for entry in cfg.require(config, "grids")]
+        entry["name"] for entry in config["grids"]]
     grids = {name: _grid(config, name) for name in names}
     for name, series in grids.items():
         anomalies = _anomaly_series(config, series)
@@ -251,7 +232,7 @@ def cmd_shocks(args, config, out):
         cl.write_shock_csv(shock, out / f"shocks_{variant}.csv")
     _write_json(out / "shocks_report.json", {
         "threshold": threshold,
-        "threshold_window": list(window),
+        "threshold_window": window and list(window),
         "region": region_name,
         "variable": config["shocks"]["variable"],
         "events": {variant: shock.n_events for variant, shock in table.items()},
@@ -282,7 +263,7 @@ def cmd_lp(args, config, out):
     from . import svgplot
 
     *_, shock_table = _shock_table(config)
-    panel = _load_panel(config, "sectors", required=True)
+    panel = _load_panel(config, "sectors")
     extra = _load_panel(config, "endogenous")
     controls = _load_panel(config, "controls")
     section = config.get("lp", {})
@@ -383,12 +364,8 @@ def cmd_fira(args, config, out):
     from . import fira as fr
     from . import svgplot
 
-    lags = config.get("fira", {}).get("lags", [0, 0, 0])
-    if lags[2] > 0 and config.get("panels", {}).get("controls") is None:
-        # build_design would drop the control block without a word
-        raise ConfigError(f"config key fira.lags asks for {lags[2]} control "
-                          f"lag(s), but panels.controls is absent")
     section, permutation, series, panel = _factor_inputs(config, "fira")
+    lags = section.get("lags", [0, 0, 0])
     controls = _load_panel(config, "controls")
     seed = _seed(args, config)
 
@@ -452,7 +429,7 @@ def cmd_fira(args, config, out):
 def cmd_synth(args, config, out):
     from . import synth
 
-    section = cfg.require(config, "synth")
+    section = config["synth"]
     kind = section["kind"]
     seed = _seed(args, config)
     rng = np.random.default_rng(seed)
@@ -522,14 +499,16 @@ def cmd_synth(args, config, out):
 # -- entry point -------------------------------------------------------------
 
 
+# each command's body and the keys it reads that have no default, which
+# main checks before the body runs
 COMMANDS = {
-    "baseline": cmd_baseline,
-    "anomaly": cmd_anomaly,
-    "shocks": cmd_shocks,
-    "lp": cmd_lp,
-    "factors": cmd_factors,
-    "fira": cmd_fira,
-    "synth": cmd_synth,
+    "baseline": (cmd_baseline, ("grids",)),
+    "anomaly": (cmd_anomaly, ("grids",)),
+    "shocks": (cmd_shocks, ("grids", "shocks")),
+    "lp": (cmd_lp, ("grids", "shocks", "panels.sectors")),
+    "factors": (cmd_factors, ("grids", "factors", "panels.sectors")),
+    "fira": (cmd_fira, ("grids", "fira", "panels.sectors")),
+    "synth": (cmd_synth, ("synth",)),
 }
 
 
@@ -556,8 +535,8 @@ def main(argv=None):
                               f"got {args.seed}")
         with _named("--config", args.config):
             config = cfg.load_config(args.config)
-        return COMMANDS[args.command](args, config,
-                                      _out_dir(args, config))
+        command, needs = COMMANDS[args.command]
+        return command(args, config, _out_dir(args, config, needs))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

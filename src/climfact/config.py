@@ -4,6 +4,21 @@ A run configuration is one JSON document naming the input files and the
 estimation settings for every subcommand. Validation is strict: unknown
 keys are rejected up front so typos fail before any computation starts.
 
+``load_config`` checks a document in two passes, both over the whole
+document rather than the sections one command reads, so every command
+accepts the same configs and fails before it reads any input:
+``validate_config`` checks it against ``SCHEMA`` (plus finite numbers
+and id lists without repeats), then ``check_rules`` checks the rules
+that link keys: each ``variable`` and ``anomaly.variables`` entry names
+a grid; each region has exactly one of ``cells`` and ``path``;
+``shocks.region`` names a region; ``k`` is not set beside a permutation
+null; ``fira.lags[2] > 0`` needs ``panels.controls``; and no key is set
+that another key's value leaves unread (``shocks.threshold_window``
+beside a numeric threshold, ``shocks.extreme_multiplier`` without the
+``extreme`` variant, a ``synth`` key its ``kind`` does not read). Which
+sections a command needs is the command's business, and ``cli`` checks
+it.
+
 ``SCHEMA`` is a JSON Schema (draft 2020-12) document, checked by a small
 walker over the twelve keywords it uses rather than by the jsonschema
 package, which costs every command about 0.1 s to import. The walker
@@ -343,8 +358,10 @@ _DISTINCT = (("lp", "sectors"), ("shocks", "variants"),
 def _check_distinct(doc):
     lists = [(f"{section}.{key}", doc.get(section, {}).get(key))
              for section, key in _DISTINCT]
-    # a repeated region name would overwrite the first region's outputs
-    lists.append(("regions", [e["name"] for e in doc.get("regions", ())]))
+    # a repeated region name would overwrite the first region's outputs,
+    # and a repeated grid name leaves which grid it means unsaid
+    lists += [(key, [e["name"] for e in doc.get(key, ())])
+              for key in ("regions", "grids")]
     for where, items in lists:
         if isinstance(items, list):
             repeated = [x for i, x in enumerate(items) if x in items[:i]]
@@ -376,16 +393,68 @@ def load_config(path):
         byte, line = first_non_utf8(path)
         raise ConfigError(f"config file {path}, line {line}: byte "
                           f"{byte:#04x} is not UTF-8") from None
-    return validate_config(doc)
+    return check_rules(validate_config(doc))
 
 
-def require(config, *keys):
-    """Fetch a nested key, failing with the dotted name when absent."""
-    node = config
-    seen = []
-    for key in keys:
-        seen.append(str(key))
-        if not isinstance(node, dict) or key not in node:
-            raise ConfigError(f"config is missing required key {'.'.join(seen)}")
-        node = node[key]
-    return node
+# an absent regions key is one region of every cell
+DEFAULT_REGIONS = ({"name": "ALL", "cells": "all"},)
+
+
+def check_rules(doc):
+    """Reject a document whose keys break a rule that links them, which
+    the schema cannot state. It runs over the whole document, not only
+    the sections one command reads, so every command accepts the same
+    configs and fails before it reads any input."""
+    grids = [entry["name"] for entry in doc.get("grids", ())]
+    named = [doc[key]["variable"] for key in ("shocks", "factors", "fira")
+             if key in doc]
+    for name in named + doc.get("anomaly", {}).get("variables", []):
+        if name not in grids:
+            raise ConfigError(f"config names unknown grid variable {name!r}")
+    regions = doc.get("regions", DEFAULT_REGIONS)
+    for i, entry in enumerate(regions):
+        if ("cells" in entry) == ("path" in entry):
+            raise ConfigError(f"config key regions[{i}] needs exactly one "
+                              f"of cells and path")
+    shocks = doc.get("shocks", {})
+    region = shocks.get("region")
+    if region is not None and region not in [e["name"] for e in regions]:
+        raise ConfigError(f"config names unknown region {region!r}")
+    for key in ("factors", "fira"):
+        section = doc.get(key, {})
+        # k fixes the component count, so the null would never run
+        if "k" in section and section.get("permutation", False) is not False:
+            raise ConfigError(f"config keys {key}.k and {key}.permutation "
+                              f"exclude each other")
+    lags = doc.get("fira", {}).get("lags", [0, 0, 0])
+    if lags[2] > 0 and "controls" not in doc.get("panels", {}):
+        # build_design would drop the control block without a word
+        raise ConfigError(f"config key fira.lags asks for {lags[2]} control "
+                          f"lag(s), but panels.controls is absent")
+    # keys that another key's value would leave unread
+    if "threshold_window" in shocks \
+            and shocks.get("threshold", "auto") != "auto":
+        raise ConfigError("config key shocks.threshold_window sets the window "
+                          "of the auto threshold, but shocks.threshold is "
+                          "a number")
+    if "extreme_multiplier" in shocks \
+            and "extreme" not in shocks.get("variants", ()):
+        raise ConfigError("config key shocks.extreme_multiplier needs "
+                          "'extreme' in shocks.variants")
+    synth = doc.get("synth", {})
+    unread = sorted(set(synth) - {"kind", "step", "format",
+                                  *_SYNTH_READS.get(synth.get("kind"), ())})
+    if unread:
+        raise ConfigError(f"config key synth.{unread[0]} is not read by "
+                          f"synth kind {synth['kind']!r}")
+    return doc
+
+
+# the synth keys each kind reads beside kind, step and format
+_SYNTH_READS = {
+    "normals": ("years", "warming"),
+    "planted-lp": ("sectors", "months"),
+    "planted-factor": ("sectors", "months", "snr"),
+    "fira-demo": ("sectors", "months"),
+}
+

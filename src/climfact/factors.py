@@ -501,23 +501,23 @@ class AssociatedFactorSet:
 # -- operations ------------------------------------------------------------
 
 
-def _aligned(panel, series):
-    """Truncate to the common window; the sample must exceed p + 1."""
-    (panel, series), _ = align(panel, series)
+def _check_sample(panel):
+    """The window must exceed p + 1 months."""
     T, p = panel.values.shape
     if T < p + 2:
         raise InsufficientSample(f"need T >= p + 2, got T={T} with p={p}")
-    return panel, series
 
 
 def _frame(panel, series):
-    """The pair the factors fit, constant sectors dropped and the window
-    aligned, with the hat frames x of its series and the Gram gc of their
+    """The pair the factors fit, the window aligned and constant sectors
+    dropped, with the hat frames x of its series and the Gram gc of their
     centered rows. Centering first keeps gc's rounding at the scale of
     the frames' spread: on levels far from zero, x @ x.T rounds at the
     scale of their mean, which buries the small eigenvalues the
     regularity diagnostic divides by."""
-    panel, series = _aligned(drop_degenerate_sectors(panel), series)
+    (panel, series), _ = align(panel, series)
+    panel = drop_degenerate_sectors(panel)
+    _check_sample(panel)
     x = hat_matrix(series)
     xc, _ = center_columns(x)
     return panel, series, x, xc @ xc.T
@@ -525,7 +525,8 @@ def _frame(panel, series):
 
 def estimate_covariances(panel, series):
     """Sample covariance operators of an aligned panel/surface pair."""
-    panel, series = _aligned(panel, series)
+    (panel, series), _ = align(panel, series)
+    _check_sample(panel)
     T = len(panel.times)
     yc, _ = center_columns(panel.values)
     xc, _ = center_columns(hat_matrix(series))
@@ -551,7 +552,8 @@ def drop_degenerate_sectors(panel):
     # equal values, tested exactly: the computed variance of a constant
     # column is often a rounding residue above zero
     degenerate = np.ptp(panel.values, axis=0) == 0.0
-    if not degenerate.any() or len(panel.times) < 2:  # _aligned: too short
+    # under two months every column is constant: _check_sample raises
+    if not degenerate.any() or len(panel.times) < 2:
         return panel
     dropped = tuple(i for i, bad in zip(panel.sector_ids, degenerate) if bad)
     if degenerate.all():

@@ -228,7 +228,7 @@ class TestBaseline:
             "config step NaN": (2, "grids[0].step"),
             "config step Infinity": (2, "grids[0].step"),
             "config step 1e-300": (3, "latitude step 1e-300"),
-            "grid duplicate name": (2, "grids lists 't' 2 times"),
+            "grid duplicate name": (2, "grids lists 't' more than once"),
             "grid value inf": (3, "grid.csv, line 4"),
             "grid value nan": (3, "grid.csv, line 4"),
             "config step 0.01": (
@@ -428,6 +428,136 @@ class TestInputPaths:
         assert "config key regions[0]" in capsys.readouterr().err
 
 
+def _unread_inputs(tmp_path):
+    """A config that every command accepts, whose input paths do not
+    exist, so a command that passes the config checks exits 2 naming a
+    path."""
+    return {
+        "grids": [{"name": "t", "path": str(tmp_path / "none.csv")}],
+        "panels": {"sectors": {"path": str(tmp_path / "none_sectors.csv")}},
+        "regions": [{"name": "R", "cells": "all"}],
+        "shocks": {"variable": "t", "threshold": "auto",
+                   "variants": ["all", "extreme"]},
+        "factors": {"variable": "t", "permutation": True},
+        "fira": {"variable": "t", "shocks": [
+            {"magnitude": 1.0, "center": [50.5, 10.5], "radius_km": 100.0}]},
+        "synth": {"kind": "planted-factor", "snr": 2.0},
+    }
+
+
+class TestConfigRules:
+    """The rules between keys hold over the whole document, so each one
+    fails every command before any input is read or any output made."""
+
+    @pytest.mark.parametrize("rule,edit,message", [
+        ("unknown grid", {"shocks": {"variable": "u"}},
+         "config names unknown grid variable 'u'"),
+        ("unknown anomaly variable", {"anomaly": {"variables": ["t", "u"]}},
+         "config names unknown grid variable 'u'"),
+        ("repeated grid", {"grids": [{"name": "t", "path": "a.csv"},
+                                     {"name": "t", "path": "b.csv"}]},
+         "config key grids lists 't' more than once"),
+        ("region with cells and path",
+         {"regions": [{"name": "R", "cells": "all", "path": "r.csv"}]},
+         "config key regions[0] needs exactly one of cells and path"),
+        ("region with neither", {"regions": [{"name": "R"}]},
+         "config key regions[0] needs exactly one of cells and path"),
+        ("unknown shock region", {"shocks": {"region": "XX"}},
+         "config names unknown region 'XX'"),
+        ("k beside a null", {"factors": {"k": 2}},
+         "config keys factors.k and factors.permutation exclude each other"),
+        ("fira k beside a null", {"fira": {"k": 1, "permutation": {}}},
+         "config keys fira.k and fira.permutation exclude each other"),
+        ("control lags without controls", {"fira": {"lags": [0, 0, 1]}},
+         "config key fira.lags asks for 1 control lag(s), but "
+         "panels.controls is absent"),
+        ("window beside a numeric threshold",
+         {"shocks": {"threshold": 0.5, "threshold_window": [2001, 2010]}},
+         "config key shocks.threshold_window sets the window of the auto "
+         "threshold, but shocks.threshold is a number"),
+        ("extreme multiplier without extreme",
+         {"shocks": {"variants": ["all"], "extreme_multiplier": 2.0}},
+         "config key shocks.extreme_multiplier needs 'extreme' in "
+         "shocks.variants"),
+        ("extreme multiplier on default variants",
+         {"shocks": {"variants": None, "extreme_multiplier": 2.0}},
+         "config key shocks.extreme_multiplier needs 'extreme' in "
+         "shocks.variants"),
+        ("synth years outside normals",
+         {"synth": {"kind": "planted-lp", "snr": None, "years": [1990, 2000]}},
+         "config key synth.years is not read by synth kind 'planted-lp'"),
+        ("synth warming outside normals",
+         {"synth": {"kind": "fira-demo", "snr": None, "warming": 1.0}},
+         "config key synth.warming is not read by synth kind 'fira-demo'"),
+        ("synth snr outside planted-factor", {"synth": {"kind": "fira-demo"}},
+         "config key synth.snr is not read by synth kind 'fira-demo'"),
+        ("synth sectors under normals",
+         {"synth": {"kind": "normals", "snr": None, "sectors": 4}},
+         "config key synth.sectors is not read by synth kind 'normals'"),
+        ("synth months under normals",
+         {"synth": {"kind": "normals", "snr": None, "months": 60}},
+         "config key synth.months is not read by synth kind 'normals'"),
+    ])
+    def test_a_broken_rule_fails_every_command_first(self, tmp_path, capsys,
+                                                     rule, edit, message):
+        doc = _unread_inputs(tmp_path)
+        for key, value in edit.items():
+            if isinstance(value, dict):
+                # merged into the section; None drops the key
+                value = {k: v for k, v in {**doc.get(key, {}), **value}.items()
+                         if v is not None}
+            doc[key] = value
+        config = _write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        for command in cli.COMMANDS:
+            code = cli.main([command, "--config", config, "--out", str(out),
+                             "--quiet"])
+            assert (command, code, capsys.readouterr().err) == (
+                command, 2, f"config error: {message}\n")
+            assert not out.exists()
+
+    def test_the_unbroken_config_reaches_the_first_input(self, tmp_path,
+                                                         capsys):
+        # an absent regions key is one region named ALL
+        doc = _unread_inputs(tmp_path)
+        del doc["regions"]
+        doc["shocks"]["region"] = "ALL"
+        config = _write_config(tmp_path, doc)
+        for command in set(cli.COMMANDS) - {"synth"}:
+            code = cli.main([command, "--config", config,
+                             "--out", str(tmp_path / "out"), "--quiet"])
+            assert code == 2
+            assert capsys.readouterr().err.startswith(
+                "config error: config key grids[0].path: cannot read ")
+
+    @pytest.mark.parametrize("command,drop,key", [
+        ("baseline", "grids", "grids"),
+        ("anomaly", "grids", "grids"),
+        ("shocks", "shocks", "shocks"),
+        ("lp", "panels", "panels.sectors"),
+        ("factors", "factors", "factors"),
+        ("fira", "fira", "fira"),
+        ("synth", "synth", "synth"),
+        ("baseline", "output_dir", "output_dir (or pass --out)"),
+    ])
+    def test_a_missing_section_fails_before_any_input(self, tmp_path, capsys,
+                                                      command, drop, key):
+        doc = _unread_inputs(tmp_path)
+        if drop == "grids":
+            # no section may name a grid the document lacks
+            for name in ("grids", "shocks", "factors", "fira"):
+                del doc[name]
+        elif drop != "output_dir":
+            del doc[drop]
+        argv = [command, "--config", _write_config(tmp_path, doc), "--quiet"]
+        if drop != "output_dir":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config is missing required key {key}\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestAnomaly:
     def test_regional_series_and_optional_grids(self, normals_fixture,
                                                 tmp_path):
@@ -548,6 +678,8 @@ class TestShocks:
             "shocks_all.csv", "shocks_report.json"]
         report = json.loads((out / "shocks_report.json").read_text())
         assert list(report["events"]) == ["all"]
+        # a numeric threshold reads no window
+        assert report["threshold_window"] is None
 
     def test_nonpositive_auto_threshold_is_data_error(self, tmp_path,
                                                       capsys):

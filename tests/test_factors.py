@@ -854,6 +854,28 @@ class TestReferenceRegularity:
             np.testing.assert_allclose(got.tail_fraction, want.tail_fraction,
                                        rtol=0.0, atol=1e-10)
 
+    def test_a_sector_constant_only_over_the_window_is_dropped(self, rng):
+        # 224 panel months; the grid covers the last 200, over which C is
+        # 3.0, so C carries nothing the fit could load on
+        domain = build_domain((45.0, 50.0, 0.0, 5.0), 1.0)
+        panel, series = self._pair(rng, domain, 224, 0.0, 1.0)
+        series = SurfaceSeries(domain, series.times[36:], series.values[36:],
+                               series.name)
+        values = np.insert(panel.values, 2, 3.0, axis=1)
+        values[:24, 2] = rng.normal(size=24)
+        ids = panel.sector_ids[:2] + ("C",) + panel.sector_ids[2:]
+        with pytest.warns(UserWarning, match="zero-variance.*C"):
+            got = associated_factors(SectorPanel(panel.times, ids, values),
+                                     series, k=2)
+        want = associated_factors(panel, series, k=2)
+        assert got.sector_ids == want.sector_ids == panel.sector_ids
+        # the dropped panel is a copy laid out apart from the original,
+        # so the two fits round apart in the last bits
+        np.testing.assert_allclose(got.a, want.a, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got.regularity.tail_fraction,
+                                   want.regularity.tail_fraction,
+                                   rtol=0.0, atol=1e-10)
+
     def test_the_fit_carries_the_diagnostic_of_its_frame(self, rng):
         domain = build_domain((45.0, 50.0, 0.0, 5.0), 1.0)
         panel, series = self._pair(rng, domain, 200, 280.0, 3.0)
