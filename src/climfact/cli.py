@@ -167,11 +167,6 @@ def _shock_table(config):
     if threshold == "auto":
         window = section.get("threshold_window", cl.DEFAULT_THRESHOLD_WINDOW)
         threshold = cl.default_threshold(scalar, window)
-        if threshold <= 0.0:
-            raise DataError(
-                f"auto threshold over {window[0]}-{window[1]} is "
-                f"{threshold!r}; shocks need a strictly positive threshold"
-            )
     table = cl.shock_variants(scalar, threshold,
                               variants=section.get("variants", ("all",)),
                               **_present(section, "extreme_multiplier"))
@@ -355,6 +350,7 @@ def cmd_factors(args, config, out):
         },
         "permutation": permutation,
         "seed": seed,
+        "dropped": result.dropped,
     })
     _say(args, f"factors: K={result.k}, rho_1={result.rho[0]:.4f} -> {out}")
     return EXIT_OK
@@ -540,8 +536,10 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"config error: missing file {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        # every input path is read under _named, so this is an output
+        print(f"config error: cannot write {str(exc.filename)!r} "
+              f"({exc.strerror})", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -7,13 +7,12 @@ clears a threshold and the sign/season/extreme filters; every other
 period is an exact zero so regression designs keep a full time axis.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import months
-from .errors import EmptyRegion, InsufficientHistory, NonConformable
+from .errors import DataError, EmptyRegion, InsufficientHistory, NonConformable
 from .grid import SurfaceSeries
 from .ingest import format_float, write_csv
 
@@ -157,7 +156,7 @@ def regional_mean(series, region_mask=None):
 
 
 def default_threshold(anomaly_series, window=DEFAULT_THRESHOLD_WINDOW):
-    """Mean anomaly over the window; this is the base shock threshold."""
+    """Window mean anomaly, the base shock threshold; DataError if <= 0."""
     year = months.years(anomaly_series.times)
     sel = (year >= window[0]) & (year <= window[1])
     if not sel.any():
@@ -166,11 +165,9 @@ def default_threshold(anomaly_series, window=DEFAULT_THRESHOLD_WINDOW):
         )
     value = float(anomaly_series.values[sel].mean())
     if value <= 0.0:
-        warnings.warn(
-            f"degenerate threshold {value}: shock construction needs a "
-            "strictly positive threshold",
-            stacklevel=2,
-        )
+        raise DataError(f"auto threshold over {window[0]}-{window[1]} is "
+                        f"{value!r}; shocks need a strictly positive "
+                        f"threshold")
     return value
 
 

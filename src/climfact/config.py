@@ -12,12 +12,12 @@ and id lists without repeats), then ``check_rules`` checks the rules
 that link keys: each ``variable`` and ``anomaly.variables`` entry names
 a grid; each region has exactly one of ``cells`` and ``path``;
 ``shocks.region`` names a region; ``k`` is not set beside a permutation
-null; ``fira.lags[2] > 0`` needs ``panels.controls``; and no key is set
-that another key's value leaves unread (``shocks.threshold_window``
-beside a numeric threshold, ``shocks.extreme_multiplier`` without the
-``extreme`` variant, a ``synth`` key its ``kind`` does not read). Which
-sections a command needs is the command's business, and ``cli`` checks
-it.
+null; ``fira.lags[2] > 0`` and a true ``lp.contemporaneous_controls``
+need ``panels.controls``; and no key is set that another key's value
+leaves unread (``shocks.threshold_window`` beside a numeric threshold,
+``shocks.extreme_multiplier`` without the ``extreme`` variant, a
+``synth`` key its ``kind`` does not read). Which sections a command
+needs is the command's business, and ``cli`` checks it.
 
 ``SCHEMA`` is a JSON Schema (draft 2020-12) document, checked by a small
 walker over the twelve keywords it uses rather than by the jsonschema
@@ -426,11 +426,16 @@ def check_rules(doc):
         if "k" in section and section.get("permutation", False) is not False:
             raise ConfigError(f"config keys {key}.k and {key}.permutation "
                               f"exclude each other")
+    controls = "controls" in doc.get("panels", {})
     lags = doc.get("fira", {}).get("lags", [0, 0, 0])
-    if lags[2] > 0 and "controls" not in doc.get("panels", {}):
+    if lags[2] > 0 and not controls:
         # build_design would drop the control block without a word
         raise ConfigError(f"config key fira.lags asks for {lags[2]} control "
                           f"lag(s), but panels.controls is absent")
+    if doc.get("lp", {}).get("contemporaneous_controls") and not controls:
+        # the LP design would run without controls, as if the key were false
+        raise ConfigError("config key lp.contemporaneous_controls is true, "
+                          "but panels.controls is absent")
     # keys that another key's value would leave unread
     if "threshold_window" in shocks \
             and shocks.get("threshold", "auto") != "auto":

@@ -24,7 +24,6 @@ singular values that the keep rule reads.
 """
 
 import copy
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -472,7 +471,8 @@ class AssociatedFactorSet:
     the paired surface direction in hat coordinates. y_factors/x_factors
     are the raw canonical coordinates <a_k, Y_t> and <b_k, X_t>.
     regularity is the decay diagnostic of the panel and centered Gram
-    the factors were fitted on, computed on first read.
+    the factors were fitted on, computed on first read. dropped names
+    the sectors the fit left out, the loader's drops first.
     """
 
     rho: np.ndarray
@@ -484,6 +484,7 @@ class AssociatedFactorSet:
     times: np.ndarray = None
     domain: object = None
     singular_values: np.ndarray = None
+    dropped: tuple = ()
     _frame: tuple = field(default=None, repr=False)  # (panel values, gc)
 
     @property
@@ -510,11 +511,11 @@ def _check_sample(panel):
 
 def _frame(panel, series):
     """The pair the factors fit, the window aligned and constant sectors
-    dropped, with the hat frames x of its series and the Gram gc of their
-    centered rows. Centering first keeps gc's rounding at the scale of
-    the frames' spread: on levels far from zero, x @ x.T rounds at the
-    scale of their mean, which buries the small eigenvalues the
-    regularity diagnostic divides by."""
+    dropped into the panel's dropped, with the hat frames x of its series
+    and the Gram gc of their centered rows. Centering first keeps gc's
+    rounding at the scale of the frames' spread: on levels far from zero,
+    x @ x.T rounds at the scale of their mean, which buries the small
+    eigenvalues the regularity diagnostic divides by."""
     (panel, series), _ = align(panel, series)
     panel = drop_degenerate_sectors(panel)
     _check_sample(panel)
@@ -548,7 +549,7 @@ def svd_cross(operators, tol=0.1, k=None):
 
 def drop_degenerate_sectors(panel):
     """Remove zero-variance columns; the price-side covariance must be
-    invertible for the final rotation. Warns with the dropped ids."""
+    invertible for the final rotation. Their ids join the panel's dropped."""
     # equal values, tested exactly: the computed variance of a constant
     # column is often a rounding residue above zero
     degenerate = np.ptp(panel.values, axis=0) == 0.0
@@ -560,11 +561,6 @@ def drop_degenerate_sectors(panel):
         raise SingularFactorCovariance(
             f"every sector is constant over the window: {dropped}"
         )
-    warnings.warn(
-        f"dropping zero-variance sector(s) before factor extraction: "
-        f"{', '.join(dropped)}",
-        stacklevel=4,
-    )
     keep = ~degenerate
     return type(panel)(
         panel.times,
@@ -580,7 +576,8 @@ def associated_factors(panel, series, tol=0.1, k=None, permutation=None,
 
     permutation, when given (never beside k), is a dict with keys n
     (shuffles) and level; components whose singular value falls below
-    the null quantile are dropped on top of the relative cutoff.
+    the null quantile are dropped on top of the relative cutoff. The
+    set's dropped holds the panel's dropped ids, then its constant ones.
     """
     _check_k_or_permutation(k, permutation)
     panel, series, x, gc = _frame(panel, series)
@@ -591,7 +588,7 @@ def associated_factors(panel, series, tol=0.1, k=None, permutation=None,
     return AssociatedFactorSet(
         rho=rho, a=a, b_hat=b_hat, y_factors=y_factors, x_factors=x_factors,
         sector_ids=panel.sector_ids, times=panel.times, domain=series.domain,
-        singular_values=r, _frame=(panel.values, gc),
+        singular_values=r, dropped=panel.dropped, _frame=(panel.values, gc),
     )
 
 
@@ -624,8 +621,8 @@ class RegularityReport:
 def regularity_diagnostic(panel, series, max_components=None):
     """Probe whether the cross loadings decay fast enough relative to
     the surface spectrum; diagnostic only. It reads the frame that
-    associated_factors fits: constant sectors dropped with a warning,
-    and the same errors for a window too short or a panel all constant."""
+    associated_factors fits: constant sectors dropped, and the same
+    errors for a window too short or a panel all constant."""
     panel, _, _, gc = _frame(panel, series)
     return _regularity(panel.values, gc, max_components)
 

@@ -427,6 +427,18 @@ class TestInputPaths:
                          "--out", str(tmp_path / "out"), "--quiet"]) == 2
         assert "config key regions[0]" in capsys.readouterr().err
 
+    def test_an_unwritable_output_is_config_error(self, tmp_path, capsys):
+        # a directory where synth writes its manifest: open fails on output
+        out = tmp_path / "out"
+        (out / "synth_manifest.json").mkdir(parents=True)
+        config = _write_config(tmp_path, {
+            "synth": {"kind": "normals", "step": 4.0}})
+        assert cli.main(["synth", "--config", config, "--out", str(out),
+                         "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot write "
+            f"{str(out / 'synth_manifest.json')!r} (Is a directory)\n")
+
 
 def _unread_inputs(tmp_path):
     """A config that every command accepts, whose input paths do not
@@ -497,6 +509,10 @@ class TestConfigRules:
         ("synth months under normals",
          {"synth": {"kind": "normals", "snr": None, "months": 60}},
          "config key synth.months is not read by synth kind 'normals'"),
+        ("contemporaneous controls without controls",
+         {"lp": {"contemporaneous_controls": True}},
+         "config key lp.contemporaneous_controls is true, but "
+         "panels.controls is absent"),
     ])
     def test_a_broken_rule_fails_every_command_first(self, tmp_path, capsys,
                                                      rule, edit, message):
@@ -529,6 +545,18 @@ class TestConfigRules:
             assert code == 2
             assert capsys.readouterr().err.startswith(
                 "config error: config key grids[0].path: cannot read ")
+
+    def test_lp_keys_on_controls_pass_without_controls(self, tmp_path,
+                                                       capsys):
+        # a false contemporaneous_controls asks for nothing, and l_max
+        # is set by configs that also run without controls
+        doc = _unread_inputs(tmp_path)
+        doc["lp"] = {"contemporaneous_controls": False, "l_max": 3}
+        config = _write_config(tmp_path, doc)
+        assert cli.main(["lp", "--config", config,
+                         "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config key grids[0].path: cannot read ")
 
     @pytest.mark.parametrize("command,drop,key", [
         ("baseline", "grids", "grids"),
@@ -694,9 +722,8 @@ class TestShocks:
                        "path": str(data / "temperature.csv")}],
             "shocks": {"variable": "temperature", "threshold": "auto"},
         })
-        with pytest.warns(UserWarning, match="degenerate threshold"):
-            code = cli.main(["shocks", "--config", config,
-                             "--out", str(tmp_path / "out")])
+        code = cli.main(["shocks", "--config", config,
+                         "--out", str(tmp_path / "out")])
         assert code == 3
         err = capsys.readouterr().err
         assert "2001-2021" in err and "threshold" in err
@@ -856,7 +883,6 @@ class TestLp:
             digests.append(_tree_digest(out))
         assert digests[0] == digests[1]
 
-    @pytest.mark.filterwarnings("ignore:degenerate threshold")
     @pytest.mark.parametrize("case", [
         "all-gap panel", "zero level under yoy", "flat auto threshold",
         "inf panel", "panel byte 0xff", "panel stamp now",
@@ -1080,13 +1106,13 @@ class TestFactorsAndFira:
                           "use_anomalies": False}
         config = _write_config(tmp_path, doc)
         out = tmp_path / "out"
-        with pytest.warns(UserWarning, match="zero-variance.*FLAT"):
-            assert cli.main(["factors", "--config", config, "--out",
-                             str(out), "--quiet"]) == 0
+        assert cli.main(["factors", "--config", config, "--out",
+                         str(out), "--quiet"]) == 0
         with open(out / "factor_loadings.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["sector"] for r in rows] == list(panel.sector_ids)
         report = json.loads((out / "factors_report.json").read_text())
+        assert report["dropped"] == ["FLAT"]
         assert len(report["regularity"]["tail_fraction"]) == len(rows)
         assert len(report["regularity"]["flagged"]) == len(rows)
 
@@ -1326,6 +1352,90 @@ class TestFactorsAndFira:
         assert re.search(r"h_max 1000000000 is past horizon \d+",
                          proc.stderr)
 
+
+
+def _run_strict(command, config, out):
+    """One command in its own process, with every warning an error."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "climfact.cli", command,
+         "--config", config, "--out", str(out), "--quiet"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=300)
+
+
+class TestWarningsAsErrors:
+    """The package reports through results and errors only, so turning
+    every warning into an error changes no exit code."""
+
+    def test_a_nonpositive_auto_threshold_exits_3(self, tmp_path):
+        data = tmp_path / "cooled"
+        synth_config = _write_config(tmp_path, {
+            "synth": {"kind": "normals", "step": 4.0, "warming": -0.5},
+        }, "synth.json")
+        assert cli.main(["synth", "--config", synth_config,
+                         "--out", str(data), "--quiet"]) == 0
+        config = _write_config(tmp_path, {
+            "grids": [{"name": "temperature",
+                       "path": str(data / "temperature.csv")}],
+            "shocks": {"variable": "temperature", "threshold": "auto"},
+        })
+        proc = _run_strict("shocks", config, tmp_path / "out")
+        assert proc.returncode == 3, proc.stderr
+        assert "2001-2021" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_a_constant_sector_exits_0_and_is_reported(self, demo, tmp_path):
+        panel = load_sector_panel(demo / "data" / "sectors.csv",
+                                  transform="none")
+        write_panel_csv(SectorPanel(
+            panel.times, panel.sector_ids + ("FLAT",),
+            np.column_stack([panel.values, np.full(len(panel), 4.2)])),
+            tmp_path / "sectors.csv")
+        config = _write_config(tmp_path, {
+            "grids": [{"name": "temperature_anomaly", "path": str(
+                demo / "data" / "temperature_anomaly.csv")}],
+            "panels": {"sectors": {"path": str(tmp_path / "sectors.csv"),
+                                   "transform": "none"}},
+            "factors": {"variable": "temperature_anomaly",
+                        "use_anomalies": False},
+        })
+        out = tmp_path / "out"
+        proc = _run_strict("factors", config, out)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((out / "factors_report.json").read_text())
+        assert report["dropped"] == ["FLAT"]
+
+    def test_valid_runs_exit_0(self, normals_fixture, planted, demo,
+                               tmp_path):
+        runs = {
+            "baseline": {"grids": _grid_entries(normals_fixture)},
+            "lp": {
+                "grids": [{"name": "temperature", "path": str(
+                    planted / "data" / "temperature.csv")}],
+                "panels": {"sectors": {
+                    "path": str(planted / "data" / "sectors.csv"),
+                    "transform": "none"}},
+                "shocks": {"variable": "temperature", "threshold": "auto"},
+                "lp": {"h_max": 6, "p_max": 2, "l_max": 1},
+            },
+            "fira": {
+                "grids": [{"name": "temperature_anomaly", "path": str(
+                    demo / "data" / "temperature_anomaly.csv")}],
+                "panels": {"sectors": {
+                    "path": str(demo / "data" / "sectors.csv"),
+                    "transform": "none"}},
+                "fira": {"variable": "temperature_anomaly",
+                         "use_anomalies": False, "h_max": 2,
+                         "shocks": [{"magnitude": 1.5,
+                                     "center": [53.0, 11.5],
+                                     "radius_km": 150.0}]},
+            },
+        }
+        for command, doc in runs.items():
+            config = _write_config(tmp_path, doc, f"{command}.json")
+            proc = _run_strict(command, config, tmp_path / command)
+            assert (command, proc.returncode, proc.stderr) == (command, 0, "")
 
 
 def test_no_command_imports_scipy():

@@ -11,7 +11,7 @@ from climfact.climatology import (
     regional_mean,
     shock_variants,
 )
-from climfact.errors import EmptyRegion, InsufficientHistory
+from climfact.errors import DataError, EmptyRegion, InsufficientHistory
 from climfact.grid import SurfaceSeries
 from climfact.synth import (
     EA_MONTHLY_NORMALS,
@@ -192,9 +192,9 @@ class TestDefaultThreshold:
         assert default_threshold(series, (2001, 2021)) == pytest.approx(target)
 
     def test_zero_anomaly_flagged_degenerate(self):
-        with pytest.warns(UserWarning, match="degenerate"):
-            value = default_threshold(_scalar([0.0] * 252), (2001, 2021))
-        assert value == 0.0
+        with pytest.raises(DataError, match=r"auto threshold over 2001-2021 "
+                           r"is 0\.0; shocks need a strictly positive"):
+            default_threshold(_scalar([0.0] * 252), (2001, 2021))
 
     def test_matches_mean_oracle(self, rng):
         values = rng.normal(1.0, 0.5, 252)
