@@ -401,6 +401,8 @@ def cmd_fira(args, config, out):
         "lags": lags,
         "horizons": fitted.horizons,
         "k_per_horizon": [e.k if e else 0 for e in fitted.by_horizon],
+        "dropped_per_horizon": [e.dropped if e else []
+                                for e in fitted.by_horizon],
         "rho_per_horizon": [e.rho if e else [] for e in fitted.by_horizon],
         "failures": [list(f) for f in fitted.failures],
         "permutation": permutation,

@@ -468,11 +468,15 @@ class AssociatedFactorSet:
     """Final canonical triplets: correlations and paired directions.
 
     a[k] is a price-side direction with unit-variance projection; b_hat[k]
-    the paired surface direction in hat coordinates. y_factors/x_factors
-    are the raw canonical coordinates <a_k, Y_t> and <b_k, X_t>.
-    regularity is the decay diagnostic of the panel and centered Gram
-    the factors were fitted on, computed on first read. dropped names
-    the sectors the fit left out, the loader's drops first.
+    the paired direction in the coordinates of the rows the fit read:
+    hat coordinates of a surface for associated_factors (domain is the
+    surface's), design coordinates for a functional impulse-response
+    horizon (domain is None). y_factors/x_factors are the raw canonical
+    coordinates <a_k, Y_t> and <b_k, X_t>; times are the panel months
+    fitted, so len(times) is the fit's sample size. regularity is the
+    decay diagnostic of the panel and Gram the factors were fitted on,
+    computed on first read. dropped names the sectors the fit left out,
+    the loader's drops first.
     """
 
     rho: np.ndarray
@@ -485,7 +489,7 @@ class AssociatedFactorSet:
     domain: object = None
     singular_values: np.ndarray = None
     dropped: tuple = ()
-    _frame: tuple = field(default=None, repr=False)  # (panel values, gc)
+    _frame: tuple = field(default=None, repr=False)  # (panel values, gram)
 
     @property
     def k(self):
@@ -510,15 +514,13 @@ def _check_sample(panel):
 
 
 def _frame(panel, series):
-    """The pair the factors fit, the window aligned and constant sectors
-    dropped into the panel's dropped, with the hat frames x of its series
-    and the Gram gc of their centered rows. Centering first keeps gc's
-    rounding at the scale of the frames' spread: on levels far from zero,
-    x @ x.T rounds at the scale of their mean, which buries the small
-    eigenvalues the regularity diagnostic divides by."""
+    """The pair the factors fit, aligned to the window both share, with
+    the hat frames x of its series and the Gram of their centered rows.
+    Centering first keeps the Gram's rounding at the scale of the frames'
+    spread: on levels far from zero, x @ x.T rounds at the scale of their
+    mean, which buries the small eigenvalues the regularity diagnostic
+    divides by."""
     (panel, series), _ = align(panel, series)
-    panel = drop_degenerate_sectors(panel)
-    _check_sample(panel)
     x = hat_matrix(series)
     xc, _ = center_columns(x)
     return panel, series, x, xc @ xc.T
@@ -547,26 +549,40 @@ def svd_cross(operators, tol=0.1, k=None):
     return SpectralDecomposition(r, alpha, beta, operators.domain)
 
 
-def drop_degenerate_sectors(panel):
-    """Remove zero-variance columns; the price-side covariance must be
-    invertible for the final rotation. Their ids join the panel's dropped."""
+def _fit_panel(panel):
+    """The panel rule of every factor fit: the sectors constant over its
+    rows join its dropped (the price-side covariance must be invertible
+    for the final rotation), and T >= p + 2 must hold for the rest."""
     # equal values, tested exactly: the computed variance of a constant
     # column is often a rounding residue above zero
     degenerate = np.ptp(panel.values, axis=0) == 0.0
     # under two months every column is constant: _check_sample raises
-    if not degenerate.any() or len(panel.times) < 2:
-        return panel
-    dropped = tuple(i for i, bad in zip(panel.sector_ids, degenerate) if bad)
-    if degenerate.all():
-        raise SingularFactorCovariance(
-            f"every sector is constant over the window: {dropped}"
-        )
-    keep = ~degenerate
-    return type(panel)(
-        panel.times,
-        tuple(i for i, ok in zip(panel.sector_ids, keep) if ok),
-        panel.values[:, keep],
-        panel.dropped + dropped,
+    if degenerate.any() and len(panel.times) >= 2:
+        ids = np.array(panel.sector_ids, dtype=object)
+        if degenerate.all():
+            raise SingularFactorCovariance(
+                f"every sector is constant over the window: {tuple(ids)}")
+        panel = type(panel)(panel.times, ids[~degenerate],
+                            panel.values[:, ~degenerate],
+                            panel.dropped + tuple(ids[degenerate]))
+    _check_sample(panel)
+    return panel
+
+
+def fit_factors(panel, v, gram, domain, *, tol, k, permutation, rng):
+    """The fit step of every associated-factor set: the panel rule, then
+    two_stage between the panel's rows and the rows v (T, D) whose Gram
+    is gram (v @ v.T, or the Gram of v's centered rows). domain is the
+    set's: the surface's when v holds its hat frames, else None."""
+    panel = _fit_panel(panel)
+    r, rho, a, b_hat, y_factors, x_factors = two_stage(
+        panel.values, v, gram=gram, tol=tol, k=k,
+        permutation=permutation, rng=rng,
+    )
+    return AssociatedFactorSet(
+        rho=rho, a=a, b_hat=b_hat, y_factors=y_factors, x_factors=x_factors,
+        sector_ids=panel.sector_ids, times=panel.times, domain=domain,
+        singular_values=r, dropped=panel.dropped, _frame=(panel.values, gram),
     )
 
 
@@ -579,17 +595,9 @@ def associated_factors(panel, series, tol=0.1, k=None, permutation=None,
     the null quantile are dropped on top of the relative cutoff. The
     set's dropped holds the panel's dropped ids, then its constant ones.
     """
-    _check_k_or_permutation(k, permutation)
-    panel, series, x, gc = _frame(panel, series)
-    r, rho, a, b_hat, y_factors, x_factors = two_stage(
-        panel.values, x, gc, tol=tol, k=k,
-        permutation=permutation, rng=rng,
-    )
-    return AssociatedFactorSet(
-        rho=rho, a=a, b_hat=b_hat, y_factors=y_factors, x_factors=x_factors,
-        sector_ids=panel.sector_ids, times=panel.times, domain=series.domain,
-        singular_values=r, dropped=panel.dropped, _frame=(panel.values, gc),
-    )
+    panel, series, x, gram = _frame(panel, series)
+    return fit_factors(panel, x, gram, series.domain, tol=tol, k=k,
+                       permutation=permutation, rng=rng)
 
 
 # -- regularity diagnostic -------------------------------------------------
@@ -621,17 +629,19 @@ class RegularityReport:
 def regularity_diagnostic(panel, series, max_components=None):
     """Probe whether the cross loadings decay fast enough relative to
     the surface spectrum; diagnostic only. It reads the frame that
-    associated_factors fits: constant sectors dropped, and the same
-    errors for a window too short or a panel all constant."""
-    panel, _, _, gc = _frame(panel, series)
-    return _regularity(panel.values, gc, max_components)
+    associated_factors fits under the same panel rule: constant sectors
+    dropped, and the same errors for a window too short or a panel all
+    constant."""
+    panel, _, _, gram = _frame(panel, series)
+    return _regularity(_fit_panel(panel).values, gram, max_components)
 
 
-def _regularity(y, gc, max_components=None):
-    """The diagnostic of panel rows y against the surface rows whose
-    centered rows' Gram is gc."""
+def _regularity(y, gram, max_components=None):
+    """The diagnostic of panel rows y against the rows whose Gram is
+    gram, double-centered here (H @ gram @ H) as in two_stage."""
     yc, _ = center_columns(y)
     T = yc.shape[0]
+    gc, _ = center_columns(center_columns(gram)[0].T)
     lam, scores = gram_eigensystem(gc, max_components=max_components)
     _, psi = np.linalg.eigh(yc.T @ yc / (T - 1))
     psi = psi[:, ::-1]

@@ -4,14 +4,16 @@ The design at time t stacks the contemporaneous surface, its lags, lagged
 panel vectors and lagged controls into one composite element whose inner
 product is the sum of per-block inner products (surface blocks use the
 weighted surface product, vector blocks the Euclidean one). For each
-horizon h the associated-factor pipeline runs between the panel at t and
-the design at t-h; the resulting correlations and paired directions are
-the functional impulse responses. Evaluating the surface sub-block of the
-design-side directions against a synthetic, spatially parameterized
-shock turns them into per-sector response paths.
+horizon h the factor fit step of the factors module runs between the
+panel at t and the design at t-h, so each horizon is an
+AssociatedFactorSet under the factor rules, b_hat in design coordinates;
+its correlations and paired directions are the functional impulse
+responses. Evaluating the surface sub-block of the design-side
+directions against a synthetic, spatially parameterized shock turns
+them into per-sector response paths.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -121,24 +123,9 @@ def build_design(x, y=None, z=None, lags=(0, 0, 0), standardize=False):
 
 
 @dataclass(frozen=True, eq=False)
-class FiraHorizon:
-    """Canonical triplets linking the panel at t to the design at t-h."""
-
-    h: int
-    rho: np.ndarray
-    a: np.ndarray                  # (K, p)
-    b_hat: np.ndarray = field(repr=False)  # (K, D) in design hat coordinates
-    nobs: int = 0
-
-    @property
-    def k(self):
-        return len(self.rho)
-
-
-@dataclass(frozen=True, eq=False)
 class FiraResult:
     horizons: np.ndarray
-    by_horizon: tuple              # FiraHorizon or None per horizon
+    by_horizon: tuple              # AssociatedFactorSet or None per horizon
     failures: tuple
     blocks: tuple
     domain: object
@@ -150,6 +137,8 @@ def fit_fira(design, panel, h_max=12, tol=0.1, k=None, permutation=None,
              rng=None):
     """Associated factors between the panel and the lagged design per horizon.
 
+    Each horizon is factors.fit_factors on the panel months t with a
+    design row t-h: constant sectors and short windows follow its rules.
     permutation, when given (a dict with n and level; never beside k),
     calibrates the retained count per horizon against shuffled nulls.
     Failures at individual horizons (a ClimfactError such as no
@@ -179,25 +168,25 @@ def fit_fira(design, panel, h_max=12, tol=0.1, k=None, permutation=None,
     lo = max(0, shift - h_max)
     window = design.matrix[lo:min(t_d, none_left)]
     gram = window @ window.T
-    p = panel.values.shape[1]
     per_h = []
     failures = []
     for h in range(h_max + 1):
-        yrows = max(0, h - shift)
-        n = max(0, min(t_y, t_d + h - shift) - yrows)
-        if n < max(p + 2, 3):
+        # panel rows a..b-1 pair with window rows a+d..b+d-1
+        a, b, d = max(0, h - shift), min(t_y, t_d + h - shift), shift - h - lo
+        if b <= a:  # an empty window is no panel
             failures.append((h, "InsufficientSample",
-                             f"{n} overlapping months at horizon {h}"))
+                             f"0 overlapping months at horizon {h}"))
             per_h.append(None)
             continue
-        rows = slice(yrows + shift - h - lo, yrows + shift - h - lo + n)
-        y = panel.values[yrows:yrows + n]
+        rows = slice(a + d, b + d)
         try:
-            _, rho, a, b_hat, _, _ = af.two_stage(
-                y, window[rows], gram=gram[rows, rows], tol=tol, k=k,
+            # basic slices (views): a boolean-mask copy rounds fits apart
+            per_h.append(af.fit_factors(
+                replace(panel, times=panel.times[a:b],
+                        values=panel.values[a:b]),
+                window[rows], gram[rows, rows], None, tol=tol, k=k,
                 permutation=permutation, rng=rng,
-            )
-            per_h.append(FiraHorizon(h=h, rho=rho, a=a, b_hat=b_hat, nobs=n))
+            ))
         except (ClimfactError, np.linalg.LinAlgError) as exc:
             failures.append((h, type(exc).__name__, str(exc)))
             per_h.append(None)
@@ -302,13 +291,7 @@ def respond(fira, shock):
     """Evaluate response = sum_k rho_k <b_k|x0, shock> a_k per horizon."""
     if shock.surface.domain is not fira.domain:
         raise NonConformable("shock does not live on the design's domain")
-    x0 = None
-    for b in fira.blocks:
-        if b.source == "x" and b.lag == 0:
-            x0 = b
-            break
-    if x0 is None:
-        raise NonConformable("design has no contemporaneous surface block")
+    x0 = fira.blocks[0]  # build_design puts the lag-0 surface first
     shock_hat = af.hat_vector(shock.surface) * x0.scale
     p = len(fira.sector_ids)
     canonical = np.zeros((len(fira.horizons), p))
@@ -316,7 +299,9 @@ def respond(fira, shock):
         if entry is None:
             continue
         loadings = entry.b_hat[:, x0.start:x0.stop] @ shock_hat  # (K,)
-        canonical[h] = (entry.rho * loadings) @ entry.a
+        # the sectors this horizon dropped keep exact zeros
+        kept = np.isin(fira.sector_ids, entry.sector_ids)
+        canonical[h, kept] = (entry.rho * loadings) @ entry.a
     return ResponseResult(
         sector_ids=fira.sector_ids, horizons=fira.horizons,
         canonical=canonical, percentage_points=canonical * fira.y_sd,

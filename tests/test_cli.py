@@ -1116,6 +1116,33 @@ class TestFactorsAndFira:
         assert len(report["regularity"]["tail_fraction"]) == len(rows)
         assert len(report["regularity"]["flagged"]) == len(rows)
 
+    def test_a_constant_sector_answers_fira_with_zeros(self, demo, tmp_path):
+        panel = load_sector_panel(demo / "data" / "sectors.csv",
+                                  transform="none")
+        write_panel_csv(SectorPanel(
+            panel.times, panel.sector_ids + ("FLAT",),
+            np.column_stack([panel.values, np.full(len(panel), 0.1)])),
+            tmp_path / "sectors.csv")
+        doc = self._base_config(demo)
+        doc["panels"]["sectors"]["path"] = str(tmp_path / "sectors.csv")
+        doc["fira"] = {
+            "variable": "temperature_anomaly", "use_anomalies": False,
+            "lags": [0, 1, 0], "h_max": 3,
+            "shocks": [{"magnitude": 1.5, "center": [53.0, 11.5],
+                        "radius_km": 150.0}],
+        }
+        config = _write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["fira", "--config", config, "--out", str(out),
+                         "--quiet"]) == 0
+        with open(out / "fira_response_1.csv", newline="") as fh:
+            flat = [r for r in csv.DictReader(fh) if r["sector"] == "FLAT"]
+        assert [(r["h"], r["response"], r["response_pp"]) for r in flat] == [
+            (str(h), "0.0", "0.0") for h in range(4)]
+        report = json.loads((out / "fira_report.json").read_text())
+        assert report["failures"] == []
+        assert report["dropped_per_horizon"] == [["FLAT"]] * 4
+
     def test_every_horizon_failing_is_exit_4(self, demo, tmp_path, capsys):
         # no singular value clears 5 * r_1, so every horizon fails
         doc = self._base_config(demo)

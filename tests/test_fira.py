@@ -194,7 +194,7 @@ class TestFitFira:
         rho1 = np.array([e.rho[0] if e and e.k else 0.0
                          for e in fitted.by_horizon])
         assert np.argmax(rho1) == 2
-        assert fitted.by_horizon[2].nobs == T - offset
+        assert len(fitted.by_horizon[2].times) == T - offset
 
     def test_failed_horizons_contribute_zero_response(self, coarse_domain,
                                                       rng):
@@ -284,8 +284,10 @@ class TestFitFira:
 
         fitted = fit_fira(design, panel, h_max=35)
         short = [(h, "InsufficientSample",
-                  f"{35 - h} overlapping months at horizon {h}")
-                 for h in range(32, 36)]
+                  f"need T >= p + 2, got T={35 - h} with p=2")
+                 for h in range(32, 35)]
+        short.append((35, "InsufficientSample",
+                      "0 overlapping months at horizon 35"))
         assert fitted.failures[-4:] == tuple(short)
         assert len(windows) == 32
         for h, (y, v) in enumerate(windows):
@@ -464,13 +466,76 @@ class TestSharedGram:
                 assert entry is None
                 continue
             fits += 1
-            assert entry.nobs == yrows.sum()
+            assert len(entry.times) == yrows.sum()
             for got, ref in ((entry.rho, want[1]), (entry.a, want[2]),
                              (entry.b_hat, want[3])):
                 np.testing.assert_allclose(got, ref, rtol=1e-10,
                                            atol=1e-10 * np.abs(ref).max())
         assert fits >= 3
         assert ours.bit_generator.state == reference.bit_generator.state
+
+
+class TestFactorRules:
+    """Every horizon is a factor fit: a sector constant over a horizon's
+    window is dropped there and answers with exact zeros, and the set's
+    regularity is the diagnostic of the Gram it was fitted on."""
+
+    def _linked(self, domain, rng, T=150):
+        cube = rng.normal(size=(T,) + domain.shape)
+        y = rng.normal(size=(T, 3)) * 0.3
+        y[:, 0] += cube[:, domain.mask].mean(axis=1)
+        return _series(domain, cube), y
+
+    def _shock(self, domain):
+        return make_shock_surface(1.5, (52.0, 10.0), 200.0, domain)
+
+    def test_a_sector_constant_everywhere_is_dropped_at_every_horizon(
+            self, coarse_domain, rng):
+        series, y = self._linked(coarse_domain, rng)
+        design = build_design(series, lags=(0, 0, 0))
+        flat = SectorPanel(series.times, ("S0", "FLAT", "S1", "S2"),
+                           np.insert(y, 1, 0.1, axis=1))
+        fitted = fit_fira(design, flat, h_max=3, tol=0.2)
+        alone = fit_fira(design, _panel(y), h_max=3, tol=0.2)
+        assert fitted.failures == alone.failures == ()
+        for entry in fitted.by_horizon:
+            assert entry.dropped == ("FLAT",)
+            assert entry.sector_ids == ("S0", "S1", "S2")
+        got = respond(fitted, self._shock(coarse_domain))
+        want = respond(alone, self._shock(coarse_domain))
+        assert np.all(got.canonical[:, 1] == 0.0)
+        assert np.all(got.percentage_points[:, 1] == 0.0)
+        np.testing.assert_allclose(np.delete(got.canonical, 1, axis=1),
+                                   want.canonical, rtol=1e-12)
+
+    def test_a_sector_constant_late_is_dropped_late_only(self, coarse_domain,
+                                                         rng):
+        # C varies over the first two months only, so the horizon-h
+        # window, panel months h onward, holds a constant C from h = 2
+        series, y = self._linked(coarse_domain, rng)
+        values = np.insert(y, 2, 3.0, axis=1)
+        values[:2, 2] = (1.0, -1.0)
+        panel = SectorPanel(series.times, ("S0", "S1", "C", "S2"), values)
+        design = build_design(series, lags=(0, 0, 0))
+        fitted = fit_fira(design, panel, h_max=4, tol=0.2)
+        assert [e.dropped for e in fitted.by_horizon] == [
+            (), (), ("C",), ("C",), ("C",)]
+        canonical = respond(fitted, self._shock(coarse_domain)).canonical
+        assert np.all(canonical[:2, 2] != 0.0)
+        assert np.all(canonical[2:, 2] == 0.0)
+
+    def test_a_horizon_carries_the_diagnostic_of_its_gram(self,
+                                                          coarse_domain, rng):
+        series, y = self._linked(coarse_domain, rng)
+        panel = _panel(y)
+        entry = fit_fira(build_design(series, lags=(0, 0, 0)), panel,
+                         h_max=0, tol=0.2).by_horizon[0]
+        got = entry.regularity
+        want = factors.regularity_diagnostic(panel, series)
+        assert got.n_components == want.n_components
+        np.testing.assert_array_equal(got.flagged, want.flagged)
+        np.testing.assert_allclose(got.tail_fraction, want.tail_fraction,
+                                   rtol=0.0, atol=1e-10)
 
 
 class TestProductionScale:
