@@ -10,7 +10,18 @@ failure.
 
 Each command imports the estimation and plotting modules it runs inside
 its own body, so a command pays at start-up only for its own work.
+
+A command runs its linear algebra on one BLAS thread unless
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set, so its
+outputs do not depend on how many cores the machine has.
 """
+
+if __name__ == "__main__":
+    # python -m climfact.cli: pin before numpy is first imported, so
+    # OpenBLAS never starts a worker thread
+    from .entry import one_blas_thread
+
+    one_blas_thread()
 
 import argparse
 import contextlib
@@ -24,6 +35,7 @@ import numpy as np
 from . import climatology as cl
 from . import config as cfg
 from . import ingest
+from .entry import one_blas_thread
 from .errors import (
     ClimfactError,
     ConfigError,
@@ -526,6 +538,7 @@ def build_parser():
 
 
 def main(argv=None):
+    one_blas_thread()
     args = build_parser().parse_args(argv)
     try:
         if args.seed is not None and args.seed < 0:

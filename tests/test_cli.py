@@ -21,6 +21,7 @@ from climfact.climatology import (
     regional_mean,
     shock_variants,
 )
+from climfact.entry import BLAS_THREAD_VARIABLES
 from climfact.errors import RankDeficientDesign
 from climfact.factors import two_stage
 from climfact.grid import SurfaceSeries, build_domain
@@ -53,6 +54,15 @@ def _tree_digest(root):
             digest.update(str(path.relative_to(root)).encode())
             digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def _cli_env(**chosen):
+    """Environment for a CLI subprocess: this source tree, and no BLAS
+    thread count except the ones given."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {key: value for key, value in os.environ.items()
+           if key not in BLAS_THREAD_VARIABLES}
+    return dict(env, PYTHONPATH=str(src), **chosen)
 
 
 @pytest.fixture(scope="module")
@@ -1024,7 +1034,6 @@ class TestLp:
                    "figures": False},
         })
         out = tmp_path / "out"
-        src = Path(__file__).resolve().parent.parent / "src"
 
         def cap_memory():
             import resource
@@ -1033,9 +1042,9 @@ class TestLp:
         proc = subprocess.run(
             [sys.executable, "-m", "climfact.cli", "lp", "--config", config,
              "--out", str(out), "--quiet"],
-            # one BLAS thread: OpenBLAS reserves buffers per thread
-            env=dict(os.environ, PYTHONPATH=str(src),
-                     OPENBLAS_NUM_THREADS="1"),
+            # the CLI's own one BLAS thread: OpenBLAS reserves buffers
+            # per thread
+            env=_cli_env(),
             preexec_fn=cap_memory, capture_output=True, text=True,
             timeout=120)
         assert proc.returncode == 4, proc.stderr
@@ -1251,6 +1260,32 @@ class TestFactorsAndFira:
         assert reports["true"]["permutation"] == {"n": 199, "level": 0.95}
         assert reports["none"]["permutation"] is None
 
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, demo,
+                                                             tmp_path):
+        # with no count chosen the CLI pins one thread itself, so a machine
+        # with more cores writes the same bytes as a one-thread run
+        doc = self._base_config(demo)
+        null = {"variable": "temperature_anomaly", "use_anomalies": False,
+                "permutation": {"n": 19}}
+        doc["factors"] = null
+        doc["fira"] = {**null, "lags": [1, 1, 0], "h_max": 3,
+                       "shocks": [{"magnitude": 1.5, "center": [53.0, 11.5],
+                                   "radius_km": 150.0}]}
+        config = _write_config(tmp_path, doc)
+        trees = {}
+        for name, chosen in (("unset", {}),
+                             ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            for command in ("factors", "fira"):
+                out = tmp_path / name / command
+                proc = subprocess.run(
+                    [sys.executable, "-m", "climfact.cli", command,
+                     "--config", config, "--out", str(out), "--quiet"],
+                    env=_cli_env(**chosen), capture_output=True, text=True,
+                    timeout=300)
+                assert proc.returncode == 0, proc.stderr
+            trees[name] = _tree_digest(tmp_path / name)
+        assert trees["unset"] == trees["one"]
+
     @pytest.mark.parametrize("section", ["factors", "fira"])
     def test_a_null_past_the_shuffle_limit_is_exit_2(self, demo, tmp_path,
                                                       capsys, monkeypatch,
@@ -1360,7 +1395,6 @@ class TestFactorsAndFira:
                         "radius_km": 150.0}],
         }
         config = _write_config(tmp_path, doc)
-        src = Path(__file__).resolve().parent.parent / "src"
 
         def cap_memory():
             import resource
@@ -1369,9 +1403,9 @@ class TestFactorsAndFira:
         proc = subprocess.run(
             [sys.executable, "-m", "climfact.cli", "fira", "--config",
              config, "--out", str(tmp_path / "out"), "--quiet"],
-            # one BLAS thread: OpenBLAS reserves buffers per thread
-            env=dict(os.environ, PYTHONPATH=str(src),
-                     OPENBLAS_NUM_THREADS="1"),
+            # the CLI's own one BLAS thread: OpenBLAS reserves buffers
+            # per thread
+            env=_cli_env(),
             preexec_fn=cap_memory, capture_output=True, text=True,
             timeout=120)
         assert proc.returncode == 3, proc.stderr
@@ -1468,17 +1502,21 @@ class TestWarningsAsErrors:
 def test_no_command_imports_scipy():
     # start-up loads numpy and the modules every command shares; each
     # command imports the rest, and the package exports resolve on use
-    src = Path(__file__).resolve().parent.parent / "src"
+    # and importing the package leaves the environment alone: only a
+    # process started as the CLI sets its BLAS thread count there
     proc = subprocess.run(
-        [sys.executable, "-c", "import climfact.cli, json, sys\n"
+        [sys.executable, "-c", "import json, os, sys\n"
+         "before = dict(os.environ)\n"
+         "import climfact.cli\n"
          "print(json.dumps(sorted(sys.modules)))\n"
          "import climfact\n"
          "from climfact import irf, associated_factors, build_design\n"
-         "print(json.dumps(climfact.__all__))"],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
-        text=True, timeout=120)
+         "print(json.dumps(climfact.__all__))\n"
+         "print(json.dumps(dict(os.environ) == before))"],
+        env=_cli_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded, exported = map(json.loads, proc.stdout.splitlines())
+    loaded, exported, untouched = map(json.loads, proc.stdout.splitlines())
+    assert untouched
     lazy = {f"climfact.{m}" for m in ("localproj", "factors", "fira",
                                       "svgplot", "synth")}
     assert not [m for m in loaded if m.startswith(("scipy", "jsonschema"))
@@ -1499,3 +1537,76 @@ def test_no_command_imports_scipy():
         "regional_mean", "regularity_diagnostic", "respond", "run_battery",
         "select_lags", "shock_variants", "svd_cross", "write_gridded_binary",
         "write_gridded_csv"]
+
+
+_BLAS_THREADS = """
+import ctypes, json, sys
+sys.argv = ["climfact"]
+try:
+    {start}
+except SystemExit:
+    pass
+try:
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = sorted({{line.split()[-1] for line in fh
+                       if "openblas" in line and ".so" in line}})
+except OSError:
+    libs = []
+threads = set()
+for path in libs:
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_",
+                   "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, symbol):
+            getter = getattr(lib, symbol)
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            threads.add(getter())
+            break
+print(json.dumps(sorted(threads)))
+"""
+
+
+def _script_entry():
+    """The module and function pyproject.toml installs as ``climfact``."""
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    return re.search(r'^\[project\.scripts\]\nclimfact = "([\w.]+):(\w+)"$',
+                     pyproject.read_text(), re.M).groups()
+
+
+class TestBlasThreads:
+    """A CLI process runs BLAS on one thread unless the user chose a
+    count; the count is read back from the OpenBLAS numpy loaded."""
+
+    def _threads(self, entry, **chosen):
+        if entry == "module":
+            start = ('import runpy; runpy.run_module("climfact.cli", '
+                     'run_name="__main__", alter_sys=True)')
+        elif entry == "script":
+            start = "from {0} import {1}; sys.exit({1}())".format(
+                *_script_entry())
+        else:
+            # numpy already loaded with its default count, as in a program
+            # that imports the CLI and calls main
+            start = "from climfact import cli; sys.exit(cli.main())"
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_THREADS.format(start=start)],
+            env=_cli_env(**chosen), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        # the CLI ran, and stopped at its missing arguments
+        assert "usage: climfact" in proc.stderr
+        threads = json.loads(proc.stdout)
+        if not threads:
+            pytest.skip("no OpenBLAS thread-count symbol in this process")
+        return threads
+
+    @pytest.mark.parametrize("entry", ["module", "script", "library"])
+    def test_the_cli_runs_one_blas_thread(self, entry):
+        assert self._threads(entry) == [1]
+
+    @pytest.mark.parametrize("entry", ["module", "script", "library"])
+    def test_a_user_chosen_count_is_honoured(self, entry):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("OpenBLAS caps its threads at the cores available")
+        assert self._threads(entry, OPENBLAS_NUM_THREADS="2") == [2]
