@@ -15,11 +15,12 @@ import numpy as np
 
 from climfact import build_design, fit_fira, make_shock_surface, respond
 from climfact.svgplot import fira_figure
-from climfact.synth import fira_demo_instance
+from climfact.synth import KINDS
 
+# the fixture `climfact synth` writes for kind fira-demo, at its defaults
 rng = np.random.default_rng(5)
-panel, series, loading = fira_demo_instance(rng, p=8, T=252, step=0.5,
-                                            planted_sector=2)
+grids, panel, _ = KINDS["fira-demo"](rng)
+series = grids["temperature_anomaly"]
 print(f"panel: {panel.n_sectors} sectors x {len(panel.times)} months; "
       f"grid {series.domain.n_lat} x {series.domain.n_lon}")
 

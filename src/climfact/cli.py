@@ -112,8 +112,11 @@ def _grid(config, name):
     i, entry = next((i, entry) for i, entry in enumerate(config["grids"])
                     if entry["name"] == name)
     with _named(f"config key grids[{i}].path", entry["path"]):
-        return ingest.load_gridded(entry["path"], variable=name,
-                                   **_present(entry, "step", "weighting"))
+        try:
+            return ingest.load_gridded(entry["path"], variable=name,
+                                       **_present(entry, "step", "weighting"))
+        except ConfigError as exc:  # a step the file's format does not read
+            raise ConfigError(f"config key grids[{i}].step: {exc}") from None
 
 
 def _region_mask(domain, i, entry):
@@ -376,6 +379,11 @@ def cmd_fira(args, config, out):
     lags = section.get("lags", [0, 0, 0])
     controls = _load_panel(config, "controls")
     seed = _seed(args, config)
+    # a shock off the grid fails before any horizon is fitted
+    shocks = [fr.make_shock_surface(
+        spec["magnitude"], tuple(spec["center"]), spec["radius_km"],
+        series.domain, **_present(spec, "profile"),
+    ) for spec in section["shocks"]]
 
     design = fr.build_design(series, y=panel, z=controls, lags=lags,
                              **_present(section, "standardize"))
@@ -383,11 +391,6 @@ def cmd_fira(args, config, out):
                          **_present(section, "h_max", "tol", "k"),
                          permutation=permutation,
                          rng=np.random.default_rng(seed))
-
-    shocks = [fr.make_shock_surface(
-        spec["magnitude"], tuple(spec["center"]), spec["radius_km"],
-        series.domain, **_present(spec, "profile"),
-    ) for spec in section["shocks"]]
     # with no horizon fitted every response is zero, so none is written
     fitted_any = any(e is not None for e in fitted.by_horizon)
     for idx, shock in enumerate(shocks if fitted_any else []):
@@ -442,65 +445,21 @@ def cmd_synth(args, config, out):
     section = config["synth"]
     kind = section["kind"]
     seed = _seed(args, config)
-    rng = np.random.default_rng(seed)
-    fmt = section.get("format", "csv")
-    manifest = {"kind": kind, "seed": seed, "files": []}
-
-    def write(writer, data, name):
-        writer(data, out / name)
-        manifest["files"].append(name)
-
-    def write_grid(series, stem):
-        if fmt == "binary":
-            write(ingest.write_gridded_binary, series, f"{stem}.sgf")
-        else:
-            write(ingest.write_gridded_csv, series, f"{stem}.csv")
-
-    if kind == "normals":
-        domain = synth.ea_domain(**_present(section, "step"))
-        warming = section.get("warming")
-        for variable in synth.EA_MONTHLY_NORMALS:
-            series = synth.normals_series(
-                domain, variable, **_present(section, "years"),
-                warming=warming if variable == "temperature" else None,
-            )
-            write_grid(series, variable)
-    elif kind == "planted-lp":
-        months_n = section.get("months", 252)
-        grid = synth.normals_series(
-            synth.ea_domain(**_present(section, "step")), "temperature",
-            warming=synth.TEMPERATURE_DEVIATION_MEANS["EA"],
-        )
-        write_grid(grid, "temperature")
-        anomalies = cl.anomaly(grid, cl.compute_baseline(grid))
-        scalar = cl.regional_mean(anomalies).slice_window(
-            np.datetime64("2001-01", "M"), np.datetime64("2021-12", "M"))
-        threshold = cl.default_threshold(scalar)
-        shock = cl.make_shocks(scalar, threshold)
-        p = section.get("sectors", 3)
-        t = min(months_n, len(shock))
-        values = rng.normal(size=(t, p))
-        values[:, 0] += 0.6 * shock.values[:t]
-        panel = ingest.SectorPanel(shock.times[:t],
-                                   tuple(f"CP{j:03d}" for j in range(p)),
-                                   values)
-        write(ingest.write_panel_csv, panel, "sectors.csv")
-        manifest["planted"] = {"sector": "CP000", "coefficient": 0.6,
-                               "threshold": threshold}
-    elif kind == "planted-factor":
-        domain = synth.de_domain(step=section.get("step", 1.0))
-        panel, series, _ = synth.planted_factor_instance(
-            domain, p=section.get("sectors", 6),
-            T=section.get("months", 252), rng=rng,
-            **_present(section, "snr"),
-        )
-        write_grid(series, "planted")
-        write(ingest.write_panel_csv, panel, "sectors.csv")
-    elif kind == "fira-demo":
-        panel, series, _ = synth.fira_demo_instance(
-            rng, **_present(section, "step", p="sectors", T="months"))
-        write_grid(series, "temperature_anomaly")
-        write(ingest.write_panel_csv, panel, "sectors.csv")
+    grids, panel, planted = synth.KINDS[kind](
+        np.random.default_rng(seed),
+        **_present(section, "step", *cfg.SYNTH_READS[kind]))
+    write_grid, suffix = ((ingest.write_gridded_binary, "sgf")
+                          if section.get("format") == "binary"
+                          else (ingest.write_gridded_csv, "csv"))
+    files = {f"{stem}.{suffix}": (write_grid, series)
+             for stem, series in grids.items()}
+    if panel is not None:
+        files["sectors.csv"] = (ingest.write_panel_csv, panel)
+    for name, (write, data) in files.items():
+        write(data, out / name)
+    manifest = {"kind": kind, "seed": seed, "files": list(files)}
+    if planted is not None:
+        manifest["planted"] = planted
     _write_json(out / "synth_manifest.json", manifest)
     _say(args, f"synth: {kind} -> {out}")
     return EXIT_OK

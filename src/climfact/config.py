@@ -9,15 +9,8 @@ document rather than the sections one command reads, so every command
 accepts the same configs and fails before it reads any input:
 ``validate_config`` checks it against ``SCHEMA`` (plus finite numbers
 and id lists without repeats), then ``check_rules`` checks the rules
-that link keys: each ``variable`` and ``anomaly.variables`` entry names
-a grid; each region has exactly one of ``cells`` and ``path``;
-``shocks.region`` names a region; ``k`` is not set beside a permutation
-null; ``fira.lags[2] > 0`` and a true ``lp.contemporaneous_controls``
-need ``panels.controls``; and no key is set that another key's value
-leaves unread (``shocks.threshold_window`` beside a numeric threshold,
-``shocks.extreme_multiplier`` without the ``extreme`` variant, a
-``synth`` key its ``kind`` does not read). Which sections a command
-needs is the command's business, and ``cli`` checks it.
+that link keys, which README lists. Which sections a command needs is
+the command's business, and ``cli`` checks it.
 
 ``SCHEMA`` is a JSON Schema (draft 2020-12) document, checked by a small
 walker over the twelve keywords it uses rather than by the jsonschema
@@ -426,6 +419,10 @@ def check_rules(doc):
         if "k" in section and section.get("permutation", False) is not False:
             raise ConfigError(f"config keys {key}.k and {key}.permutation "
                               f"exclude each other")
+        # and tol, the cutoff that would choose it, would go unread
+        if "k" in section and "tol" in section:
+            raise ConfigError(f"config key {key}.tol is not read when "
+                              f"{key}.k is set")
     controls = "controls" in doc.get("panels", {})
     lags = doc.get("fira", {}).get("lags", [0, 0, 0])
     if lags[2] > 0 and not controls:
@@ -448,15 +445,16 @@ def check_rules(doc):
                           "'extreme' in shocks.variants")
     synth = doc.get("synth", {})
     unread = sorted(set(synth) - {"kind", "step", "format",
-                                  *_SYNTH_READS.get(synth.get("kind"), ())})
+                                  *SYNTH_READS.get(synth.get("kind"), ())})
     if unread:
         raise ConfigError(f"config key synth.{unread[0]} is not read by "
                           f"synth kind {synth['kind']!r}")
     return doc
 
 
-# the synth keys each kind reads beside kind, step and format
-_SYNTH_READS = {
+# the synth keys each kind reads beside kind, step and format: the
+# keyword arguments of its builder in synth.KINDS, and no others
+SYNTH_READS = {
     "normals": ("years", "warming"),
     "planted-lp": ("sectors", "months"),
     "planted-factor": ("sectors", "months", "snr"),

@@ -65,6 +65,7 @@ import numpy as np
 from . import months
 from .errors import (
     AllMasked,
+    ConfigError,
     DataError,
     EmptyIntersection,
     NoSectorsRemain,
@@ -172,6 +173,9 @@ def load_gridded(path, variable=None, step=None, weighting="coslat"):
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == _SGF_MAGIC:
+        if step is not None:
+            raise ConfigError(f"{path} is format B, whose header sets the "
+                              f"step; a step of {step!r} would not be read")
         return _load_gridded_binary(path, variable, weighting)
     return _load_gridded_csv(path, variable, step, weighting)
 

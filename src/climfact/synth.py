@@ -1,4 +1,4 @@
-"""Deterministic synthetic fixtures: gridded series, panels, planted models.
+"""Deterministic synthetic fixtures, and the kinds of the synth command.
 
 Real-scale climate and price inputs are too large to ship, so every demo
 and acceptance path runs on generated data. The generators are seeded and
@@ -10,8 +10,8 @@ the structural factor model enforces its block orthogonality in sample
 
 import numpy as np
 
+from . import climatology as cl
 from . import months
-from .climatology import DEFAULT_THRESHOLD_WINDOW, ScalarSeries
 from .grid import SurfaceSeries, build_domain
 from .ingest import SectorPanel
 
@@ -62,7 +62,7 @@ def normals_series(domain, variable, years=(1950, 1980), warming=None):
     default threshold window, so a warming shift is its mean deviation.
     """
     normals = np.array(EA_MONTHLY_NORMALS[variable])
-    w0, w1 = DEFAULT_THRESHOLD_WINDOW
+    w0, w1 = cl.DEFAULT_THRESHOLD_WINDOW
     times = year_axis(years[0], years[1] if warming is None else w1)
     year = months.years(times)
     month = months.month_numbers(times)
@@ -99,7 +99,7 @@ def anomaly_scalar_series(mean, window=(2001, 2021)):
     wiggle = 0.5 * (1.0 + np.arange(half) % 7)
     dev[: 2 * half : 2] = wiggle
     dev[1 : 2 * half : 2] = -wiggle
-    return ScalarSeries(times, float(mean) + dev, "anomaly")
+    return cl.ScalarSeries(times, float(mean) + dev, "anomaly")
 
 
 # -- local-projection fixtures ---------------------------------------------
@@ -199,7 +199,7 @@ def unit_bump_surface(domain, center, width_deg=2.0):
     return bump / scale
 
 
-def planted_factor_instance(domain, p, T, rng, snr=10.0):
+def planted_factor_instance(domain, p, T, rng, snr):
     """Rank-one planted link: one panel column loads on one surface shape.
 
     X_t = Y_{t,0} * g + noise with the signal-to-noise ratio measured in
@@ -234,15 +234,54 @@ def smooth_anomaly_series(domain, T, rng):
                          "temperature_anomaly")
 
 
-def fira_demo_instance(rng, p=8, T=252, step=0.5, planted_sector=2):
-    """Germany-like demo: one sector responds to a localized surface mode
-    centered at 53.0 N, 11.5 E."""
-    domain = de_domain(step=step)
-    series = smooth_anomaly_series(domain, T, rng)
+# -- synth kinds: builder(rng, step, *config.SYNTH_READS[kind]) -> (grids
+# by file stem, sector panel or None, manifest "planted" entry or None)
+
+
+def _normals(rng, step=2.0, years=(1950, 1980), warming=None):
+    domain = ea_domain(step)
+    return {variable: normals_series(
+        domain, variable, years,
+        warming if variable == "temperature" else None)
+        for variable in EA_MONTHLY_NORMALS}, None, None
+
+
+def _planted_lp(rng, step=2.0, sectors=3, months=252):
+    """A warmed grid; CP000 loads 0.6 on its own auto-threshold shock."""
+    grid = normals_series(ea_domain(step), "temperature",
+                          warming=TEMPERATURE_DEVIATION_MEANS["EA"])
+    anomalies = cl.anomaly(grid, cl.compute_baseline(grid))
+    scalar = cl.regional_mean(anomalies).slice_window(
+        np.datetime64("2001-01", "M"), np.datetime64("2021-12", "M"))
+    threshold = cl.default_threshold(scalar)
+    shock = cl.make_shocks(scalar, threshold)
+    t = min(months, len(shock))
+    values = rng.normal(size=(t, sectors))
+    values[:, 0] += 0.6 * shock.values[:t]
+    panel = SectorPanel(shock.times[:t],
+                        tuple(f"CP{j:03d}" for j in range(sectors)), values)
+    planted = {"sector": "CP000", "coefficient": 0.6, "threshold": threshold}
+    return {"temperature": grid}, panel, planted
+
+
+def _planted_factor(rng, step=1.0, sectors=6, months=252, snr=10.0):
+    panel, series, _ = planted_factor_instance(de_domain(step), sectors,
+                                               months, rng, snr)
+    return {"planted": series}, panel, None
+
+
+def _fira_demo(rng, step=0.5, sectors=8, months=252):
+    """Germany-like: CP002 responds to a surface mode at 53.0 N, 11.5 E."""
+    domain = de_domain(step)
+    series = smooth_anomaly_series(domain, months, rng)
     g = unit_bump_surface(domain, (53.0, 11.5))
     proj = series.valid_matrix() @ (domain.valid_weights * g[domain.mask])
-    y = rng.normal(size=(T, p))
-    y[:, planted_sector] += 1.5 * proj / max(proj.std(), 1e-12)
-    ids = tuple(f"CP{j:03d}" for j in range(p))
+    y = rng.normal(size=(months, sectors))
+    y[:, 2] += 1.5 * proj / max(proj.std(), 1e-12)
+    ids = tuple(f"CP{j:03d}" for j in range(sectors))
     panel = SectorPanel(series.times, ids, y)
-    return panel, series, g
+    return {"temperature_anomaly": series}, panel, None
+
+
+KINDS = {"normals": _normals, "planted-lp": _planted_lp,
+         "planted-factor": _planted_factor, "fira-demo": _fira_demo}

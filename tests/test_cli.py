@@ -437,6 +437,28 @@ class TestInputPaths:
                          "--out", str(tmp_path / "out"), "--quiet"]) == 2
         assert "config key regions[0]" in capsys.readouterr().err
 
+    def test_a_step_for_a_format_b_grid_is_config_error(self, tmp_path,
+                                                         capsys):
+        # the file's header sets its step; the key would go unread
+        series, grid = _tiny_grid(tmp_path)
+        grid["path"] = str(tmp_path / "grid.sgf")
+        grid["step"] = 0.37
+        write_gridded_binary(series, grid["path"])
+        config = _write_config(tmp_path, {
+            "grids": [grid], "baseline": {"reference_window": [2001, 2002]}})
+        out = tmp_path / "out"
+        assert cli.main(["baseline", "--config", config, "--out", str(out),
+                         "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config key grids[0].step: {grid['path']} is "
+            f"format B, whose header sets the step; a step of 0.37 would "
+            f"not be read\n")
+        del grid["step"]
+        config = _write_config(tmp_path, {
+            "grids": [grid], "baseline": {"reference_window": [2001, 2002]}})
+        assert cli.main(["baseline", "--config", config, "--out", str(out),
+                         "--quiet"]) == 0
+
     def test_an_unwritable_output_is_config_error(self, tmp_path, capsys):
         # a directory where synth writes its manifest: open fails on output
         out = tmp_path / "out"
@@ -523,6 +545,9 @@ class TestConfigRules:
          {"lp": {"contemporaneous_controls": True}},
          "config key lp.contemporaneous_controls is true, but "
          "panels.controls is absent"),
+        ("tol beside k",
+         {"fira": {"k": 2, "tol": 0.5}},
+         "config key fira.tol is not read when fira.k is set"),
     ])
     def test_a_broken_rule_fails_every_command_first(self, tmp_path, capsys,
                                                      rule, edit, message):
@@ -738,6 +763,67 @@ class TestShocks:
         err = capsys.readouterr().err
         assert "2001-2021" in err and "threshold" in err
         assert "Traceback" not in err
+
+
+# every key config.SYNTH_READS lists, and step, away from its default
+_SYNTH_KEYS = {
+    "normals": {"step": 4.0, "years": [1960, 1990], "warming": 1.0},
+    "planted-lp": {"step": 4.0, "sectors": 2, "months": 100},
+    "planted-factor": {"step": 0.5, "sectors": 4, "months": 60, "snr": 5.0},
+    "fira-demo": {"step": 1.0, "sectors": 5, "months": 80},
+}
+
+
+class TestSynth:
+    def test_each_builder_takes_the_keys_its_kind_reads(self):
+        from climfact import synth
+        from climfact.config import SCHEMA, SYNTH_READS
+
+        kinds = SCHEMA["properties"]["synth"]["properties"]["kind"]["enum"]
+        assert list(synth.KINDS) == list(SYNTH_READS) == kinds
+        for kind, builder in synth.KINDS.items():
+            assert list(inspect.signature(builder).parameters) == [
+                "rng", "step", *SYNTH_READS[kind]]
+            assert set(_SYNTH_KEYS[kind]) == {"step", *SYNTH_READS[kind]}
+
+    @pytest.mark.parametrize("kind", list(_SYNTH_KEYS))
+    def test_every_key_a_kind_reads_takes_effect(self, tmp_path, kind):
+        keys = _SYNTH_KEYS[kind]
+        config = _write_config(tmp_path, {"synth": {"kind": kind, **keys}})
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--config", config, "--out", str(out),
+                         "--quiet"]) == 0
+        manifest = json.loads((out / "synth_manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            manifest["files"] + ["synth_manifest.json"])
+        grid = load_gridded(out / manifest["files"][0])
+        assert grid.domain.step_lat == keys["step"]
+        if kind == "normals":
+            assert str(grid.times[0]) == "1960-01"
+            assert str(grid.times[-1]) == "2021-12"  # warming runs to 2021
+        else:
+            panel = load_sector_panel(out / "sectors.csv", transform="none")
+            assert panel.values.shape == (keys["months"], keys["sectors"])
+
+    @pytest.mark.parametrize("fmt,suffix", [("csv", "csv"),
+                                            ("binary", "sgf")])
+    def test_planted_lp_threshold_is_the_shocks_threshold(self, tmp_path,
+                                                          fmt, suffix):
+        data = tmp_path / "data"
+        config = _write_config(tmp_path, {
+            "synth": {"kind": "planted-lp", "format": fmt}}, "synth.json")
+        assert cli.main(["synth", "--config", config, "--out", str(data),
+                         "--quiet"]) == 0
+        config = _write_config(tmp_path, {
+            "grids": [{"name": "temperature",
+                       "path": str(data / f"temperature.{suffix}")}],
+            "shocks": {"variable": "temperature"}})
+        out = tmp_path / "out"
+        assert cli.main(["shocks", "--config", config, "--out", str(out),
+                         "--quiet"]) == 0
+        manifest = json.loads((data / "synth_manifest.json").read_text())
+        report = json.loads((out / "shocks_report.json").read_text())
+        assert manifest["planted"]["threshold"] == report["threshold"]
 
 
 @pytest.fixture(scope="module")
@@ -1381,6 +1467,28 @@ class TestFactorsAndFira:
         config = _write_config(tmp_path, doc)
         assert cli.main(["fira", "--config", config,
                          "--out", str(tmp_path / "out")]) == 3
+
+    def test_a_shock_off_the_grid_fails_before_any_fit(self, demo, tmp_path,
+                                                        capsys, monkeypatch):
+        from climfact import fira
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a horizon was fitted")
+
+        monkeypatch.setattr(fira, "fit_fira", no_fit)
+        doc = self._base_config(demo)
+        doc["fira"] = {
+            "variable": "temperature_anomaly", "use_anomalies": False,
+            "lags": [0, 0, 0], "h_max": 1, "permutation": True,
+            "shocks": [{"magnitude": 1.0, "center": [10.0, 10.0],
+                        "radius_km": 100.0}],
+        }
+        config = _write_config(tmp_path, doc)
+        assert cli.main(["fira", "--config", config,
+                         "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "data error: center (10.0, 10.0) outside bounds "
+            "[47.0, 55.0] x [6.0, 15.0]\n")
 
     def test_unbounded_h_max_fails_before_any_fit_within_a_memory_cap(
             self, demo, tmp_path):

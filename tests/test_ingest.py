@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from climfact import months
 from climfact.errors import (
     AllMasked,
+    ConfigError,
     EmptyIntersection,
     IrregularCalendar,
     NoSectorsRemain,
@@ -56,13 +58,25 @@ class TestGriddedRoundTrip:
         series = _demo_series(rng, mask=mask)
         path = tmp_path / f"series.{suffix}"
         writer(series, path)
-        loaded = load_gridded(path, step=1.0)
+        # a format B header sets the step, so only format A is given one
+        loaded = load_gridded(path, **({"step": 1.0} if suffix == "csv"
+                                       else {}))
         assert np.array_equal(loaded.times, series.times)
         assert loaded.domain.n_valid == series.domain.n_valid
         np.testing.assert_array_equal(
             loaded.values[:, loaded.domain.mask],
             series.values[:, series.domain.mask],
         )
+
+    def test_a_step_for_a_format_b_grid_is_refused(self, tmp_path, rng):
+        # the header sets the step, so a given one would go unread
+        path = tmp_path / "series.sgf"
+        write_gridded_binary(_demo_series(rng), path)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path} is format B, whose header sets the step; a step "
+                f"of 0.37 would not be read")):
+            load_gridded(path, step=0.37)
+        assert load_gridded(path).domain.step_lat == 1.0
 
     def test_cell_missing_in_one_month_masked_everywhere(self, tmp_path):
         lines = ["time,lat,lon,value"]
