@@ -3,7 +3,7 @@
 Every subcommand reads one JSON run configuration, performs its stage of
 the pipeline, and writes its products into the output directory. Outputs
 are deterministic: identical config and inputs produce byte-identical
-trees (seeds for permutation tests come from the config or --seed).
+trees (seeds come from the config's seed key, default 42).
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numerical
 failure.
@@ -40,6 +40,7 @@ from .errors import (
     ClimfactError,
     ConfigError,
     DataError,
+    NonConformableMask,
     NumericalError,
 )
 
@@ -92,8 +93,8 @@ def _out_dir(args, config, needs):
     return path
 
 
-def _seed(args, config):
-    return args.seed if args.seed is not None else config.get("seed", 42)
+def _seed(config):
+    return config.get("seed", 42)
 
 
 def _present(section, *keys, **renamed):
@@ -119,19 +120,16 @@ def _grid(config, name):
             raise ConfigError(f"config key grids[{i}].step: {exc}") from None
 
 
-def _region_mask(domain, i, entry):
-    """Boolean raster from regions[i]: 'cells': 'all', or a CSV of the
-    lat,lon cell centers in the region."""
-    if "cells" in entry:
-        return np.ones(domain.shape, dtype=bool)
-    with _named(f"config key regions[{i}].path", entry["path"]):
-        return ingest.load_region_mask(entry["path"], domain)
-
-
 def _regions(config, domain):
-    entries = config.get("regions", cfg.DEFAULT_REGIONS)
-    return {e["name"]: _region_mask(domain, i, e)
-            for i, e in enumerate(entries)}
+    """Region rasters by name: None for 'cells': 'all', which climatology
+    reads as every cell, else the CSV of lat,lon cell centers at path."""
+    regions = {}
+    for i, entry in enumerate(config.get("regions", cfg.DEFAULT_REGIONS)):
+        path = entry.get("path")
+        with _named(f"config key regions[{i}].path", path):
+            regions[entry["name"]] = (
+                None if path is None else ingest.load_region_mask(path, domain))
+    return regions
 
 
 def _load_panel(config, key):
@@ -217,7 +215,6 @@ def cmd_baseline(args, config, out):
                      ["region", "variable"]
                      + [f"m{m + 1:02d}" for m in range(12)], summary_rows)
     _say(args, f"baseline: {len(grids)} variable(s) -> {out}")
-    return EXIT_OK
 
 
 def cmd_anomaly(args, config, out):
@@ -233,7 +230,6 @@ def cmd_anomaly(args, config, out):
             cl.write_shock_csv(cl.regional_mean(anomalies, region),
                                out / f"anomaly_mean_{name}_{region_name}.csv")
     _say(args, f"anomaly: {len(grids)} variable(s) -> {out}")
-    return EXIT_OK
 
 
 def cmd_shocks(args, config, out):
@@ -246,11 +242,10 @@ def cmd_shocks(args, config, out):
         "region": region_name,
         "variable": config["shocks"]["variable"],
         "events": {variant: shock.n_events for variant, shock in table.items()},
-        "seed": _seed(args, config),
+        "seed": _seed(config),
     })
     _say(args, f"shocks: threshold {threshold:.4g}, "
                f"{sum(s.n_events for s in table.values())} events -> {out}")
-    return EXIT_OK
 
 
 def _endogenous_subset(extra, panel, sector):
@@ -329,14 +324,13 @@ def cmd_lp(args, config, out):
                f"-> {out}")
     if not results:
         raise NumericalError("every battery cell failed; see failures.csv")
-    return EXIT_OK
 
 
 def cmd_factors(args, config, out):
     from . import factors as af
 
     section, permutation, series, panel = _factor_inputs(config, "factors")
-    seed = _seed(args, config)
+    seed = _seed(config)
     result = af.associated_factors(
         panel, series, **_present(section, "tol", "k"),
         permutation=permutation, rng=np.random.default_rng(seed),
@@ -368,7 +362,6 @@ def cmd_factors(args, config, out):
         "dropped": result.dropped,
     })
     _say(args, f"factors: K={result.k}, rho_1={result.rho[0]:.4f} -> {out}")
-    return EXIT_OK
 
 
 def cmd_fira(args, config, out):
@@ -378,7 +371,7 @@ def cmd_fira(args, config, out):
     section, permutation, series, panel = _factor_inputs(config, "fira")
     lags = section.get("lags", [0, 0, 0])
     controls = _load_panel(config, "controls")
-    seed = _seed(args, config)
+    seed = _seed(config)
     # a shock off the grid fails before any horizon is fitted
     shocks = [fr.make_shock_surface(
         spec["magnitude"], tuple(spec["center"]), spec["radius_km"],
@@ -436,7 +429,6 @@ def cmd_fira(args, config, out):
                              "fira_report.json")
     _say(args, f"fira: {len(shocks)} shock(s), "
                f"h_max={fitted.horizons[-1]} -> {out}")
-    return EXIT_OK
 
 
 def cmd_synth(args, config, out):
@@ -444,10 +436,13 @@ def cmd_synth(args, config, out):
 
     section = config["synth"]
     kind = section["kind"]
-    seed = _seed(args, config)
-    grids, panel, planted = synth.KINDS[kind](
-        np.random.default_rng(seed),
-        **_present(section, "step", *cfg.SYNTH_READS[kind]))
+    seed = _seed(config)
+    try:
+        grids, panel, planted = synth.KINDS[kind](
+            np.random.default_rng(seed),
+            **_present(section, "step", *cfg.SYNTH_READS[kind]))
+    except NonConformableMask as exc:  # a step that does not tile the bounds
+        raise ConfigError(f"config key synth.step: {exc}") from None
     write_grid, suffix = ((ingest.write_gridded_binary, "sgf")
                           if section.get("format") == "binary"
                           else (ingest.write_gridded_csv, "csv"))
@@ -462,7 +457,6 @@ def cmd_synth(args, config, out):
         manifest["planted"] = planted
     _write_json(out / "synth_manifest.json", manifest)
     _say(args, f"synth: {kind} -> {out}")
-    return EXIT_OK
 
 
 # -- entry point -------------------------------------------------------------
@@ -490,8 +484,6 @@ def build_parser():
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="run configuration JSON")
     parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, help="seed override for "
-                                                 "permutation tests")
     parser.add_argument("--quiet", action="store_true")
     return parser
 
@@ -500,13 +492,10 @@ def main(argv=None):
     one_blas_thread()
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be a non-negative integer, "
-                              f"got {args.seed}")
         with _named("--config", args.config):
             config = cfg.load_config(args.config)
         command, needs = COMMANDS[args.command]
-        return command(args, config, _out_dir(args, config, needs))
+        command(args, config, _out_dir(args, config, needs))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -518,9 +507,10 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (DataError, ClimfactError) as exc:
+    except ClimfactError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK
 
 
 if __name__ == "__main__":

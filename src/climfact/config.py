@@ -57,6 +57,15 @@ _PERMUTATION = {
     ]
 }
 
+# the keys factors and fira share
+_FACTOR_KEYS = {
+    "variable": {"type": "string"},
+    "use_anomalies": {"type": "boolean"},
+    "tol": {"type": "number", "exclusiveMinimum": 0},
+    "k": {"type": "integer", "minimum": 1},
+    "permutation": _PERMUTATION,
+}
+
 SCHEMA = {
     "type": "object",
     "properties": {
@@ -165,29 +174,19 @@ SCHEMA = {
         },
         "factors": {
             "type": "object",
-            "properties": {
-                "variable": {"type": "string"},
-                "use_anomalies": {"type": "boolean"},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "k": {"type": "integer", "minimum": 1},
-                "permutation": _PERMUTATION,
-            },
+            "properties": _FACTOR_KEYS,
             "required": ["variable"],
             "additionalProperties": False,
         },
         "fira": {
             "type": "object",
             "properties": {
-                "variable": {"type": "string"},
-                "use_anomalies": {"type": "boolean"},
+                **_FACTOR_KEYS,
                 "lags": {"type": "array", "items": {"type": "integer",
                                                     "minimum": 0},
                          "minItems": 3, "maxItems": 3},
                 "h_max": {"type": "integer", "minimum": 0},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "k": {"type": "integer", "minimum": 1},
                 "standardize": {"type": "boolean"},
-                "permutation": _PERMUTATION,
                 "shocks": {
                     "type": "array",
                     "minItems": 1,
@@ -449,6 +448,16 @@ def check_rules(doc):
     if unread:
         raise ConfigError(f"config key synth.{unread[0]} is not read by "
                           f"synth kind {synth['kind']!r}")
+    if synth.get("kind") == "fira-demo" and synth.get("sectors", 3) < 3:
+        raise ConfigError(f"config key synth.sectors is {synth['sectors']}, "
+                          f"but synth kind 'fira-demo' plants its signal in "
+                          f"sector CP002, so it needs at least 3")
+    for section, key in (("baseline", "reference_window"),
+                         ("shocks", "threshold_window"), ("synth", "years")):
+        start, end = doc.get(section, {}).get(key, (0, 0))
+        if start > end:
+            raise ConfigError(f"config key {section}.{key} starts in {start}, "
+                              f"after it ends in {end}")
     return doc
 
 

@@ -51,7 +51,8 @@ def de_domain(step=0.25):
     return build_domain((47.0, 55.0, 6.0, 15.0), step)
 
 
-def normals_series(domain, variable, years=(1950, 1980), warming=None):
+def normals_series(domain, variable, years=cl.DEFAULT_REFERENCE_WINDOW,
+                   warming=None):
     """Series whose per-month means over the reference years equal the
     bundled normals exactly.
 
@@ -89,7 +90,7 @@ def normals_series(domain, variable, years=(1950, 1980), warming=None):
     return SurfaceSeries(domain, times, values, variable)
 
 
-def anomaly_scalar_series(mean, window=(2001, 2021)):
+def anomaly_scalar_series(mean, window=cl.DEFAULT_THRESHOLD_WINDOW):
     """Scalar anomaly series whose mean over the window equals `mean` to
     float rounding: deviations come in exactly cancelling +/- pairs."""
     times = year_axis(window[0], window[1])
@@ -238,7 +239,7 @@ def smooth_anomaly_series(domain, T, rng):
 # by file stem, sector panel or None, manifest "planted" entry or None)
 
 
-def _normals(rng, step=2.0, years=(1950, 1980), warming=None):
+def _normals(rng, step=2.0, years=cl.DEFAULT_REFERENCE_WINDOW, warming=None):
     domain = ea_domain(step)
     return {variable: normals_series(
         domain, variable, years,
@@ -252,7 +253,7 @@ def _planted_lp(rng, step=2.0, sectors=3, months=252):
                           warming=TEMPERATURE_DEVIATION_MEANS["EA"])
     anomalies = cl.anomaly(grid, cl.compute_baseline(grid))
     scalar = cl.regional_mean(anomalies).slice_window(
-        np.datetime64("2001-01", "M"), np.datetime64("2021-12", "M"))
+        *year_axis(*cl.DEFAULT_THRESHOLD_WINDOW)[[0, -1]])
     threshold = cl.default_threshold(scalar)
     shock = cl.make_shocks(scalar, threshold)
     t = min(months, len(shock))

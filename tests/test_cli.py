@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from climfact import cli
+from climfact import config as cfg
 from climfact.climatology import (
     anomaly,
     compute_baseline,
@@ -121,6 +122,33 @@ class TestBaseline:
             for m in range(12):
                 got = float(row[f"m{m + 1:02d}"])
                 assert round(got, 2) == round(expected[m], 2)
+
+    def test_a_region_file_of_every_cell_matches_cells_all(
+            self, normals_fixture, tmp_path):
+        # 'cells': 'all' reads as the whole domain, with no raster built
+        grid = _grid_entries(normals_fixture)[:1]
+        domain = load_gridded(grid[0]["path"]).domain
+        region = tmp_path / "region.csv"
+        region.write_text("lat,lon\n" + "".join(
+            f"{format_float(domain.lat_centers[i])},"
+            f"{format_float(domain.lon_centers[j])}\n"
+            for i, j in zip(*np.nonzero(domain.mask))))
+        trees = []
+        for name, entry in (("all", {"cells": "all"}),
+                            ("file", {"path": str(region)})):
+            config = _write_config(tmp_path, {
+                "grids": grid, "regions": [{"name": "EA", **entry}],
+                "shocks": {"variable": "temperature",
+                           "variants": ["all", "summer"]},
+            }, f"{name}.json")
+            out = tmp_path / name
+            for command in ("baseline", "anomaly", "shocks"):
+                assert cli.main([command, "--config", config,
+                                 "--out", str(out), "--quiet"]) == 0
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert {"baseline_summary.csv", "anomaly_mean_temperature_EA.csv",
+                "shocks_all.csv", "shocks_summer.csv"} <= set(trees[0])
+        assert trees[0] == trees[1]
 
     def test_missing_input_path_is_config_error(self, tmp_path, capsys):
         config = _write_config(tmp_path, {
@@ -548,6 +576,21 @@ class TestConfigRules:
         ("tol beside k",
          {"fira": {"k": 2, "tol": 0.5}},
          "config key fira.tol is not read when fira.k is set"),
+        ("fira-demo with fewer than 3 sectors",
+         {"synth": {"kind": "fira-demo", "snr": None, "sectors": 2}},
+         "config key synth.sectors is 2, but synth kind 'fira-demo' plants "
+         "its signal in sector CP002, so it needs at least 3"),
+        ("reversed reference window",
+         {"baseline": {"reference_window": [1980, 1950]}},
+         "config key baseline.reference_window starts in 1980, after it "
+         "ends in 1950"),
+        ("reversed threshold window",
+         {"shocks": {"threshold_window": [2021, 2001]}},
+         "config key shocks.threshold_window starts in 2021, after it ends "
+         "in 2001"),
+        ("reversed synth years",
+         {"synth": {"kind": "normals", "snr": None, "years": [1990, 1960]}},
+         "config key synth.years starts in 1990, after it ends in 1960"),
     ])
     def test_a_broken_rule_fails_every_command_first(self, tmp_path, capsys,
                                                      rule, edit, message):
@@ -566,6 +609,17 @@ class TestConfigRules:
             assert (command, code, capsys.readouterr().err) == (
                 command, 2, f"config error: {message}\n")
             assert not out.exists()
+
+    @pytest.mark.parametrize("edit", [
+        {"synth": {"kind": "fira-demo", "sectors": 3}},
+        {"synth": {"kind": "normals", "years": [1970, 1970]}},
+        {"baseline": {"reference_window": [1980, 1980]},
+         "shocks": {"variable": "t", "threshold_window": [2001, 2001]}},
+    ])
+    def test_the_edges_of_the_sector_and_window_rules_pass(self, tmp_path,
+                                                          edit):
+        doc = {**_unread_inputs(tmp_path), **edit}
+        assert cfg.check_rules(doc) is doc
 
     def test_the_unbroken_config_reaches_the_first_input(self, tmp_path,
                                                          capsys):
@@ -804,6 +858,16 @@ class TestSynth:
         else:
             panel = load_sector_panel(out / "sectors.csv", transform="none")
             assert panel.values.shape == (keys["months"], keys["sectors"])
+
+    def test_a_step_that_does_not_tile_the_bounds_is_config_error(
+            self, tmp_path, capsys):
+        config = _write_config(tmp_path, {
+            "synth": {"kind": "planted-lp", "step": 7.0}})
+        assert cli.main(["synth", "--config", config,
+                         "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config key synth.step: step 7.0 does not divide "
+            "the latitude extent 16.0\n")
 
     @pytest.mark.parametrize("fmt,suffix", [("csv", "csv"),
                                             ("binary", "sgf")])
@@ -1398,14 +1462,25 @@ class TestFactorsAndFira:
                 f"schemas") in capsys.readouterr().err
 
     def test_negative_seed_is_exit_2(self, demo, tmp_path, capsys):
+        # the seed comes from the config alone: there is no --seed flag
         doc = self._base_config(demo)
         doc["factors"] = {"variable": "temperature_anomaly",
                           "use_anomalies": False, "permutation": {"n": 9}}
         config = _write_config(tmp_path, doc)
-        assert cli.main(["factors", "--config", config, "--seed", "-1",
-                         "--out", str(tmp_path / "out")]) == 2
-        assert ("config error: --seed must be a non-negative integer, "
-                "got -1") in capsys.readouterr().err
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["factors", "--config", config, "--seed", "1",
+                      "--out", str(out)])
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        doc["seed"] = -1
+        config = _write_config(tmp_path, doc)
+        assert cli.main(["factors", "--config", config,
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config key seed: -1 is less than the minimum "
+            "of 0\n")
+        assert not out.exists()
 
     def test_omitted_tol_takes_the_engine_default(self, demo, tmp_path):
         default = inspect.signature(two_stage).parameters["tol"].default
