@@ -5,6 +5,9 @@ the pipeline, and writes its products into the output directory. Outputs
 are deterministic: identical config and inputs produce byte-identical
 trees (seeds come from the config's seed key, default 42).
 
+Each command is a stage over one Context, which main builds from the
+config, and which reads or derives each input the stage asks for once.
+
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numerical
 failure.
 
@@ -24,8 +27,10 @@ if __name__ == "__main__":
     one_blas_thread()
 
 import argparse
+import collections
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -36,13 +41,7 @@ from . import climatology as cl
 from . import config as cfg
 from . import ingest
 from .entry import one_blas_thread
-from .errors import (
-    ClimfactError,
-    ConfigError,
-    DataError,
-    NonConformableMask,
-    NumericalError,
-)
+from .errors import ClimfactError, ConfigError, DataError, NumericalError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,15 +85,10 @@ def _out_dir(args, config, needs):
         absent.append("output_dir (or pass --out)")
     if absent:
         raise ConfigError(f"config is missing required key {absent[0]}")
-    path = Path(out)
     source = "--out" if args.out else "config key output_dir"
     with _named(source, out, "create directory"):
-        path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _seed(config):
-    return config.get("seed", 42)
+        Path(out).mkdir(parents=True, exist_ok=True)
+    return Path(out)
 
 
 def _present(section, *keys, **renamed):
@@ -108,93 +102,125 @@ def _present(section, *keys, **renamed):
             if key in section}
 
 
-def _grid(config, name):
-    """Load the one grids[] entry called name."""
-    i, entry = next((i, entry) for i, entry in enumerate(config["grids"])
-                    if entry["name"] == name)
-    with _named(f"config key grids[{i}].path", entry["path"]):
-        try:
-            return ingest.load_gridded(entry["path"], variable=name,
-                                       **_present(entry, "step", "weighting"))
-        except ConfigError as exc:  # a step the file's format does not read
-            raise ConfigError(f"config key grids[{i}].step: {exc}") from None
+def _once(accessor):
+    """Run a Context accessor once per context and arguments."""
+    @functools.wraps(accessor)
+    def kept(self, *args):
+        key = (accessor.__name__, *args)
+        if key not in self._kept:
+            self._kept[key] = accessor(self, *args)
+        return self._kept[key]
+    return kept
 
 
-def _regions(config, domain):
-    """Region rasters by name: None for 'cells': 'all', which climatology
-    reads as every cell, else the CSV of lat,lon cell centers at path."""
-    regions = {}
-    for i, entry in enumerate(config.get("regions", cfg.DEFAULT_REGIONS)):
-        path = entry.get("path")
-        with _named(f"config key regions[{i}].path", path):
-            regions[entry["name"]] = (
-                None if path is None else ingest.load_region_mask(path, domain))
-    return regions
+_Shocks = collections.namedtuple("_Shocks", "threshold window region table")
 
 
-def _load_panel(config, key):
-    entry = config.get("panels", {}).get(key)
-    if entry is None:
-        return None
-    loader = (ingest.load_sector_panel if key == "sectors"
-              else ingest.load_control_panel)
-    with _named(f"config key panels.{key}.path", entry["path"]):
-        return loader(entry["path"], **_present(entry, "transform"))
+class Context:
+    """The inputs of one invocation, read or derived from its config on
+    first use and kept (a raw grid until its anomalies exist). A path is
+    read under _named: an unreadable one is a ConfigError naming its key."""
 
+    def __init__(self, config):
+        self.config = config
+        self.seed = config.get("seed", 42)
+        self._kept = {}     # per instance: a test's contexts die with it
 
-def _baseline(config, series):
-    return cl.compute_baseline(series, **_present(
-        config.get("baseline", {}), window="reference_window"))
+    @_once
+    def grid(self, name):
+        """The one grids[] entry called name."""
+        i = [entry["name"] for entry in self.config["grids"]].index(name)
+        entry = self.config["grids"][i]
+        key = f"config key grids[{i}]"
+        with _named(f"{key}.path", entry["path"]):
+            try:
+                return ingest.load_gridded(
+                    entry["path"], variable=name,
+                    **_present(entry, "step", "weighting"))
+            except ConfigError as exc:  # a step the file's format won't read
+                raise ConfigError(f"{key}.step: {exc}") from None
 
+    @_once
+    def baseline(self, name):
+        return cl.compute_baseline(self.grid(name), **_present(
+            self.config.get("baseline", {}), window="reference_window"))
 
-def _anomaly_series(config, series):
-    return cl.anomaly(series, _baseline(config, series))
+    @_once
+    def anomalies(self, name):
+        anomalies = cl.anomaly(self.grid(name), self.baseline(name))
+        # every later use reads these or the baseline: free the raw grid
+        del self._kept["grid", name]
+        return anomalies
 
+    @_once
+    def regions(self, domain):
+        """Region rasters on a grid's domain, by name: None for 'cells':
+        'all' (every cell), else the CSV of lat,lon cell centers at path."""
+        regions = {}
+        for i, entry in enumerate(self.config.get("regions",
+                                                  cfg.DEFAULT_REGIONS)):
+            path = entry.get("path")
+            with _named(f"config key regions[{i}].path", path):
+                regions[entry["name"]] = (
+                    None if path is None
+                    else ingest.load_region_mask(path, domain))
+        return regions
 
-def _factor_inputs(config, name):
-    """Section name (factors or fira), its filled-in permutation-null
-    settings or None, its surface series, as anomalies unless
-    use_anomalies is false, and the sector panel."""
-    from . import factors as af
+    @_once
+    def panel(self, key):
+        """The panels entry called key, or None when the config has none."""
+        entry = self.config.get("panels", {}).get(key)
+        if entry is None:
+            return None
+        loader = (ingest.load_sector_panel if key == "sectors"
+                  else ingest.load_control_panel)
+        with _named(f"config key panels.{key}.path", entry["path"]):
+            return loader(entry["path"], **_present(entry, "transform"))
 
-    section = config[name]
-    null = section.get("permutation", False)
-    permutation = None if null is False else {
-        **af.PERMUTATION_DEFAULTS, **({} if null is True else null)}
-    series = _grid(config, section["variable"])
-    if section.get("use_anomalies", True):
-        series = _anomaly_series(config, series)
-    panel = _load_panel(config, "sectors")
-    return section, permutation, series, panel
+    @_once
+    def shocks(self):
+        """Threshold, its window (None for a given threshold), region and
+        conditioned shock variants of the shocks config."""
+        section = self.config["shocks"]
+        anomalies = self.anomalies(section["variable"])
+        regions = self.regions(anomalies.domain)
+        region = section.get("region", next(iter(regions)))
+        scalar = cl.regional_mean(anomalies, regions[region])
+        threshold, window = section.get("threshold", "auto"), None
+        if threshold == "auto":
+            window = section.get("threshold_window",
+                                 cl.DEFAULT_THRESHOLD_WINDOW)
+            threshold = cl.default_threshold(scalar, window)
+        table = cl.shock_variants(scalar, threshold,
+                                  variants=section.get("variants", ("all",)),
+                                  **_present(section, "extreme_multiplier"))
+        return _Shocks(float(threshold), window, region, table)
 
+    @_once
+    def factor_inputs(self, key):
+        """The surface series of section key (factors or fira), as
+        anomalies unless use_anomalies is false, and its filled-in
+        permutation-null settings or None."""
+        from . import factors as af
 
-def _shock_table(config):
-    """Threshold + conditioned shock variants from the shocks config."""
-    section = config["shocks"]
-    series = _grid(config, section["variable"])
-    anomalies = _anomaly_series(config, series)
-    regions = _regions(config, series.domain)
-    region_name = section.get("region", next(iter(regions)))
-    scalar = cl.regional_mean(anomalies, regions[region_name])
-    threshold, window = section.get("threshold", "auto"), None
-    if threshold == "auto":
-        window = section.get("threshold_window", cl.DEFAULT_THRESHOLD_WINDOW)
-        threshold = cl.default_threshold(scalar, window)
-    table = cl.shock_variants(scalar, threshold,
-                              variants=section.get("variants", ("all",)),
-                              **_present(section, "extreme_multiplier"))
-    return float(threshold), window, region_name, table
+        section = self.config[key]
+        null = section.get("permutation", False)
+        permutation = None if null is False else {
+            **af.PERMUTATION_DEFAULTS, **({} if null is True else null)}
+        series = (self.anomalies if section.get("use_anomalies", True)
+                  else self.grid)(section["variable"])
+        return series, permutation
 
 
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_baseline(args, config, out):
-    grids = {entry["name"]: _grid(config, entry["name"])
-             for entry in config["grids"]}
+def cmd_baseline(args, ctx, out):
+    grids = {entry["name"]: ctx.grid(entry["name"])
+             for entry in ctx.config["grids"]}
     summary_rows = []
     for name, series in grids.items():
-        baseline = _baseline(config, series)
+        baseline = ctx.baseline(name)
         lat_c, lon_c = series.domain.lat_centers, series.domain.lon_centers
         ii, jj = np.nonzero(series.domain.mask)
         ingest.write_csv(out / f"baseline_{name}.csv",
@@ -202,9 +228,8 @@ def cmd_baseline(args, config, out):
             [f"{m + 1:02d}", ingest.format_float(lat_c[i]),
              ingest.format_float(lon_c[j]), ingest.format_float(grid[i, j])]
             for m, grid in enumerate(baseline.month_means)
-            for i, j in zip(ii, jj)
-        ))
-        for region_name, region in _regions(config, series.domain).items():
+            for i, j in zip(ii, jj)))
+        for region_name, region in ctx.regions(series.domain).items():
             cells, w = cl.region_weights(series.domain, region)
             # one dot per month: a batched (12, n) @ w rounds differently
             summary_rows.append(
@@ -217,32 +242,31 @@ def cmd_baseline(args, config, out):
     _say(args, f"baseline: {len(grids)} variable(s) -> {out}")
 
 
-def cmd_anomaly(args, config, out):
-    section = config.get("anomaly", {})
-    names = section.get("variables") or [
-        entry["name"] for entry in config["grids"]]
-    grids = {name: _grid(config, name) for name in names}
+def cmd_anomaly(args, ctx, out):
+    section = ctx.config.get("anomaly", {})
+    names = section.get("variables") or [e["name"] for e in ctx.config["grids"]]
+    grids = {name: ctx.grid(name) for name in names}
     for name, series in grids.items():
-        anomalies = _anomaly_series(config, series)
+        anomalies = ctx.anomalies(name)
         if section.get("write_grids", False):
             ingest.write_gridded_csv(anomalies, out / f"anomaly_{name}.csv")
-        for region_name, region in _regions(config, series.domain).items():
+        for region_name, region in ctx.regions(series.domain).items():
             cl.write_shock_csv(cl.regional_mean(anomalies, region),
                                out / f"anomaly_mean_{name}_{region_name}.csv")
     _say(args, f"anomaly: {len(grids)} variable(s) -> {out}")
 
 
-def cmd_shocks(args, config, out):
-    threshold, window, region_name, table = _shock_table(config)
+def cmd_shocks(args, ctx, out):
+    threshold, window, region_name, table = ctx.shocks()
     for variant, shock in table.items():
         cl.write_shock_csv(shock, out / f"shocks_{variant}.csv")
     _write_json(out / "shocks_report.json", {
         "threshold": threshold,
         "threshold_window": window and list(window),
         "region": region_name,
-        "variable": config["shocks"]["variable"],
+        "variable": ctx.config["shocks"]["variable"],
         "events": {variant: shock.n_events for variant, shock in table.items()},
-        "seed": _seed(config),
+        "seed": ctx.seed,
     })
     _say(args, f"shocks: threshold {threshold:.4g}, "
                f"{sum(s.n_events for s in table.values())} events -> {out}")
@@ -258,34 +282,30 @@ def _endogenous_subset(extra, panel, sector):
            if i == sector or i not in panel.sector_ids]
     if not ids:
         return None
-    cols = [extra.sector_ids.index(i) for i in ids]
-    return ingest.ControlPanel(extra.times, tuple(ids),
-                               extra.values[:, cols])
+    return ingest.ControlPanel(extra.times, tuple(ids), extra.values[
+        :, [extra.sector_ids.index(i) for i in ids]])
 
 
-def cmd_lp(args, config, out):
+def cmd_lp(args, ctx, out):
     from . import localproj as lp
     from . import svgplot
 
-    *_, shock_table = _shock_table(config)
-    panel = _load_panel(config, "sectors")
-    extra = _load_panel(config, "endogenous")
-    controls = _load_panel(config, "controls")
-    section = config.get("lp", {})
+    shock_table = ctx.shocks().table
+    panel, extra, controls = (ctx.panel(key) for key in (
+        "sectors", "endogenous", "controls"))
+    section = ctx.config.get("lp", {})
     sectors = section.get("sectors", "all")
     if sectors == "all":
         sectors = panel.sector_ids
-    else:
-        missing = [s for s in sectors if s not in panel.sector_ids]
-        unknown = [s for s in missing if s not in panel.dropped]
-        if unknown:
-            raise ConfigError(f"config key lp.sectors names unknown ids "
-                              f"{unknown}")
-        if missing:
-            raise DataError(
-                f"config key lp.sectors names {missing}, dropped from "
-                f"{config['panels']['sectors']['path']} (a column with a "
-                f"gap, or a zero level under the yoy transform)")
+    missing = [s for s in sectors if s not in panel.sector_ids]
+    unknown = [s for s in missing if s not in panel.dropped]
+    if unknown:
+        raise ConfigError(f"config key lp.sectors names unknown ids {unknown}")
+    if missing:
+        raise DataError(
+            f"config key lp.sectors names {missing}, dropped from "
+            f"{ctx.config['panels']['sectors']['path']} (a column with a "
+            f"gap, or a zero level under the yoy transform)")
     spec = lp.LpSpec(**_present(
         section, *(f.name for f in dataclasses.fields(lp.LpSpec))))
 
@@ -303,12 +323,10 @@ def cmd_lp(args, config, out):
         ingest.write_csv(
             out / f"{stem}.csv",
             ["sector", "variant", "h", "estimate", "se", "lo", "hi", "p", "l"],
-            ([sector, variant, int(h),
-              ingest.format_float(result.estimate[h]),
-              ingest.format_float(result.se[h]),
-              ingest.format_float(result.lo[h]),
-              ingest.format_float(result.hi[h]),
-              result.p, result.l] for h in result.horizons))
+            ([sector, variant, int(h)]
+             + [ingest.format_float(column[h]) for column in (
+                 result.estimate, result.se, result.lo, result.hi)]
+             + [result.p, result.l] for h in result.horizons))
         if section.get("figures", True):
             svg = svgplot.fan_chart(
                 result.horizons, result.estimate, result.lo, result.hi,
@@ -326,16 +344,15 @@ def cmd_lp(args, config, out):
         raise NumericalError("every battery cell failed; see failures.csv")
 
 
-def cmd_factors(args, config, out):
+def cmd_factors(args, ctx, out):
     from . import factors as af
 
-    section, permutation, series, panel = _factor_inputs(config, "factors")
-    seed = _seed(config)
+    section = ctx.config["factors"]
+    series, permutation = ctx.factor_inputs("factors")
     result = af.associated_factors(
-        panel, series, **_present(section, "tol", "k"),
-        permutation=permutation, rng=np.random.default_rng(seed),
+        ctx.panel("sectors"), series, **_present(section, "tol", "k"),
+        permutation=permutation, rng=np.random.default_rng(ctx.seed),
     )
-    diagnostic = result.regularity
 
     ingest.write_csv(
         out / "factor_loadings.csv",
@@ -352,26 +369,23 @@ def cmd_factors(args, config, out):
         "rho": result.rho,
         "singular_values": result.singular_values,
         "variable": section["variable"],
-        "regularity": {
-            "n_components": diagnostic.n_components,
-            "flagged": diagnostic.flagged,
-            "tail_fraction": diagnostic.tail_fraction,
-        },
+        "regularity": {key: getattr(result.regularity, key) for key in (
+            "n_components", "flagged", "tail_fraction")},
         "permutation": permutation,
-        "seed": seed,
+        "seed": ctx.seed,
         "dropped": result.dropped,
     })
     _say(args, f"factors: K={result.k}, rho_1={result.rho[0]:.4f} -> {out}")
 
 
-def cmd_fira(args, config, out):
+def cmd_fira(args, ctx, out):
     from . import fira as fr
     from . import svgplot
 
-    section, permutation, series, panel = _factor_inputs(config, "fira")
+    section = ctx.config["fira"]
+    series, permutation = ctx.factor_inputs("fira")
+    panel, controls = ctx.panel("sectors"), ctx.panel("controls")
     lags = section.get("lags", [0, 0, 0])
-    controls = _load_panel(config, "controls")
-    seed = _seed(config)
     # a shock off the grid fails before any horizon is fitted
     shocks = [fr.make_shock_surface(
         spec["magnitude"], tuple(spec["center"]), spec["radius_km"],
@@ -383,7 +397,7 @@ def cmd_fira(args, config, out):
     fitted = fr.fit_fira(design, panel,
                          **_present(section, "h_max", "tol", "k"),
                          permutation=permutation,
-                         rng=np.random.default_rng(seed))
+                         rng=np.random.default_rng(ctx.seed))
     # with no horizon fitted every response is zero, so none is written
     fitted_any = any(e is not None for e in fitted.by_horizon)
     for idx, shock in enumerate(shocks if fitted_any else []):
@@ -414,35 +428,25 @@ def cmd_fira(args, config, out):
         "rho_per_horizon": [e.rho if e else [] for e in fitted.by_horizon],
         "failures": [list(f) for f in fitted.failures],
         "permutation": permutation,
-        "shocks": [{
-            "magnitude": shock.magnitude,
-            "center": list(shock.center),
-            "radius_km": shock.radius_km,
-            "profile": shock.profile,
-            "footprint_area_km2": shock.footprint_area_km2,
-            "n_cells": shock.n_cells,
-        } for shock in shocks],
-        "seed": seed,
+        "shocks": [{f.name: getattr(shock, f.name)
+                    for f in dataclasses.fields(shock) if f.name != "surface"}
+                   for shock in shocks],
+        "seed": ctx.seed,
     })
     if not fitted_any:
-        raise NumericalError("every fira horizon failed; see "
-                             "fira_report.json")
+        raise NumericalError("every fira horizon failed; see fira_report.json")
     _say(args, f"fira: {len(shocks)} shock(s), "
                f"h_max={fitted.horizons[-1]} -> {out}")
 
 
-def cmd_synth(args, config, out):
+def cmd_synth(args, ctx, out):
     from . import synth
 
-    section = config["synth"]
+    section = ctx.config["synth"]
     kind = section["kind"]
-    seed = _seed(config)
-    try:
-        grids, panel, planted = synth.KINDS[kind](
-            np.random.default_rng(seed),
-            **_present(section, "step", *cfg.SYNTH_READS[kind]))
-    except NonConformableMask as exc:  # a step that does not tile the bounds
-        raise ConfigError(f"config key synth.step: {exc}") from None
+    grids, panel, planted = synth.KINDS[kind](
+        np.random.default_rng(ctx.seed),
+        **_present(section, "step", *cfg.SYNTH_READS[kind]))
     write_grid, suffix = ((ingest.write_gridded_binary, "sgf")
                           if section.get("format") == "binary"
                           else (ingest.write_gridded_csv, "csv"))
@@ -452,7 +456,7 @@ def cmd_synth(args, config, out):
         files["sectors.csv"] = (ingest.write_panel_csv, panel)
     for name, (write, data) in files.items():
         write(data, out / name)
-    manifest = {"kind": kind, "seed": seed, "files": list(files)}
+    manifest = {"kind": kind, "seed": ctx.seed, "files": list(files)}
     if planted is not None:
         manifest["planted"] = planted
     _write_json(out / "synth_manifest.json", manifest)
@@ -475,7 +479,8 @@ COMMANDS = {
 }
 
 
-def build_parser():
+def main(argv=None):
+    one_blas_thread()
     parser = argparse.ArgumentParser(
         prog="climfact",
         description="Weather anomalies, threshold shocks, impulse responses "
@@ -485,17 +490,12 @@ def build_parser():
     parser.add_argument("--config", required=True, help="run configuration JSON")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--quiet", action="store_true")
-    return parser
-
-
-def main(argv=None):
-    one_blas_thread()
-    args = build_parser().parse_args(argv)
+    args = parser.parse_args(argv)
     try:
         with _named("--config", args.config):
             config = cfg.load_config(args.config)
         command, needs = COMMANDS[args.command]
-        command(args, config, _out_dir(args, config, needs))
+        command(args, Context(config), _out_dir(args, config, needs))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

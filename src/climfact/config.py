@@ -26,7 +26,7 @@ import json
 import math
 import operator
 
-from .errors import ConfigError, first_non_utf8
+from .errors import ConfigError, NonConformableMask, first_non_utf8
 
 _WINDOW = {
     "type": "array", "items": {"type": "integer"},
@@ -458,6 +458,29 @@ def check_rules(doc):
         if start > end:
             raise ConfigError(f"config key {section}.{key} starts in {start}, "
                               f"after it ends in {end}")
+    if "step" in synth:
+        # the fixtures' bounds and build_domain's tiling rule, imported
+        # (with numpy) only by a config that sets the step
+        from .grid import _cell_counts
+        from .synth import _KIND_BOUNDS
+
+        step = synth["step"]
+        try:
+            _cell_counts(*_KIND_BOUNDS[synth["kind"]], step, step)
+        except NonConformableMask as exc:
+            raise ConfigError(f"config key synth.step: {exc}") from None
+    if "warming" in synth:
+        from .climatology import (DEFAULT_REFERENCE_WINDOW,
+                                  DEFAULT_THRESHOLD_WINDOW)
+
+        start = DEFAULT_THRESHOLD_WINDOW[0]
+        end = synth.get("years", DEFAULT_REFERENCE_WINDOW)[1]
+        if end >= start:
+            # normals_series would shift reference years by the warming,
+            # and their monthly means would miss the bundled normals
+            raise ConfigError(f"config key synth.years ends in {end}, but "
+                              f"synth.warming shifts every year from {start} "
+                              f"on, so the reference years must end before it")
     return doc
 
 

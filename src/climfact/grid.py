@@ -202,7 +202,9 @@ class SurfaceSeries(months.MonthlySeries):
 
     def __post_init__(self):
         self._set_axis("surface series", self.domain.shape, NonConformable)
-        if not np.all(np.isfinite(self.values[:, self.domain.mask])):
+        # reduce over time first: indexing values by the mask would copy
+        # the whole (T, n_valid) matrix
+        if not np.isfinite(self.values).all(axis=0)[self.domain.mask].all():
             raise NonConformable("series has non-finite values on valid cells")
         object.__setattr__(self, "times", _readonly(self.times))
         object.__setattr__(self, "values", _readonly(self.values))

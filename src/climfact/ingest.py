@@ -105,8 +105,10 @@ def _csv_rows(path, check_header):
     """Yield the header of a CSV input, then (file line, fields) of each
     data row, from the physical line it starts on. check_header(header)
     gives None or the message of a ParseError on line 1; a byte that is
-    not UTF-8, no header, a field count not the header's and no data row
-    (on the line after the header) are ParseErrors too."""
+    not UTF-8, no header, a field count not the header's, a row the csv
+    module cannot split (on the line the row starts) and no data row (on
+    the line after the header) are ParseErrors too."""
+    line = 1
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             reader = csv.reader(fh)
@@ -131,6 +133,11 @@ def _csv_rows(path, check_header):
             byte, line = first_non_utf8(path)
             raise ParseError(f"byte {byte:#04x} is not UTF-8", path=path,
                              line=line) from None
+        except csv.Error as exc:
+            # an unmatched quote reads the rest of the file as one field,
+            # which a large enough file takes past the csv field limit
+            raise ParseError(f"{exc}, as when a quote on this line is never "
+                             f"closed", path=path, line=line) from None
     if not n_rows:
         raise ParseError("no data rows", path=path, line=after_header)
 

@@ -35,6 +35,11 @@ TEMPERATURE_DEVIATION_MEANS = {"EA": 1.30, "DE": 1.33}
 # First month of the factor-model and smooth-anomaly fixtures.
 _FIXTURE_START = np.datetime64("2001-01", "M")
 
+# (lat_min, lat_max, lon_min, lon_max) of the euro-area-like and
+# Germany-like rasters
+_EA_BOUNDS = (40.0, 56.0, 0.0, 16.0)
+_DE_BOUNDS = (47.0, 55.0, 6.0, 15.0)
+
 
 def year_axis(y0, y1):
     """Monthly axis covering calendar years y0..y1 inclusive."""
@@ -43,12 +48,12 @@ def year_axis(y0, y1):
 
 def ea_domain(step=2.0):
     """Small euro-area-like raster for normals fixtures."""
-    return build_domain((40.0, 56.0, 0.0, 16.0), step)
+    return build_domain(_EA_BOUNDS, step)
 
 
 def de_domain(step=0.25):
     """Germany-like raster at the native grid spacing."""
-    return build_domain((47.0, 55.0, 6.0, 15.0), step)
+    return build_domain(_DE_BOUNDS, step)
 
 
 def normals_series(domain, variable, years=cl.DEFAULT_REFERENCE_WINDOW,
@@ -286,3 +291,8 @@ def _fira_demo(rng, step=0.5, sectors=8, months=252):
 
 KINDS = {"normals": _normals, "planted-lp": _planted_lp,
          "planted-factor": _planted_factor, "fira-demo": _fira_demo}
+
+# the bounds each kind's step must tile, which config.check_rules checks
+# before a command reads any input or makes its output directory
+_KIND_BOUNDS = {"normals": _EA_BOUNDS, "planted-lp": _EA_BOUNDS,
+                "planted-factor": _DE_BOUNDS, "fira-demo": _DE_BOUNDS}

@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from climfact.climatology import (
     shock_variants,
 )
 from climfact.entry import BLAS_THREAD_VARIABLES
-from climfact.errors import RankDeficientDesign
+from climfact.errors import ConfigError, RankDeficientDesign
 from climfact.factors import two_stage
 from climfact.grid import SurfaceSeries, build_domain
 from climfact.ingest import (
@@ -440,6 +441,58 @@ class TestInputPaths:
         assert capsys.readouterr().err == (
             f"data error: {message} ({path}, line {line})\n")
 
+    @pytest.mark.parametrize("kind,commands", [
+        ("panel", ("lp", "factors", "fira")),
+        ("grid", ("baseline", "anomaly", "shocks", "lp", "factors", "fira")),
+    ])
+    def test_a_stray_quote_in_a_large_input_is_a_data_error(
+            self, tmp_path, capsys, kind, commands):
+        # from an unmatched quote, csv reads the rest of the file as one
+        # field, which here runs past the csv module's 131,072-byte limit
+        data = tmp_path / "data"
+        synth = _write_config(tmp_path, {
+            "synth": {"kind": "planted-lp", "sectors": 80}}, "synth.json")
+        assert cli.main(["synth", "--config", synth, "--out", str(data),
+                         "--quiet"]) == 0
+        path = data / ("sectors.csv" if kind == "panel" else "temperature.csv")
+        lines = path.read_text().split("\n")
+        lines[3] = lines[3].replace(",", ',"', 1)
+        path.write_text("\n".join(lines))
+        assert len("\n".join(lines[3:]).encode()) > 131072
+        config = _write_config(tmp_path, {
+            "grids": [{"name": "temperature",
+                       "path": str(data / "temperature.csv")}],
+            "panels": {"sectors": {"path": str(data / "sectors.csv"),
+                                   "transform": "none"}},
+            "shocks": {"variable": "temperature"},
+            "factors": {"variable": "temperature", "k": 1},
+            "fira": {"variable": "temperature", "k": 1, "shocks": [
+                {"magnitude": 1.0, "center": [48.0, 8.0],
+                 "radius_km": 200.0}]},
+        })
+        for command in commands:
+            code = cli.main([command, "--config", config,
+                             "--out", str(tmp_path / command), "--quiet"])
+            err = capsys.readouterr().err
+            assert (command, code) == (command, 3), err
+            assert err.endswith(f"({path}, line 4)\n")
+            assert "field limit" in err and "Traceback" not in err
+
+    def test_a_stray_quote_in_a_small_input_is_a_short_row(self, tmp_path,
+                                                           capsys):
+        # the same mutation, in a file under the csv field limit
+        series, grid = _tiny_grid(tmp_path)
+        path = Path(grid["path"])
+        lines = path.read_text().split("\n")
+        lines[3] = lines[3].replace(",", ',"', 1)
+        path.write_text("\n".join(lines))
+        config = _write_config(tmp_path, {
+            "grids": [grid], "baseline": {"reference_window": [2001, 2002]}})
+        assert cli.main(["baseline", "--config", config,
+                         "--out", str(tmp_path / "out"), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: expected 4 fields, got 2 ({path}, line 4)\n")
+
     def test_region_row_within_a_millionth_of_a_step_is_its_cell(
             self, tmp_path):
         series, grid = _tiny_grid(tmp_path)
@@ -591,6 +644,16 @@ class TestConfigRules:
         ("reversed synth years",
          {"synth": {"kind": "normals", "snr": None, "years": [1990, 1960]}},
          "config key synth.years starts in 1990, after it ends in 1960"),
+        ("synth step that does not tile the bounds",
+         {"synth": {"kind": "planted-lp", "snr": None, "step": 7.0}},
+         "config key synth.step: step 7.0 does not divide the latitude "
+         "extent 16.0"),
+        ("synth warming over the reference years",
+         {"synth": {"kind": "normals", "snr": None, "years": [1990, 2001],
+                    "warming": 1.0}},
+         "config key synth.years ends in 2001, but synth.warming shifts "
+         "every year from 2001 on, so the reference years must end before "
+         "it"),
     ])
     def test_a_broken_rule_fails_every_command_first(self, tmp_path, capsys,
                                                      rule, edit, message):
@@ -615,6 +678,9 @@ class TestConfigRules:
         {"synth": {"kind": "normals", "years": [1970, 1970]}},
         {"baseline": {"reference_window": [1980, 1980]},
          "shocks": {"variable": "t", "threshold_window": [2001, 2001]}},
+        {"synth": {"kind": "normals", "warming": 1.0}},
+        {"synth": {"kind": "normals", "years": [1960, 2000], "warming": 1.0}},
+        {"synth": {"kind": "fira-demo", "step": 1.0}},
     ])
     def test_the_edges_of_the_sector_and_window_rules_pass(self, tmp_path,
                                                           edit):
@@ -842,6 +908,8 @@ class TestSynth:
 
     @pytest.mark.parametrize("kind", list(_SYNTH_KEYS))
     def test_every_key_a_kind_reads_takes_effect(self, tmp_path, kind):
+        from climfact import synth
+
         keys = _SYNTH_KEYS[kind]
         config = _write_config(tmp_path, {"synth": {"kind": kind, **keys}})
         out = tmp_path / "out"
@@ -852,6 +920,10 @@ class TestSynth:
             manifest["files"] + ["synth_manifest.json"])
         grid = load_gridded(out / manifest["files"][0])
         assert grid.domain.step_lat == keys["step"]
+        # the bounds config.check_rules tiles with synth.step
+        domain = grid.domain
+        assert (domain.lat_min, domain.lat_max, domain.lon_min,
+                domain.lon_max) == synth._KIND_BOUNDS[kind]
         if kind == "normals":
             assert str(grid.times[0]) == "1960-01"
             assert str(grid.times[-1]) == "2021-12"  # warming runs to 2021
@@ -900,6 +972,52 @@ def planted(tmp_path_factory):
     })
     assert cli.main(["synth", "--config", config, "--quiet"]) == 0
     return root
+
+
+class TestContext:
+    """One context per invocation reads and derives each input once."""
+
+    def test_each_input_is_read_and_derived_once(self, planted, tmp_path,
+                                                  monkeypatch):
+        from climfact import climatology, ingest
+
+        calls = []
+        for module, name in ((ingest, "load_gridded"),
+                             (climatology, "compute_baseline")):
+            def counted(*args, _real=getattr(module, name), _name=name,
+                        **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        data = planted / "data"
+        ctx = cli.Context(cfg.load_config(_write_config(tmp_path, {
+            "grids": [{"name": "temperature",
+                       "path": str(data / "temperature.csv")}],
+            "panels": {"sectors": {"path": str(data / "sectors.csv")}},
+            "shocks": {"variable": "temperature"},
+        })))
+        anomalies = ctx.anomalies("temperature")
+        assert ctx.shocks().table["all"].n_events > 0
+        assert ctx.anomalies("temperature") is anomalies
+        ctx.baseline("temperature")
+        assert calls == ["load_gridded", "compute_baseline"]
+        assert ctx.panel("controls") is None
+
+    def test_a_grid_is_let_go_once_its_anomalies_exist(self, planted):
+        # factors and fira hold only the anomalies, as they did before the
+        # context kept inputs; the raw grid is as large again
+        path = str(planted / "data" / "temperature.csv")
+        ctx = cli.Context({"grids": [{"name": "temperature", "path": path}]})
+        grid = weakref.ref(ctx.grid("temperature"))
+        anomalies = ctx.anomalies("temperature")
+        assert grid() is None
+        assert ctx.regions(anomalies.domain) == {"ALL": None}
+
+    def test_an_unreadable_grid_names_its_key(self, tmp_path):
+        ctx = cli.Context({"grids": [{"name": "t", "path": str(tmp_path)}]})
+        with pytest.raises(ConfigError,
+                           match=r"^config key grids\[0\]\.path: cannot read"):
+            ctx.grid("t")
 
 
 class TestLp:

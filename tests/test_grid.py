@@ -161,3 +161,20 @@ class TestSurfaceSeries:
         with pytest.raises(NonConformable):
             SurfaceSeries(small_domain,
                           np.array(["2001-01"], dtype="datetime64[M]"), values)
+
+    @pytest.mark.parametrize("month,cell", [(2, (0, 0)), (0, (1, 1)),
+                                            (1, (0, 1))])
+    def test_finiteness_reads_valid_cells_only(self, month, cell):
+        # cell (0, 1) is masked, and NaN in every month
+        mask = np.array([[True, False], [True, True]])
+        domain = build_domain((0.0, 2.0, 0.0, 2.0), 1.0, mask)
+        values = np.where(mask, 1.0, np.nan)[None].repeat(3, axis=0)
+        values[month][cell] = np.inf
+        times = np.arange(np.datetime64("2001-01", "M"),
+                          np.datetime64("2001-04", "M"))
+        if mask[cell]:
+            with pytest.raises(NonConformable,
+                               match="non-finite values on valid cells"):
+                SurfaceSeries(domain, times, values)
+        else:
+            assert SurfaceSeries(domain, times, values).domain is domain
