@@ -444,9 +444,11 @@ def cmd_synth(args, ctx, out):
 
     section = ctx.config["synth"]
     kind = section["kind"]
+    # check_rules has refused any key the kind does not read
     grids, panel, planted = synth.KINDS[kind](
         np.random.default_rng(ctx.seed),
-        **_present(section, "step", *cfg.SYNTH_READS[kind]))
+        **{key: value for key, value in section.items()
+           if key not in ("kind", "format")})
     write_grid, suffix = ((ingest.write_gridded_binary, "sgf")
                           if section.get("format") == "binary"
                           else (ingest.write_gridded_csv, "csv"))
@@ -495,7 +497,10 @@ def main(argv=None):
         with _named("--config", args.config):
             config = cfg.load_config(args.config)
         command, needs = COMMANDS[args.command]
-        command(args, Context(config), _out_dir(args, config, needs))
+        # an input value so large that arithmetic on it overflows fails
+        # the command, rather than warning and going on with inf
+        with np.errstate(over="raise"):
+            command(args, Context(config), _out_dir(args, config, needs))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -504,7 +509,7 @@ def main(argv=None):
         print(f"config error: cannot write {str(exc.filename)!r} "
               f"({exc.strerror})", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalError as exc:
+    except (NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ClimfactError as exc:

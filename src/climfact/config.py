@@ -10,7 +10,9 @@ accepts the same configs and fails before it reads any input:
 ``validate_config`` checks it against ``SCHEMA`` (plus finite numbers
 and id lists without repeats), then ``check_rules`` checks the rules
 that link keys, which README lists. Which sections a command needs is
-the command's business, and ``cli`` checks it.
+the command's business, and ``cli`` checks it. The rules on a ``synth``
+section are facts about its fixtures: ``check_rules`` calls
+``synth.check`` for them, and this module knows no fixture kind.
 
 ``SCHEMA`` is a JSON Schema (draft 2020-12) document, checked by a small
 walker over the twelve keywords it uses rather than by the jsonschema
@@ -26,7 +28,7 @@ import json
 import math
 import operator
 
-from .errors import ConfigError, NonConformableMask, first_non_utf8
+from .errors import ConfigError, first_non_utf8
 
 _WINDOW = {
     "type": "array", "items": {"type": "integer"},
@@ -442,54 +444,15 @@ def check_rules(doc):
             and "extreme" not in shocks.get("variants", ()):
         raise ConfigError("config key shocks.extreme_multiplier needs "
                           "'extreme' in shocks.variants")
-    synth = doc.get("synth", {})
-    unread = sorted(set(synth) - {"kind", "step", "format",
-                                  *SYNTH_READS.get(synth.get("kind"), ())})
-    if unread:
-        raise ConfigError(f"config key synth.{unread[0]} is not read by "
-                          f"synth kind {synth['kind']!r}")
-    if synth.get("kind") == "fira-demo" and synth.get("sectors", 3) < 3:
-        raise ConfigError(f"config key synth.sectors is {synth['sectors']}, "
-                          f"but synth kind 'fira-demo' plants its signal in "
-                          f"sector CP002, so it needs at least 3")
+    if "synth" in doc:
+        from .synth import check  # with numpy, only for a synth section
+
+        check(doc["synth"])
     for section, key in (("baseline", "reference_window"),
                          ("shocks", "threshold_window"), ("synth", "years")):
         start, end = doc.get(section, {}).get(key, (0, 0))
         if start > end:
             raise ConfigError(f"config key {section}.{key} starts in {start}, "
                               f"after it ends in {end}")
-    if "step" in synth:
-        # the fixtures' bounds and build_domain's tiling rule, imported
-        # (with numpy) only by a config that sets the step
-        from .grid import _cell_counts
-        from .synth import _KIND_BOUNDS
-
-        step = synth["step"]
-        try:
-            _cell_counts(*_KIND_BOUNDS[synth["kind"]], step, step)
-        except NonConformableMask as exc:
-            raise ConfigError(f"config key synth.step: {exc}") from None
-    if "warming" in synth:
-        from .climatology import (DEFAULT_REFERENCE_WINDOW,
-                                  DEFAULT_THRESHOLD_WINDOW)
-
-        start = DEFAULT_THRESHOLD_WINDOW[0]
-        end = synth.get("years", DEFAULT_REFERENCE_WINDOW)[1]
-        if end >= start:
-            # normals_series would shift reference years by the warming,
-            # and their monthly means would miss the bundled normals
-            raise ConfigError(f"config key synth.years ends in {end}, but "
-                              f"synth.warming shifts every year from {start} "
-                              f"on, so the reference years must end before it")
     return doc
-
-
-# the synth keys each kind reads beside kind, step and format: the
-# keyword arguments of its builder in synth.KINDS, and no others
-SYNTH_READS = {
-    "normals": ("years", "warming"),
-    "planted-lp": ("sectors", "months"),
-    "planted-factor": ("sectors", "months", "snr"),
-    "fira-demo": ("sectors", "months"),
-}
 

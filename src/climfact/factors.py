@@ -24,6 +24,7 @@ singular values that the keep rule reads.
 """
 
 import copy
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -303,9 +304,18 @@ def _deflate(basis, w):
 
 def _null_cut(theta, level, T):
     """level quantile over the shuffles (rows) of the null singular values
-    whose squares, times (T - 1)**2, are theta."""
-    return np.quantile(np.sqrt(np.clip(theta, 0.0, None)) / (T - 1), level,
-                       axis=0)
+    whose squares, times (T - 1)**2, are theta.
+
+    It is np.quantile(..., level, axis=0) bit for bit (method "linear":
+    the same order statistics, weight and interpolation), without the
+    np.unique call that makes np.quantile import numpy.ma."""
+    s = np.sort(np.sqrt(np.clip(theta, 0.0, None)) / (T - 1), axis=0)
+    at = (len(s) - 1) * level
+    lo = math.floor(at)
+    lo, hi = (-1, -1) if at >= len(s) - 1 else (lo, lo + 1)
+    t = at - lo
+    diff = s[hi] - s[lo]
+    return s[hi] - diff * (1 - t) if t >= 0.5 else s[lo] + diff * t
 
 
 def _reads(r, cut, wanted):

@@ -300,7 +300,7 @@ def respond(fira, shock):
             continue
         loadings = entry.b_hat[:, x0.start:x0.stop] @ shock_hat  # (K,)
         # the sectors this horizon dropped keep exact zeros
-        kept = np.isin(fira.sector_ids, entry.sector_ids)
+        kept = [sector in entry.sector_ids for sector in fira.sector_ids]
         canonical[h, kept] = (entry.rho * loadings) @ entry.a
     return ResponseResult(
         sector_ids=fira.sector_ids, horizons=fira.horizons,

@@ -90,7 +90,8 @@ class GridDomain:
 
 def _cell_counts(lat_min, lat_max, lon_min, lon_max, step_lat, step_lon):
     def count(extent, step, axis):
-        n = int(round(extent / step))
+        ratio = extent / step  # inf for a step far below the extent
+        n = int(round(ratio)) if np.isfinite(ratio) else 0
         if n < 1 or abs(n * step - extent) > 1e-9 * max(1.0, abs(extent)):
             raise NonConformableMask(
                 f"step {step} does not divide the {axis} extent {extent}"

@@ -458,7 +458,7 @@ def _load_gridded_binary(path, variable, weighting):
     try:    # build_domain's lattice rule; a NaN or infinite extent fails too
         n_lat, n_lon = _cell_counts(lat_min, lat_max, lon_min, lon_max,
                                     step_lat, step_lon)
-    except (NonConformableMask, ValueError, OverflowError):
+    except NonConformableMask:
         raise ParseError("degenerate grid bounds", path=path,
                          offset=4) from None
     # the frame size in Python ints: a damaged header may give a grid too

@@ -6,13 +6,20 @@ exact where a downstream check needs exactness: monthly normals fixtures
 reproduce the bundled euro-area reference values to float precision, and
 the structural factor model enforces its block orthogonality in sample
 (not just in population) so pipeline identities hold at solver tolerance.
+
+The kinds of the synth command live here with every rule on their keys:
+``check`` holds them, and ``config.check_rules`` calls it, so a broken
+synth section fails every command before any input is read.
 """
+
+import inspect
 
 import numpy as np
 
 from . import climatology as cl
 from . import months
-from .grid import SurfaceSeries, build_domain
+from .errors import ConfigError, NonConformableMask
+from .grid import SurfaceSeries, _cell_counts, build_domain
 from .ingest import SectorPanel
 
 # Euro-area-like monthly normals for the four bundled variables
@@ -240,8 +247,9 @@ def smooth_anomaly_series(domain, T, rng):
                          "temperature_anomaly")
 
 
-# -- synth kinds: builder(rng, step, *config.SYNTH_READS[kind]) -> (grids
-# by file stem, sector panel or None, manifest "planted" entry or None)
+# -- synth kinds: builder(rng, **keys) -> (grids by file stem, sector
+# panel or None, manifest "planted" entry or None); a kind reads kind,
+# format and its builder's keyword parameters
 
 
 def _normals(rng, step=2.0, years=cl.DEFAULT_REFERENCE_WINDOW, warming=None):
@@ -292,7 +300,60 @@ def _fira_demo(rng, step=0.5, sectors=8, months=252):
 KINDS = {"normals": _normals, "planted-lp": _planted_lp,
          "planted-factor": _planted_factor, "fira-demo": _fira_demo}
 
-# the bounds each kind's step must tile, which config.check_rules checks
-# before a command reads any input or makes its output directory
+# the bounds each kind's step must tile
 _KIND_BOUNDS = {"normals": _EA_BOUNDS, "planted-lp": _EA_BOUNDS,
                 "planted-factor": _DE_BOUNDS, "fira-demo": _DE_BOUNDS}
+
+# the most grid and panel values a fixture may hold, 800 MB of float64:
+# a key past it is a typo, which would end in a MemoryError or swap
+MAX_FIXTURE_VALUES = 10**8
+
+
+def _fixture_values(kind, cells, keys):
+    """Grid cells x months per grid, plus panel months x sectors."""
+    w0, w1 = cl.DEFAULT_THRESHOLD_WINDOW
+    if kind == "normals":  # one grid per variable, on to w1 when warmed
+        first, last = keys["years"]
+        last = last if keys["warming"] is None else w1
+        return len(EA_MONTHLY_NORMALS) * cells * 12 * (last - first + 1)
+    if kind == "planted-lp":  # a warmed grid; the panel is its shock's
+        span = 12 * (w1 - cl.DEFAULT_REFERENCE_WINDOW[0] + 1)
+        return cells * span + min(keys["months"], 12 * (w1 - w0 + 1)) \
+            * keys["sectors"]
+    return (cells + keys["sectors"]) * keys["months"]
+
+
+def check(section):
+    """Raise a ConfigError naming the key if the synth config section
+    asks for a fixture its kind cannot build."""
+    kind = section["kind"]
+    params = list(inspect.signature(KINDS[kind]).parameters.values())[1:]
+    keys = {p.name: section.get(p.name, p.default) for p in params}
+    unread = sorted(set(section) - {"kind", "format", *keys})
+    if unread:
+        raise ConfigError(f"config key synth.{unread[0]} is not read by "
+                          f"synth kind {kind!r}")
+    if kind == "fira-demo" and keys["sectors"] < 3:
+        raise ConfigError(f"config key synth.sectors is {keys['sectors']}, "
+                          f"but synth kind 'fira-demo' plants its signal in "
+                          f"sector CP002, so it needs at least 3")
+    try:
+        n_lat, n_lon = _cell_counts(*_KIND_BOUNDS[kind], keys["step"],
+                                    keys["step"])
+    except NonConformableMask as exc:
+        raise ConfigError(f"config key synth.step: {exc}") from None
+    start = cl.DEFAULT_THRESHOLD_WINDOW[0]
+    if "warming" in section and keys["years"][1] >= start:
+        # normals_series would shift reference years by the warming, and
+        # their monthly means would miss the bundled normals
+        raise ConfigError(f"config key synth.years ends in "
+                          f"{keys['years'][1]}, but synth.warming shifts "
+                          f"every year from {start} on, so the reference "
+                          f"years must end before it")
+    if _fixture_values(kind, n_lat * n_lon, keys) > MAX_FIXTURE_VALUES:
+        named = [f"synth.{key}" for key in keys
+                 if key in section and key != "snr"]
+        raise ConfigError(f"config key{'s' * (len(named) > 1)} "
+                          f"{', '.join(named)}: synth kind {kind!r} would "
+                          f"hold more than {MAX_FIXTURE_VALUES:,} grid and "
+                          f"panel values")

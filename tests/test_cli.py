@@ -654,6 +654,23 @@ class TestConfigRules:
          "config key synth.years ends in 2001, but synth.warming shifts "
          "every year from 2001 on, so the reference years must end before "
          "it"),
+        ("synth step too fine to build",
+         {"synth": {"kind": "normals", "snr": None, "step": 0.0001}},
+         "config key synth.step: synth kind 'normals' would hold more than "
+         "100,000,000 grid and panel values"),
+        ("synth sectors too many to build",
+         {"synth": {"kind": "planted-lp", "snr": None,
+                    "sectors": 2000000000}},
+         "config key synth.sectors: synth kind 'planted-lp' would hold more "
+         "than 100,000,000 grid and panel values"),
+        ("synth months too many to build",
+         {"synth": {"kind": "fira-demo", "snr": None, "months": 100000000}},
+         "config key synth.months: synth kind 'fira-demo' would hold more "
+         "than 100,000,000 grid and panel values"),
+        ("synth step too fine to count",
+         {"synth": {"kind": "normals", "snr": None, "step": 5e-324}},
+         "config key synth.step: step 5e-324 does not divide the latitude "
+         "extent 16.0"),
     ])
     def test_a_broken_rule_fails_every_command_first(self, tmp_path, capsys,
                                                      rule, edit, message):
@@ -681,6 +698,9 @@ class TestConfigRules:
         {"synth": {"kind": "normals", "warming": 1.0}},
         {"synth": {"kind": "normals", "years": [1960, 2000], "warming": 1.0}},
         {"synth": {"kind": "fira-demo", "step": 1.0}},
+        # 72 cells and 28 sectors over 10**6 months: the bound exactly
+        {"synth": {"kind": "planted-factor", "sectors": 28,
+                   "months": 1000000}},
     ])
     def test_the_edges_of_the_sector_and_window_rules_pass(self, tmp_path,
                                                           edit):
@@ -885,7 +905,7 @@ class TestShocks:
         assert "Traceback" not in err
 
 
-# every key config.SYNTH_READS lists, and step, away from its default
+# every key each kind's builder reads, away from its default
 _SYNTH_KEYS = {
     "normals": {"step": 4.0, "years": [1960, 1990], "warming": 1.0},
     "planted-lp": {"step": 4.0, "sectors": 2, "months": 100},
@@ -897,14 +917,17 @@ _SYNTH_KEYS = {
 class TestSynth:
     def test_each_builder_takes_the_keys_its_kind_reads(self):
         from climfact import synth
-        from climfact.config import SCHEMA, SYNTH_READS
+        from climfact.config import SCHEMA
 
-        kinds = SCHEMA["properties"]["synth"]["properties"]["kind"]["enum"]
-        assert list(synth.KINDS) == list(SYNTH_READS) == kinds
+        schema = SCHEMA["properties"]["synth"]["properties"]
+        assert list(synth.KINDS) == schema["kind"]["enum"]
+        read = set()
         for kind, builder in synth.KINDS.items():
-            assert list(inspect.signature(builder).parameters) == [
-                "rng", "step", *SYNTH_READS[kind]]
-            assert set(_SYNTH_KEYS[kind]) == {"step", *SYNTH_READS[kind]}
+            rng, *keys = inspect.signature(builder).parameters
+            assert set(_SYNTH_KEYS[kind]) == set(keys)
+            read.update(keys)
+        # the schema takes no key that every kind leaves unread
+        assert set(schema) == {"kind", "format", *read}
 
     @pytest.mark.parametrize("kind", list(_SYNTH_KEYS))
     def test_every_key_a_kind_reads_takes_effect(self, tmp_path, kind):
@@ -920,7 +943,7 @@ class TestSynth:
             manifest["files"] + ["synth_manifest.json"])
         grid = load_gridded(out / manifest["files"][0])
         assert grid.domain.step_lat == keys["step"]
-        # the bounds config.check_rules tiles with synth.step
+        # the bounds synth.check tiles with synth.step
         domain = grid.domain
         assert (domain.lat_min, domain.lat_max, domain.lon_min,
                 domain.lon_max) == synth._KIND_BOUNDS[kind]
@@ -1838,6 +1861,62 @@ def test_no_command_imports_scipy():
         "regional_mean", "regularity_diagnostic", "respond", "run_battery",
         "select_lags", "shock_variants", "svd_cross", "write_gridded_binary",
         "write_gridded_csv"]
+
+
+def test_the_nulls_do_not_import_numpy_ma(tmp_path):
+    # np.quantile and np.isin load numpy.ma through np.unique, 8 ms a
+    # process; a 20-sector fixture takes fira's membership test past the
+    # small-array path. (A format A grid still loads it, through
+    # load_gridded's np.unique.)
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", _write_config(tmp_path, {"synth": {
+        "kind": "planted-factor", "step": 1.0, "sectors": 20, "months": 60,
+        "format": "binary"}}, "synth.json"), "--out", str(data),
+        "--quiet"]) == 0
+    keys = {"variable": "planted", "use_anomalies": False,
+            "permutation": {"n": 19}}
+    config = _write_config(tmp_path, {
+        "grids": [{"name": "planted", "path": str(data / "planted.sgf")}],
+        "panels": {"sectors": {"path": str(data / "sectors.csv"),
+                               "transform": "none"}},
+        "factors": keys,
+        "fira": {**keys, "h_max": 2,
+                 "shocks": [{"magnitude": 1.0, "center": [51.0, 10.5],
+                             "radius_km": 200.0}]},
+    })
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\n"
+         "from climfact import cli\n"
+         "for command in ('factors', 'fira'):\n"
+         f"    code = cli.main([command, '--config', {config!r}, '--out',\n"
+         f"                     {str(tmp_path / 'out')!r}, '--quiet'])\n"
+         "    print(command, code, 'numpy.ma' in sys.modules)"],
+        env=_cli_env(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "factors 0 False\nfira 0 False\n"
+    assert (tmp_path / "out" / "fira_response_1.csv").exists()
+
+
+def test_a_value_that_overflows_is_a_numerical_failure(tmp_path, capsys):
+    # finite, but its square is not, so the factors Gram overflows: a
+    # numerical failure, not a warning, infinities and a LinAlgError
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", _write_config(tmp_path, {"synth": {
+        "kind": "planted-factor"}}, "synth.json"), "--out", str(data),
+        "--quiet"]) == 0
+    grid = data / "planted.csv"
+    lines = grid.read_text().split("\n")
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",1e200"
+    grid.write_text("\n".join(lines))
+    config = _write_config(tmp_path, {
+        "grids": [{"name": "planted", "path": str(grid)}],
+        "panels": {"sectors": {"path": str(data / "sectors.csv"),
+                               "transform": "none"}},
+        "factors": {"variable": "planted", "use_anomalies": False}})
+    assert cli.main(["factors", "--config", config,
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: overflow encountered in matmul\n")
 
 
 _BLAS_THREADS = """

@@ -349,6 +349,22 @@ class TestPermutationCutoffs:
         for n_shuffles in sorted(edges - {0} | {1, 37}):
             self._check_against_reference(rng, T, p, D, n_shuffles)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_cut_is_numpys_linear_quantile(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(250):
+            n, k = int(rng.integers(1, 120)), int(rng.integers(1, 6))
+            theta = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-12, 12)
+            theta[rng.integers(n)] = 0.0   # clipped, as are the negatives
+            if rng.uniform() < 0.2:        # ties across every shuffle
+                theta[:] = theta[0]
+            level = float(rng.choice([rng.uniform(), 0.5, 0.95, 1 - 1e-12]))
+            T = int(rng.integers(2, 300))
+            np.testing.assert_array_equal(
+                factors_module._null_cut(theta, level, T),
+                np.quantile(np.sqrt(np.clip(theta, 0.0, None)) / (T - 1),
+                            level, axis=0, method="linear"))
+
 
 class TestKrylovBlock:
     """Every shuffle's leading Ritz values are the leading eigenvalues of
