@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (
     InsufficientSample,
     NonConformable,
+    NumericalError,
     SingularFactorCovariance,
     ZeroCrossCovariance,
 )
@@ -179,14 +180,18 @@ class _KrylovBlock:
     """Lanczos on the null operators of one block of shuffles at once.
 
     Shuffle s of the block scores A_s = yc[perm_s].T @ gc @ yc[perm_s],
-    applied to one vector per shuffle by three gemms over the block (yc @
-    X, a gather by the permutations, gc @ Z, the inverse gather, yc.T @
-    V); neither A_s nor the T x (m p) shuffled panel is formed. Every
-    shuffle starts from the same fixed vector, and every step
-    reorthogonalizes against the whole basis twice. A Ritz value theta_i
-    of the k-step tridiagonal has converged when its residual |beta_k
-    s_ki| is at most _RITZ_RTOL * theta_1 (s_ki the last entry of its
-    eigenvector), or when k = p, where the Ritz values are A_s's
+    applied to one vector per shuffle by three gemms over the shuffles
+    still open (yc @ X, a gather by the permutations, gc @ Z, the inverse
+    gather, yc.T @ V); neither A_s nor the T x (m p) shuffled panel is
+    formed. Every shuffle starts from the same fixed vector, keeps its own
+    depth, and every step reorthogonalizes against its whole basis twice.
+    A Ritz value theta_i of the k-step tridiagonal has converged when its
+    error bound is at most _RITZ_RTOL * theta_1: the smaller of its
+    residual rho_i = |beta_k s_ki| (s_ki the last entry of its
+    eigenvector) and rho_i**2 / delta_i, where delta_i is its distance to
+    the neighbouring Ritz values, each less that neighbour's residual.
+    The lowest Ritz value, and any with delta_i <= 0, has only rho_i: the
+    spectrum below it is unseen. At k = p the Ritz values are A_s's
     eigenvalues. Once some beta_j is at most _RITZ_RTOL * theta_1, the
     Krylov space has (numerically) broken down: it holds an invariant
     subspace, whose eigenvalues are found exactly but need not lead, as
@@ -196,46 +201,55 @@ class _KrylovBlock:
     Lanczos, a value can still be missed if the leading ones converge
     before the breakdown shows: a second copy of a repeated eigenvalue,
     or an eigenvector orthogonal to the start. The shuffled operators of
-    a real panel have neither. The state persists, so asking for more
-    components continues the iteration.
+    a real panel have neither. Nor, as a rule, do they have the one case
+    that only the bound on delta_i adds: a cluster of eigenvalues so
+    narrow that the iteration has not yet told it apart reads as one
+    value with a small residual and a wide gap, so a read that ends on it
+    is known only to the cluster's width. A shuffle whose values have
+    converged leaves the gemms; its state persists, so asking for more
+    components resumes it from its own depth.
     """
 
     def __init__(self, yc, gc, draws, m):
         """Block of m shuffles, drawn by m calls to draws.permutation(T)."""
         T, p = yc.shape
         self.yc, self.gc, self.p = yc, gc, p
-        # flat indices into (T, m) arrays, z[t, s] = y[perm_s[t], s] and
-        # its inverse u[perm_s[t], s] = w[t, s], built in place
-        self.fwd = np.empty((T, m), dtype=np.intp)
+        self.perm = np.empty((T, m), dtype=np.intp)
         for s in range(m):
-            self.fwd[:, s] = draws.permutation(T)
-        self.inv = np.empty_like(self.fwd)
-        np.put_along_axis(self.inv, self.fwd, np.arange(T)[:, None], axis=0)
-        for flat in (self.fwd, self.inv):
-            flat *= m
-            flat += np.arange(m)
-        self.basis = np.empty((m, p, p))  # basis[s, j] = q_j of shuffle s
+            self.perm[:, s] = draws.permutation(T)
+        self.inv = np.empty_like(self.perm)
+        np.put_along_axis(self.inv, self.perm, np.arange(T)[:, None], axis=0)
+        self.gathers = None  # (shuffles, flat indices) of the last step
+        # basis[s, j] = q_j of shuffle s; rows past its depth stay zero
+        self.basis = np.zeros((m, p, p))
         # the fixed start, a pseudo-random unit vector: generic, so no
         # structured eigenvector of the null operators is orthogonal to it
         start = np.random.default_rng(0).standard_normal(p)
         self.basis[:, 0] = start / np.linalg.norm(start)
         self.alpha = np.empty((m, p))
         self.beta = np.zeros((m, p))
-        self.k = 0
+        self.k = np.zeros(m, dtype=np.intp)  # each shuffle's depth
         self.theta = [np.empty(0)] * m  # converged leading Ritz values
-        self.res = np.full((m, p), np.inf)  # relative residuals, last check
+        self.res = np.full((m, p), np.inf)  # relative bounds, last check
 
-    def _step(self):
-        """One Lanczos step on every shuffle of the block."""
-        j = self.k
-        q = self.basis[:, j]
-        w = np.take(self.gc @ np.take(self.yc @ q.T, self.fwd),
-                    self.inv).T @ self.yc
-        self.alpha[:, j] = np.einsum("sp,sp->s", w, q)
-        self.k = k = j + 1
-        if k == self.p:
-            return
-        basis = self.basis[:, :k]
+    def _step(self, sel):
+        """One Lanczos step on each shuffle of sel short of depth p."""
+        sel = sel[self.k[sel] < self.p]
+        if self.gathers is None or not np.array_equal(self.gathers[0], sel):
+            # flat indices into (T, n) arrays, z[t, i] = y[perm[t], i] and
+            # its inverse u[perm[t], i] = w[t, i], for shuffle sel[i]
+            cols = np.arange(len(sel))
+            self.gathers = (sel, self.perm[:, sel] * len(sel) + cols,
+                            self.inv[:, sel] * len(sel) + cols)
+        _, fwd, inv = self.gathers
+        j = self.k[sel]
+        q = self.basis[sel, j]
+        w = np.take(self.gc @ np.take(self.yc @ q.T, fwd), inv).T @ self.yc
+        self.alpha[sel, j] = np.einsum("sp,sp->s", w, q)
+        self.k[sel] = k = j + 1
+        go = k < self.p
+        sel, k, w = sel[go], k[go], w[go]
+        basis = self.basis[sel, :k.max(initial=0)]
         w = _deflate(basis, w)
         first = np.sqrt(np.einsum("sp,sp->s", w, w))
         w = _deflate(basis, w)
@@ -248,13 +262,14 @@ class _KrylovBlock:
             axis = np.argmin(np.einsum("sjp,sjp->sp", held, held), axis=1)
             w[lost] = _deflate(held, _deflate(held, np.eye(self.p)[axis]))
             beta[lost] = np.sqrt(np.einsum("sp,sp->s", w[lost], w[lost]))
-        self.basis[:, k] = w / beta[:, None]
-        self.beta[:, j] = np.where(lost, 0.0, beta)
+        self.basis[sel, k] = w / beta[:, None]
+        self.beta[sel, k - 1] = np.where(lost, 0.0, beta)
 
     def _ritz(self, sel):
-        """Ritz values of shuffles sel, descending, the length of each
-        one's converged leading run and each value's relative residual."""
-        k = self.k
+        """Ritz values of shuffles sel, all at one depth, descending, the
+        length of each one's converged leading run and each value's error
+        bound relative to theta_1."""
+        k = self.k[sel[0]]
         t = np.zeros((len(sel), k, k))
         i = np.arange(k)
         t[:, i, i] = self.alpha[sel, :k]
@@ -264,8 +279,14 @@ class _KrylovBlock:
                     np.zeros((len(sel), k)))
         theta, vecs = np.linalg.eigh(t)
         theta = theta[:, ::-1]
-        res = (self.beta[sel, k - 1, None] * np.abs(vecs[:, -1, ::-1])
-               / np.maximum(theta[:, :1], np.finfo(float).tiny))
+        rho = self.beta[sel, k - 1, None] * np.abs(vecs[:, -1, ::-1])
+        drop = -np.diff(theta, axis=1)  # theta_i - theta_(i+1)
+        gap = np.zeros_like(theta)      # the lowest value has none
+        gap[:, :-1] = drop - rho[:, 1:]
+        gap[:, 1:-1] = np.minimum(gap[:, 1:-1], (drop - rho[:, :-1])[:, :-1])
+        # rho**2 / gap where that is below rho, else rho
+        rho *= np.divide(rho, gap, out=np.ones_like(rho), where=gap > rho)
+        res = rho / np.maximum(theta[:, :1], np.finfo(float).tiny)
         # a beta at the rounding floor: broken down, these need not lead
         broken = (self.beta[sel, :k] <= _RITZ_RTOL * theta[:, :1]).any(axis=1)
         res[broken] = np.inf
@@ -277,22 +298,25 @@ class _KrylovBlock:
 
         After each step only the probe's tridiagonal is solved: the open
         shuffle whose need-th value was least converged when last checked.
-        Once it has converged, one batched solve checks every open shuffle.
+        Once it has converged, one batched solve per depth checks every
+        open shuffle, and those converged leave the steps that follow.
         """
         open_ = np.array([len(t) < need for t in self.theta])
         while open_.any():
             checked = np.flatnonzero(open_)
             probe = checked[np.argmax(self.res[checked, need - 1])]
-            if self.k == 0 or (self.k < self.p
-                               and self._ritz([probe])[1][0] < need):
-                self._step()
+            k = self.k[probe]
+            if k < need or (k < self.p and self._ritz([probe])[1][0] < need):
+                self._step(checked)
                 continue
-            theta, run, self.res[checked, :self.k] = self._ritz(checked)
-            for s, th, n in zip(checked, theta, run):
-                if n >= need:
-                    self.theta[s], open_[s] = th[:n], False
+            for depth in set(self.k[checked].tolist()):
+                group = checked[self.k[checked] == depth]
+                theta, run, self.res[group, :depth] = self._ritz(group)
+                for s, th, n in zip(group, theta, run):
+                    if n >= need:
+                        self.theta[s], open_[s] = th[:n], False
             if open_.any():
-                self._step()
+                self._step(np.flatnonzero(open_))
         got = min(len(t) for t in self.theta)
         return np.array([t[:got] for t in self.theta])
 
@@ -338,7 +362,10 @@ def permutation_cutoffs(yc, xc, n_shuffles, level, rng=None, *, r):
     singular values are the eigenvalues of yc[perm].T @ xc @ yc[perm] /
     (T - 1)**2 however wide the surface is. Shuffles are scored _BLOCK at
     a time by a matrix-free Lanczos iteration (_KrylovBlock) that
-    converges only the leading values asked for.
+    converges only the leading values asked for: a shuffle stops, and
+    leaves the block's gemms, once each value read has an error bound
+    (its residual, or the residual squared over its gap to the other
+    Ritz values) of at most _RITZ_RTOL times the largest.
 
     r is the observed singular values, descending; the call returns
     the quantiles two_stage's keep rule reads: those up to and including
@@ -533,7 +560,17 @@ def _frame(panel, series):
     (panel, series), _ = align(panel, series)
     x = hat_matrix(series)
     xc, _ = center_columns(x)
-    return panel, series, x, xc @ xc.T
+    return panel, series, x, _gram(xc)
+
+
+def _gram(rows):
+    """rows @ rows.T; a product past the float range raises NumericalError
+    rather than warning and going on with infinities."""
+    with np.errstate(over="raise"):
+        try:
+            return rows @ rows.T
+        except FloatingPointError as exc:
+            raise NumericalError(str(exc)) from None
 
 
 def estimate_covariances(panel, series):

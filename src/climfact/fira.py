@@ -167,7 +167,7 @@ def fit_fira(design, panel, h_max=12, tol=0.1, k=None, permutation=None,
     # one Gram over every design row a horizon reads; each takes a block
     lo = max(0, shift - h_max)
     window = design.matrix[lo:min(t_d, none_left)]
-    gram = window @ window.T
+    gram = af._gram(window)
     per_h = []
     failures = []
     for h in range(h_max + 1):

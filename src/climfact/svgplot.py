@@ -5,6 +5,8 @@ formatting and no generated ids, so identical inputs yield byte-identical
 files and golden-file comparisons stay stable.
 """
 
+import math
+
 import numpy as np
 
 
@@ -19,9 +21,9 @@ def _esc(text):
 
 def _diverging_color(value, vmax):
     """Blue-white-red map on [-vmax, vmax]."""
-    if vmax <= 0 or not np.isfinite(value):
+    if vmax <= 0 or not math.isfinite(value):
         return "#dddddd"
-    t = float(np.clip(value / vmax, -1.0, 1.0))
+    t = min(max(value / vmax, -1.0), 1.0)
     if t >= 0:
         r, g, b = 255, round(255 * (1 - t * 0.82)), round(255 * (1 - t * 0.82))
     else:

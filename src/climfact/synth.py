@@ -269,10 +269,9 @@ def _planted_lp(rng, step=2.0, sectors=3, months=252):
         *year_axis(*cl.DEFAULT_THRESHOLD_WINDOW)[[0, -1]])
     threshold = cl.default_threshold(scalar)
     shock = cl.make_shocks(scalar, threshold)
-    t = min(months, len(shock))
-    values = rng.normal(size=(t, sectors))
-    values[:, 0] += 0.6 * shock.values[:t]
-    panel = SectorPanel(shock.times[:t],
+    values = rng.normal(size=(months, sectors))
+    values[:, 0] += 0.6 * shock.values[:months]
+    panel = SectorPanel(shock.times[:months],
                         tuple(f"CP{j:03d}" for j in range(sectors)), values)
     planted = {"sector": "CP000", "coefficient": 0.6, "threshold": threshold}
     return {"temperature": grid}, panel, planted
@@ -311,15 +310,14 @@ MAX_FIXTURE_VALUES = 10**8
 
 def _fixture_values(kind, cells, keys):
     """Grid cells x months per grid, plus panel months x sectors."""
-    w0, w1 = cl.DEFAULT_THRESHOLD_WINDOW
+    w1 = cl.DEFAULT_THRESHOLD_WINDOW[1]
     if kind == "normals":  # one grid per variable, on to w1 when warmed
         first, last = keys["years"]
         last = last if keys["warming"] is None else w1
         return len(EA_MONTHLY_NORMALS) * cells * 12 * (last - first + 1)
     if kind == "planted-lp":  # a warmed grid; the panel is its shock's
         span = 12 * (w1 - cl.DEFAULT_REFERENCE_WINDOW[0] + 1)
-        return cells * span + min(keys["months"], 12 * (w1 - w0 + 1)) \
-            * keys["sectors"]
+        return cells * span + keys["months"] * keys["sectors"]
     return (cells + keys["sectors"]) * keys["months"]
 
 
@@ -337,18 +335,24 @@ def check(section):
         raise ConfigError(f"config key synth.sectors is {keys['sectors']}, "
                           f"but synth kind 'fira-demo' plants its signal in "
                           f"sector CP002, so it needs at least 3")
+    w0, w1 = cl.DEFAULT_THRESHOLD_WINDOW
+    shock_months = 12 * (w1 - w0 + 1)
+    if kind == "planted-lp" and keys["months"] > shock_months:
+        raise ConfigError(f"config key synth.months is {keys['months']}, "
+                          f"but synth kind 'planted-lp' builds its panel on "
+                          f"the {shock_months} months of its shock, "
+                          f"{w0}-{w1}, so it takes at most {shock_months}")
     try:
         n_lat, n_lon = _cell_counts(*_KIND_BOUNDS[kind], keys["step"],
                                     keys["step"])
     except NonConformableMask as exc:
         raise ConfigError(f"config key synth.step: {exc}") from None
-    start = cl.DEFAULT_THRESHOLD_WINDOW[0]
-    if "warming" in section and keys["years"][1] >= start:
+    if "warming" in section and keys["years"][1] >= w0:
         # normals_series would shift reference years by the warming, and
         # their monthly means would miss the bundled normals
         raise ConfigError(f"config key synth.years ends in "
                           f"{keys['years'][1]}, but synth.warming shifts "
-                          f"every year from {start} on, so the reference "
+                          f"every year from {w0} on, so the reference "
                           f"years must end before it")
     if _fixture_values(kind, n_lat * n_lon, keys) > MAX_FIXTURE_VALUES:
         named = [f"synth.{key}" for key in keys

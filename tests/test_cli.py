@@ -671,6 +671,11 @@ class TestConfigRules:
          {"synth": {"kind": "normals", "snr": None, "step": 5e-324}},
          "config key synth.step: step 5e-324 does not divide the latitude "
          "extent 16.0"),
+        ("planted-lp months past its shock",
+         {"synth": {"kind": "planted-lp", "snr": None, "months": 300}},
+         "config key synth.months is 300, but synth kind 'planted-lp' "
+         "builds its panel on the 252 months of its shock, 2001-2021, so it "
+         "takes at most 252"),
     ])
     def test_a_broken_rule_fails_every_command_first(self, tmp_path, capsys,
                                                      rule, edit, message):
@@ -698,6 +703,7 @@ class TestConfigRules:
         {"synth": {"kind": "normals", "warming": 1.0}},
         {"synth": {"kind": "normals", "years": [1960, 2000], "warming": 1.0}},
         {"synth": {"kind": "fira-demo", "step": 1.0}},
+        {"synth": {"kind": "planted-lp", "months": 252}},
         # 72 cells and 28 sectors over 10**6 months: the bound exactly
         {"synth": {"kind": "planted-factor", "sectors": 28,
                    "months": 1000000}},

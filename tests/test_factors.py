@@ -7,6 +7,7 @@ import scipy.linalg
 import climfact.factors as factors_module
 from climfact.errors import (
     ClimfactError,
+    NumericalError,
     SingularFactorCovariance,
     ZeroCrossCovariance,
 )
@@ -406,6 +407,109 @@ class TestKrylovBlock:
                 np.testing.assert_allclose(theta[rank:], want[rank:],
                                            rtol=0, atol=1e-10 * want[0])
 
+    @staticmethod
+    def _against_dense(yc, gc, m, need, seed=7):
+        """(block, got, want): the block's leading values after
+        leading(need), and as many of each shuffle's leading eigenvalues
+        from a dense eigensolve, with a generator in the same state."""
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = factors_module._KrylovBlock(yc, gc, ours, m)
+        got = block.leading(need)
+        assert got.shape[0] == m and got.shape[1] >= need
+        T = yc.shape[0]
+        want = np.array([
+            np.linalg.eigvalsh(yc[perm].T @ gc @ yc[perm])[::-1][:got.shape[1]]
+            for perm in (theirs.permutation(T) for _ in range(m))])
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        return block, got, want
+
+    @staticmethod
+    def _cluster(rng, gap):
+        """A panel and Gram whose shuffled operators' top three
+        eigenvalues lie gap apart, relative to the first. yc has
+        orthogonal columns, so under the centering projector every
+        operator is diag(lam); a random part of the Gram a tenth of gap
+        makes the operators differ across shuffles and keeps the
+        cluster."""
+        T, p = 120, 40
+        q, _ = np.linalg.qr(center_columns(rng.normal(size=(T, p)))[0])
+        lam = np.concatenate([1.0 - gap * np.arange(3),
+                              np.linspace(0.5, 0.01, p - 3)])
+        xc, _ = center_columns(rng.normal(size=(T, 30)))
+        return q * np.sqrt(lam), (np.eye(T) - 1.0 / T + 0.1 * gap
+                                  * xc @ xc.T / np.linalg.norm(xc, 2) ** 2)
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("need", [2, 3])
+    def test_clustered_top_eigenvalues(self, rng, gap, need):
+        yc, gc = self._cluster(rng, gap)
+        _, got, want = self._against_dense(yc, gc, 9, need)
+        np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_one_read_of_a_cluster_is_known_to_its_width(self, rng, gap):
+        # the gap of the quadratic bound comes from the Ritz values: while
+        # the iteration has not told the cluster apart, one Ritz value
+        # stands for it with a small residual and a wide gap below, so a
+        # read of the first value alone is known to within the cluster's
+        # width (2 gap); from 1e-6 up the cluster is told apart first
+        yc, gc = self._cluster(rng, gap)
+        _, got, want = self._against_dense(yc, gc, 9, 1)
+        np.testing.assert_allclose(got, want, rtol=1e-10,
+                                   atol=2 * gap if gap < 1e-6 else 0.0)
+
+    @pytest.mark.parametrize("need", [1, 2, 3, 4, 5])
+    def test_the_lowest_ritz_value_needs_its_residual(self, rng, need):
+        # at depth need the need-th Ritz value is the tridiagonal's
+        # lowest, with no Ritz value below it to bound its gap; at need 1
+        # a bound that ignored this would stop at the first step
+        T, p, D = 60, 12, 40
+        yc, _ = center_columns(rng.normal(size=(T, p)))
+        xc, _ = center_columns(rng.normal(size=(T, D))
+                               * rng.uniform(0.1, 10.0, size=D))
+        block, got, want = self._against_dense(yc, xc @ xc.T, 9, need)
+        np.testing.assert_allclose(got, want, rtol=1e-10)
+        assert np.all(block.k > need)
+
+    def test_a_triple_top_eigenvalue_is_counted_thrice(self, rng):
+        # every shuffle's operator is diag(4, 4, 4, 2, 1, 0.5): the start
+        # vector's Krylov space holds one copy of 4 and breaks down, so
+        # each shuffle converges only at k = p
+        T = 20
+        q, _ = np.linalg.qr(center_columns(rng.normal(size=(T, 6)))[0])
+        yc = q * np.sqrt([4.0, 4.0, 4.0, 2.0, 1.0, 0.5])
+        _, got, want = self._against_dense(yc, np.eye(T) - 1.0 / T, 5, 3)
+        np.testing.assert_allclose(got, want, rtol=1e-10)
+        np.testing.assert_allclose(got[:, :3], 4.0, rtol=1e-12)
+
+    def test_a_deeper_read_resumes_each_shuffle(self, rng):
+        # the pilot reads two values, then four: each shuffle goes on from
+        # its own depth, and ends where a block asked for four at once does
+        T, p, D, m = 80, 30, 60, 9
+        yc, _ = center_columns(rng.normal(size=(T, p)))
+        xc, _ = center_columns(rng.normal(size=(T, D)))
+        gc = xc @ xc.T
+        block, _, _ = self._against_dense(yc, gc, m, 2)
+        depth = block.k.copy()
+        resumed = block.leading(4)
+        assert np.all(block.k >= depth) and np.any(block.k > depth)
+        _, fresh, want = self._against_dense(yc, gc, m, 4)
+        np.testing.assert_allclose(resumed[:, :4], fresh[:, :4], rtol=1e-10)
+        np.testing.assert_allclose(fresh, want, rtol=1e-10)
+
+    def test_the_work_of_a_seeded_null(self):
+        # the shuffle-steps of 99 shuffles reading two values each: a
+        # stopping rule that waits longer, or steps converged shuffles,
+        # does more (stepping all 99 until every residual is at the
+        # tolerance takes 32 steps, 3168 shuffle-steps)
+        rng = np.random.default_rng(11)
+        T, p, D = 120, 40, 100
+        yc, _ = center_columns(rng.normal(size=(T, p)))
+        xc, _ = center_columns(rng.normal(size=(T, D)))
+        block = factors_module._KrylovBlock(yc, xc @ xc.T,
+                                            np.random.default_rng(5), 99)
+        block.leading(2)
+        assert block.k.sum() == 2334
 
 class TestKOrPermutation:
     def test_two_stage_refuses_both(self, rng):
@@ -680,6 +784,20 @@ class TestPipelineContracts:
         assert "S2" not in result.sector_ids
         assert result.dropped == ("GAP", "S2")
         assert result.a.shape[1] == 3
+
+    def test_a_value_that_overflows_is_a_numerical_error(self, rng):
+        # finite, but its square is not, so the centered Gram overflows:
+        # a NumericalError, not a warning, infinities and a LinAlgError
+        domain = build_domain((47.0, 55.0, 6.0, 15.0), 1.0)
+        panel, series, _ = planted_factor_instance(domain, p=4, T=60,
+                                                   rng=rng, snr=10.0)
+        cube = series.values.copy()
+        i, j = np.argwhere(domain.mask)[0]
+        cube[3, i, j] = 1e200
+        series = SurfaceSeries(domain, series.times, cube, series.name)
+        with pytest.raises(NumericalError,
+                           match="^overflow encountered in matmul$"):
+            associated_factors(panel, series)
 
     def test_all_sectors_constant_is_singular(self, rng):
         domain = build_domain((50.0, 52.0, 6.0, 9.0), 1.0)

@@ -8,6 +8,7 @@ from climfact.errors import (
     EmptyFootprint,
     InsufficientSample,
     NonConformable,
+    NumericalError,
     ZeroCrossCovariance,
 )
 from climfact.factors import associated_factors, hat_matrix, hat_vector
@@ -127,6 +128,17 @@ class TestFitFira:
         with pytest.raises(ValueError, match="k and permutation exclude"):
             fit_fira(design, _panel(rng.normal(size=(40, 3))), h_max=1, k=1,
                      permutation={"n": 9})
+
+    def test_a_value_that_overflows_is_a_numerical_error(self, coarse_domain,
+                                                         rng):
+        # the window Gram squares it past the float range: a NumericalError
+        # before any horizon, not a warning and a failure at every horizon
+        cube = rng.normal(size=(40,) + coarse_domain.shape)
+        cube[5, 1, 2] = 1e200
+        design = build_design(_series(coarse_domain, cube), lags=(0, 0, 0))
+        with pytest.raises(NumericalError,
+                           match="^overflow encountered in matmul$"):
+            fit_fira(design, _panel(rng.normal(size=(40, 3))), h_max=2)
 
     def test_scaling_panel_leaves_rho_unchanged(self, coarse_domain, rng):
         T = 120
