@@ -39,11 +39,6 @@ class MonthlyBaseline:
             )
         object.__setattr__(self, "month_means", means)
 
-    def expand(self, times):
-        """Series whose frame at t is the baseline of t's calendar month."""
-        idx = months.month_numbers(times) - 1
-        return SurfaceSeries(self.domain, times, self.month_means[idx], "baseline")
-
 
 @dataclass(frozen=True, eq=False)
 class ScalarSeries(months.MonthlySeries):

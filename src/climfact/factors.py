@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import (
     InsufficientSample,
-    NonConformable,
     NumericalError,
     SingularFactorCovariance,
     ZeroCrossCovariance,
@@ -471,16 +470,6 @@ class CovarianceOperators:
     cross_hat: np.ndarray = field(repr=False)  # (p, D) rows = C_YX(e_j)
     yc: np.ndarray = field(repr=False)
     xc_hat: np.ndarray = field(repr=False)
-
-    def cross_surface(self, j):
-        """C_YX applied to the j-th coordinate vector, as a surface."""
-        return surface_from_hat(self.domain, self.cross_hat[j])
-
-    def apply_cxy(self, surface):
-        """C_XY(f): the p-vector E[<X, f> Y] for a given surface f."""
-        if surface.domain is not self.domain:
-            raise NonConformable("surface lives on a different domain")
-        return self.cross_hat @ hat_vector(surface)
 
 
 @dataclass(frozen=True, eq=False)

@@ -61,9 +61,6 @@ class LaggedDesign:
     def __len__(self):
         return len(self.times)
 
-    def inner_product(self, i, j):
-        return float(self.matrix[i] @ self.matrix[j])
-
 
 def build_design(x, y=None, z=None, lags=(0, 0, 0), standardize=False):
     """Assemble the lagged composite design from a surface series and panels.

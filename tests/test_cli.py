@@ -39,7 +39,7 @@ from climfact.ingest import (
     write_panel_csv,
 )
 from climfact.localproj import LpSpec, irf
-from climfact.synth import EA_MONTHLY_NORMALS
+from climfact.synth import EA_MONTHLY_NORMALS, KINDS
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -843,15 +843,15 @@ class TestDeterminism:
             digests.append(_tree_digest(out))
         assert digests[0] == digests[1]
 
-    def test_synth_rerun_identical(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_synth_rerun_identical(self, tmp_path, kind, fmt):
+        # each kind at its default keys, in both formats
+        config = _write_config(tmp_path, {
+            "synth": {"kind": kind, "format": fmt}})
         digests = []
         for run in ("a", "b"):
             out = tmp_path / run
-            config = _write_config(tmp_path, {
-                "seed": 11,
-                "synth": {"kind": "fira-demo", "step": 1.0, "months": 60,
-                          "sectors": 4},
-            }, f"cfg_{run}.json")
             assert cli.main(["synth", "--config", config, "--out",
                              str(out), "--quiet"]) == 0
             digests.append(_tree_digest(out))
@@ -1747,12 +1747,10 @@ class TestFactorsAndFira:
 
 def _run_strict(command, config, out):
     """One command in its own process, with every warning an error."""
-    src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run(
         [sys.executable, "-W", "error", "-m", "climfact.cli", command,
          "--config", config, "--out", str(out), "--quiet"],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
-        text=True, timeout=300)
+        env=_cli_env(), capture_output=True, text=True, timeout=300)
 
 
 class TestWarningsAsErrors:
@@ -1800,6 +1798,7 @@ class TestWarningsAsErrors:
     def test_valid_runs_exit_0(self, normals_fixture, planted, demo,
                                tmp_path):
         runs = {
+            "synth": {"synth": {"kind": "normals", "step": 4.0}},
             "baseline": {"grids": _grid_entries(normals_fixture)},
             "lp": {
                 "grids": [{"name": "temperature", "path": str(
@@ -1827,6 +1826,7 @@ class TestWarningsAsErrors:
             config = _write_config(tmp_path, doc, f"{command}.json")
             proc = _run_strict(command, config, tmp_path / command)
             assert (command, proc.returncode, proc.stderr) == (command, 0, "")
+        assert (tmp_path / "synth" / "synth_manifest.json").is_file()
 
 
 def test_no_command_imports_scipy():
@@ -1926,7 +1926,7 @@ def test_a_value_that_overflows_is_a_numerical_failure(tmp_path, capsys):
 
 
 _BLAS_THREADS = """
-import ctypes, json, sys
+import ctypes, json, os, sys
 sys.argv = ["climfact"]
 try:
     {start}
@@ -1950,6 +1950,7 @@ for path in libs:
             threads.add(getter())
             break
 print(json.dumps(sorted(threads)))
+print(json.dumps(os.environ.get("OMP_NUM_THREADS")))
 """
 
 
@@ -1982,7 +1983,11 @@ class TestBlasThreads:
         assert proc.returncode == 0, proc.stderr
         # the CLI ran, and stopped at its missing arguments
         assert "usage: climfact" in proc.stderr
-        threads = json.loads(proc.stdout)
+        threads, omp = map(json.loads, proc.stdout.splitlines())
+        # started as the CLI, the process pins before numpy loads, so
+        # OpenBLAS starts no worker thread; a library caller's numpy is
+        # already loaded, and its environment is left alone
+        assert omp == (None if chosen or entry == "library" else "1")
         if not threads:
             pytest.skip("no OpenBLAS thread-count symbol in this process")
         return threads

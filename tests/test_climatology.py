@@ -13,6 +13,7 @@ from climfact.climatology import (
 )
 from climfact.errors import DataError, EmptyRegion, InsufficientHistory
 from climfact.grid import SurfaceSeries
+from climfact.months import month_numbers
 from climfact.synth import (
     EA_MONTHLY_NORMALS,
     TEMPERATURE_DEVIATION_MEANS,
@@ -72,7 +73,9 @@ class TestAnomaly:
         series = _series(small_domain, [0.0] * 12)
         baseline = compute_baseline(series, (1970, 1999))
         object.__setattr__(baseline, "month_means", base_values)
-        rebuilt = baseline.expand(series.times)
+        rebuilt = SurfaceSeries(
+            small_domain, series.times,
+            baseline.month_means[month_numbers(series.times) - 1])
         a = anomaly(rebuilt, baseline)
         assert np.allclose(a.values[:, small_domain.mask], 0.0)
 

@@ -20,12 +20,14 @@ from climfact.factors import (
     estimate_covariances,
     gram_eigensystem,
     hat_matrix,
+    hat_vector,
     permutation_cutoffs,
     regularity_diagnostic,
+    surface_from_hat,
     svd_cross,
     two_stage,
 )
-from climfact.grid import Surface, SurfaceSeries, build_domain
+from climfact.grid import Surface, SurfaceSeries, build_domain, inner_product
 from climfact.ingest import SectorPanel, align
 from climfact.synth import exact_factor_model, planted_factor_instance
 
@@ -80,11 +82,12 @@ class TestEstimateCovariances:
         cube = y[:, 0, None, None] * g[None]
         ops = estimate_covariances(_panel(y), _series(small_domain, cube))
         var_y0 = np.var(y[:, 0], ddof=1)
-        got = ops.cross_surface(0).values[small_domain.mask]
+        got = ops.cross_hat[0]
         # C_YX(e_0) should equal Var(Y_0) g up to the sample covariance of
         # y0 with itself vs its centered version
         yc = y - y.mean(axis=0)
-        expected = (yc[:, 0] @ yc[:, 0]) / (T - 1) * g[small_domain.mask]
+        expected = (yc[:, 0] @ yc[:, 0]) / (T - 1) * hat_vector(
+            Surface(small_domain, g))
         np.testing.assert_allclose(got, expected, atol=1e-12)
         assert np.allclose((yc[:, 0] @ yc[:, 0]) / (T - 1), var_y0)
 
@@ -104,7 +107,7 @@ class TestEstimateCovariances:
                 assert ops.c_y[i, j] == pytest.approx(expected, abs=1e-12)
         fv = rng.normal(size=small_domain.shape)
         f = Surface(small_domain, fv)
-        got = ops.apply_cxy(f)
+        got = ops.cross_hat @ hat_vector(f)  # C_XY(f)
         xc = cube - cube.mean(axis=0)
         for j in range(p):
             expected = 0.0
@@ -116,6 +119,7 @@ class TestEstimateCovariances:
             assert got[j] == pytest.approx(expected, abs=1e-12)
 
     def test_adjoint_identity(self, small_domain, rng):
+        # <C_YX(e_j), f> as surfaces is C_XY(f)_j in hat coordinates
         T, p = 40, 3
         panel = _panel(rng.normal(size=(T, p)))
         series = _series(small_domain,
@@ -124,12 +128,12 @@ class TestEstimateCovariances:
         for _ in range(5):
             f = Surface(small_domain, rng.normal(size=small_domain.shape))
             lhs = np.array([
-                float(np.sum(small_domain.valid_weights
-                             * ops.cross_surface(j).valid_values
-                             * f.valid_values))
+                inner_product(surface_from_hat(small_domain, ops.cross_hat[j]),
+                              f)
                 for j in range(p)
             ])
-            np.testing.assert_allclose(lhs, ops.apply_cxy(f), atol=1e-12)
+            np.testing.assert_allclose(lhs, ops.cross_hat @ hat_vector(f),
+                                       atol=1e-12)
 
 
 class TestSvdCross:

@@ -66,7 +66,8 @@ class TestBuildDesign:
             expected += float(panel.values[t - 1] @ panel.values[t - 1])
             expected += float(panel.values[t - 2] @ panel.values[t - 2])
             expected += float(controls.values[t - 1] @ controls.values[t - 1])
-            assert design.inner_product(row, row) == pytest.approx(expected)
+            got = float(design.matrix[row] @ design.matrix[row])
+            assert got == pytest.approx(expected)
 
     def test_pythagorean_identity(self, coarse_domain, rng):
         T = 40
@@ -75,7 +76,7 @@ class TestBuildDesign:
         panel = _panel(rng.normal(size=(T, 3)))
         design = build_design(series, y=panel, lags=(0, 1, 0))
         for row in (0, 10):
-            total = design.inner_product(row, row)
+            total = float(design.matrix[row] @ design.matrix[row])
             parts = 0.0
             for block in design.blocks:
                 seg = design.matrix[row, block.start:block.stop]
