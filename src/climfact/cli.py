@@ -221,14 +221,10 @@ def cmd_baseline(args, ctx, out):
     summary_rows = []
     for name, series in grids.items():
         baseline = ctx.baseline(name)
-        lat_c, lon_c = series.domain.lat_centers, series.domain.lon_centers
-        ii, jj = np.nonzero(series.domain.mask)
-        ingest.write_csv(out / f"baseline_{name}.csv",
-                         ["month", "lat", "lon", "value"], (
-            [f"{m + 1:02d}", ingest.format_float(lat_c[i]),
-             ingest.format_float(lon_c[j]), ingest.format_float(grid[i, j])]
-            for m, grid in enumerate(baseline.month_means)
-            for i, j in zip(ii, jj)))
+        ingest.write_long_csv(out / f"baseline_{name}.csv",
+                              ["month", "lat", "lon", "value"], series.domain,
+                              [f"{m:02d}" for m in range(1, 13)],
+                              baseline.month_means)
         for region_name, region in ctx.regions(series.domain).items():
             cells, w = cl.region_weights(series.domain, region)
             # one dot per month: a batched (12, n) @ w rounds differently
@@ -272,20 +268,6 @@ def cmd_shocks(args, ctx, out):
                f"{sum(s.n_events for s in table.values())} events -> {out}")
 
 
-def _endogenous_subset(extra, panel, sector):
-    """Endogenous block for one sector: its matching counterpart column
-    (same id, e.g. producer prices at the same code) plus every shared
-    series; sectors without a counterpart simply omit it."""
-    if extra is None:
-        return None
-    ids = [i for i in extra.sector_ids
-           if i == sector or i not in panel.sector_ids]
-    if not ids:
-        return None
-    return ingest.ControlPanel(extra.times, tuple(ids), extra.values[
-        :, [extra.sector_ids.index(i) for i in ids]])
-
-
 def cmd_lp(args, ctx, out):
     from . import localproj as lp
     from . import svgplot
@@ -309,16 +291,10 @@ def cmd_lp(args, ctx, out):
     spec = lp.LpSpec(**_present(
         section, *(f.name for f in dataclasses.fields(lp.LpSpec))))
 
-    results, failures = {}, []
-    for sector in sectors:
-        battery = lp.run_battery(
-            panel, shock_table, spec,
-            extra_endogenous=_endogenous_subset(extra, panel, sector),
-            controls=controls, sectors=(sector,))
-        results.update(battery.results)
-        failures.extend(battery.failures)
-
-    for (sector, variant), result in results.items():
+    battery = lp.run_battery(
+        panel, shock_table, spec, extra_endogenous=extra, controls=controls,
+        sectors=sectors)
+    for (sector, variant), result in battery.results.items():
         stem = f"lp_{sector}_{variant}"
         ingest.write_csv(
             out / f"{stem}.csv",
@@ -336,11 +312,12 @@ def cmd_lp(args, ctx, out):
             (out / f"{stem}.svg").write_text(svg, encoding="utf-8")
 
     ingest.write_csv(out / "failures.csv",
-                     ["sector", "variant", "error", "detail"], failures)
+                     ["sector", "variant", "error", "detail"],
+                     battery.failures)
 
-    _say(args, f"lp: {len(results)} cell(s) ok, {len(failures)} failed "
-               f"-> {out}")
-    if not results:
+    _say(args, f"lp: {len(battery.results)} cell(s) ok, "
+               f"{len(battery.failures)} failed -> {out}")
+    if not battery.results:
         raise NumericalError("every battery cell failed; see failures.csv")
 
 

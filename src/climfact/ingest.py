@@ -27,8 +27,8 @@ the panel reader and the region reader (a ``lat,lon`` header, then one
 cell center per row) share ``_csv_rows``: each reads UTF-8 and words
 every error with its file and the physical line its row starts on, blank
 lines and the line breaks inside quoted fields counted. A panel header
-names each column once. The writer formats each cell's ``lat,lon,``
-once and writes one joined string per frame.
+names each column once. One writer, ``write_long_csv``, owns format
+A's layout: a grid, a static surface and a baseline's months all use it.
 
 A format A file is parsed once per content. After a parse succeeds,
 ``load_gridded`` also writes the series as a format B file, its twin,
@@ -187,32 +187,35 @@ def load_gridded(path, variable=None, step=None, weighting="coslat"):
     return _load_gridded_csv(path, variable, step, weighting)
 
 
-def _finish_series(domain_kwargs, times, cube, name, weighting):
-    """Apply the masked-anywhere-masked-everywhere rule and build the series."""
+def _finish_series(path, domain_kwargs, times, cube, name, weighting):
+    """Apply the masked-anywhere-masked-everywhere rule and build the series
+    of the file at path."""
     present = np.all(np.isfinite(cube), axis=0)
     if not present.any():
-        raise AllMasked("no cell has complete coverage across all months")
+        raise AllMasked(f"no cell of {path} has complete coverage across "
+                        f"all months")
     domain = build_domain(mask=present, weighting=weighting, **domain_kwargs)
     cube = np.where(present[None, :, :], cube, np.nan)
     return SurfaceSeries(domain, times, cube, name or "value")
 
 
-def _infer_axis(centers, axis, step=None):
+def _infer_axis(path, centers, axis, step=None):
     centers = np.unique(centers)
     if step is None:
         if len(centers) < 2:
             raise ParseError(
                 f"cannot infer {axis} step from a single distinct coordinate; "
-                "pass step explicitly"
-            )
+                "pass step explicitly", path=path)
         step = float(np.min(np.diff(centers)))
     origin = centers[0] - step / 2.0
     with np.errstate(over="ignore"):
         idx = (centers - centers[0]) / step
     if not np.isfinite(idx[-1]):
-        raise ParseError(f"{axis} step {step!r} is too small to index")
+        raise ParseError(f"{axis} step {step!r} is too small to index",
+                         path=path)
     if np.any(np.abs(idx - np.round(idx)) > 1e-6):
-        raise ParseError(f"{axis} coordinates do not sit on a regular lattice")
+        raise ParseError(f"{axis} coordinates do not sit on a regular lattice",
+                         path=path)
     n = int(round(idx[-1])) + 1
     return origin, origin + n * step, step, n
 
@@ -251,7 +254,7 @@ def _load_gridded_csv(path, variable, step, weighting):
     if grid is None:
         grid = _grid_cube(path, *_read_grid_rows(path), step)
     axis, cube, domain_kwargs = grid
-    series = _finish_series(domain_kwargs, axis, cube, name, weighting)
+    series = _finish_series(path, domain_kwargs, axis, cube, name, weighting)
     if twin is not None and _stamp(path) == keyed:
         _write_twin(series, twin)
     return series
@@ -397,13 +400,15 @@ def _grid_cube(path, times, lats, lons, vals, lines, step):
             "a missing cell is an absent row", path=path,
             line=lines[k] if lines else None)
 
-    axis = months.check_monthly(np.unique(times), "gridded file")
+    axis = months.check_monthly(np.unique(times), f"gridded file {path}")
     step_lat = step_lon = None
     if step is not None:
         step_lat, step_lon = (step, step) if np.isscalar(step) else step
     ulat, ulon = np.unique(lats), np.unique(lons)
-    lat_min, lat_max, step_lat, n_lat = _infer_axis(ulat, "latitude", step_lat)
-    lon_min, lon_max, step_lon, n_lon = _infer_axis(ulon, "longitude", step_lon)
+    lat_min, lat_max, step_lat, n_lat = _infer_axis(path, ulat, "latitude",
+                                                    step_lat)
+    lon_min, lon_max, step_lon, n_lon = _infer_axis(path, ulon, "longitude",
+                                                    step_lon)
     n_pairs = np.unique(np.searchsorted(ulat, lats) * len(ulon)
                         + np.searchsorted(ulon, lons)).size
     if n_lat * n_lon > _LATTICE_CELLS_PER_PAIR * n_pairs:
@@ -475,12 +480,14 @@ def _load_gridded_binary(path, variable, weighting):
                          f"for one frame record", path=path, offset=4)
     frames = np.frombuffer(blob, _sgf_frame(n_lat, n_lon), count=n_frames,
                            offset=_SGF_HEADER.size)
-    times = months.check_monthly(months.from_epoch_days(frames["day"]),
-                                 "gridded file")
+    what = f"gridded file {path}"
+    times = months.check_monthly(months.from_epoch_days(frames["day"], what),
+                                 what)
     kwargs = dict(bounds=(lat_min, lat_max, lon_min, lon_max),
                   step=(step_lat, step_lon))
     # _finish_series copies the cells out of blob
-    return _finish_series(kwargs, times, frames["v"], variable, weighting)
+    return _finish_series(path, kwargs, times, frames["v"], variable,
+                          weighting)
 
 
 # -- gridded output ------------------------------------------------------
@@ -500,23 +507,25 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def write_gridded_csv(series, path):
-    """Write a SurfaceSeries as format A; masked cells are omitted.
-
-    The ``lat,lon,`` text of each valid cell is formatted once, and each
-    frame is written as one joined string."""
-    domain = series.domain
+def write_long_csv(path, header, domain, stamps, frames):
+    """Write the header, then ``stamp,lat,lon,value`` for each valid cell
+    of each frame, row-major: format A's layout. Each cell's ``lat,lon,``
+    is formatted once, and each frame written as one joined string."""
     ii, jj = np.nonzero(domain.mask)
-    lat, lon = domain.lat_centers, domain.lon_centers  # each read rebuilds
-    cells = [f"{format_float(lat[i])},{format_float(lon[j])},"
-             for i, j in zip(ii, jj)]
-    write_csv(path, ["time", "lat", "lon", series.name], ())
+    cells = [f"{format_float(lat)},{format_float(lon)}," for lat, lon in
+             zip(domain.lat_centers[ii], domain.lon_centers[jj])]
+    write_csv(path, header, ())
     with open(path, "a", newline="", encoding="utf-8") as fh:
-        for t, frame in zip(series.times, series.values):
-            t = str(t)
+        for stamp, frame in zip(stamps, frames):
             values = frame[ii, jj].tolist()
-            fh.write("".join([f"{t},{cell}{v!r}\n"
+            fh.write("".join([f"{stamp},{cell}{v!r}\n"
                               for cell, v in zip(cells, values)]))
+
+
+def write_gridded_csv(series, path):
+    """Write a SurfaceSeries as format A; masked cells are omitted."""
+    write_long_csv(path, ["time", "lat", "lon", series.name], series.domain,
+                   map(str, series.times), series.values)
 
 
 def write_gridded_binary(series, path):
@@ -538,13 +547,8 @@ def write_gridded_binary(series, path):
 
 def write_surface_csv(surface, path, name="value"):
     """Write one static surface as a single-frame format A file."""
-    series = SurfaceSeries(
-        surface.domain,
-        np.array([np.datetime64("1970-01", "M")]),
-        surface.values[None, :, :],
-        name,
-    )
-    write_gridded_csv(series, path)
+    write_long_csv(path, ["time", "lat", "lon", name], surface.domain,
+                   ["1970-01"], [surface.values])
 
 
 # -- panels --------------------------------------------------------------
@@ -600,7 +604,7 @@ def _load_panel(path, transform, cls):
     times, ids, values = _read_panel_rows(path)
     order = np.argsort(times)
     times, values = times[order], values[order]
-    months.check_monthly(times, "panel")
+    months.check_monthly(times, f"panel {path}")
     zero_level = np.zeros(len(ids), dtype=bool)
     if transform == "yoy":
         if len(times) <= 12:

@@ -48,7 +48,7 @@ one-horizon ``fit_horizon`` gives the same bits as ``run_battery``.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -394,11 +394,23 @@ def _check_sectors(panel, sectors):
                              f"panel")
 
 
+def _counterparts(sector, panel, extra):
+    """extra's columns in sector's endogenous block, or None: its own, and
+    each whose id names no sector of the panel, kept or dropped."""
+    if extra is None:
+        return None
+    others = {*panel.sector_ids, *panel.dropped} - {sector}
+    keep = [j for j, i in enumerate(extra.sector_ids) if i not in others]
+    return replace(extra, sector_ids=[extra.sector_ids[j] for j in keep],
+                   values=extra.values[:, keep]) if keep else None
+
+
 def _sector_cells(sector, panel, shocks, spec, extra_endogenous, controls):
     """IrfResult or ClimfactError of each shock for one sector; the shocks
     share one time axis, so the inputs are aligned once."""
     (panel_t, _, extra_t, ctrl_t), window = align(
-        panel, shocks[0], extra_endogenous, controls)
+        panel, shocks[0], _counterparts(sector, panel, extra_endogenous),
+        controls)
     y = panel_t.column(sector)
     xs = np.column_stack([s.slice_window(*window).values for s in shocks])
     endo = y[:, None]
@@ -437,7 +449,9 @@ def irf(sector, panel, shock, spec=None, extra_endogenous=None, controls=None):
     panel is a SectorPanel, shock a ShockSeries; extra_endogenous and
     controls are optional panels aligned with them. The endogenous block
     is the target column plus the extra endogenous series, all entering
-    through lags only.
+    through lags only. An extra column whose id names a sector of the
+    panel (kept or dropped) is that sector's counterpart and enters only
+    its block; a column whose id names no sector enters every block.
     """
     if spec is None:
         spec = LpSpec()
@@ -463,7 +477,8 @@ def run_battery(panel, shocks, spec=None, extra_endogenous=None,
 
     shocks is a mapping variant-name -> ShockSeries. Cells run in sector
     order then variant insertion order, so output is deterministic. Each
-    sector's lag search runs once for all variants on one time axis. A
+    sector's endogenous block follows irf's counterpart rule, and its lag
+    search runs once for all variants on one time axis. A
     cell's ClimfactError is recorded in failures; any other exception is
     a fault and propagates. Unknown sector ids raise NonConformable
     before any cell runs.

@@ -67,13 +67,15 @@ def epoch_days(times):
     return times.astype("datetime64[D]").astype(np.int64)
 
 
-def from_epoch_days(days):
-    """Months from day counts; each day must be the first of its month."""
+def from_epoch_days(days, what):
+    """Months from day counts; each day must be the first of its month.
+    what names the axis in the error."""
     days = np.asarray(days, dtype=np.int64)
     as_dates = days.astype("datetime64[D]")
     months = as_dates.astype("datetime64[M]")
     if np.any(months.astype("datetime64[D]") != as_dates):
-        raise IrregularCalendar("frame timestamp is not the first day of a month")
+        raise IrregularCalendar(f"{what} has a timestamp that is not the first "
+                                f"day of a month")
     return months
 
 

@@ -1168,6 +1168,55 @@ class TestLp:
         assert failed == [[sector, "extreme", "RankDeficientDesign"]
                           for sector in order]
 
+    def test_a_dropped_sectors_column_is_no_shared_series(self, planted,
+                                                           tmp_path, rng):
+        # CP002 has a gap, so the loader drops it; the endogenous column
+        # named CP002 is its counterpart, not a series CP001 shares
+        data = planted / "data"
+        full = load_sector_panel(data / "sectors.csv", transform="none")
+        values = full.values.copy()
+        values[5, 2] = np.nan
+        sectors_csv = tmp_path / "sectors.csv"
+        write_panel_csv(SectorPanel(full.times, full.sector_ids, values),
+                        sectors_csv)
+        extra_csv = tmp_path / "endogenous.csv"
+        write_panel_csv(SectorPanel(full.times, ("CP000", "CP002", "Z"),
+                                    rng.normal(size=(len(full.times), 3))),
+                        extra_csv)
+        config = _write_config(tmp_path, {
+            "grids": [{"name": "temperature",
+                       "path": str(data / "temperature.csv")}],
+            "panels": {
+                "sectors": {"path": str(sectors_csv), "transform": "none"},
+                "endogenous": {"path": str(extra_csv), "transform": "none"},
+            },
+            "shocks": {"variable": "temperature", "variants": ["all"]},
+            "lp": {"h_max": 3, "p_max": 2, "l_max": 1, "figures": False},
+        })
+        out = tmp_path / "out"
+        assert cli.main(["lp", "--config", config, "--out", str(out),
+                         "--quiet"]) == 0
+
+        panel = load_sector_panel(sectors_csv, transform="none")
+        assert panel.dropped == ("CP002",)
+        grid = load_gridded(data / "temperature.csv")
+        scalar = regional_mean(anomaly(grid, compute_baseline(grid)))
+        shock = shock_variants(scalar, default_threshold(scalar),
+                               variants=("all",))["all"]
+        extra = load_control_panel(extra_csv, transform="none")
+        for sector, ids in (("CP000", ("CP000", "Z")), ("CP001", ("Z",))):
+            subset = ControlPanel(
+                extra.times, ids,
+                extra.values[:, [extra.sector_ids.index(i) for i in ids]])
+            r = irf(sector, panel, shock, LpSpec(h_max=3, p_max=2, l_max=1),
+                    extra_endogenous=subset)
+            expected = [[sector, "all", str(h)]
+                        + [format_float(v[h])
+                           for v in (r.estimate, r.se, r.lo, r.hi)]
+                        + [str(r.p), str(r.l)] for h in r.horizons]
+            with open(out / f"lp_{sector}_all.csv", newline="") as fh:
+                assert list(csv.reader(fh))[1:] == expected
+
     def test_omitted_keys_take_the_lpspec_defaults(self, planted, tmp_path):
         data = planted / "data"
         doc = {

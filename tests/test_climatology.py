@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from climfact.climatology import (
+    MonthlyBaseline,
     ScalarSeries,
     ShockConditioning,
     anomaly,
@@ -11,7 +12,12 @@ from climfact.climatology import (
     regional_mean,
     shock_variants,
 )
-from climfact.errors import DataError, EmptyRegion, InsufficientHistory
+from climfact.errors import (
+    DataError,
+    EmptyRegion,
+    InsufficientHistory,
+    NumericalError,
+)
 from climfact.grid import SurfaceSeries
 from climfact.months import month_numbers
 from climfact.synth import (
@@ -213,6 +219,28 @@ class TestDefaultThreshold:
     def test_window_outside_data(self):
         with pytest.raises(InsufficientHistory):
             default_threshold(_scalar([1.0] * 12, start="1990-01"), (2001, 2021))
+
+
+class TestOverflow:
+    """Finite values whose sum or difference passes the float range raise
+    NumericalError, never a RuntimeWarning (warnings are errors here)."""
+
+    def test_baseline_of_huge_values(self, small_domain):
+        with pytest.raises(NumericalError,
+                           match="^overflow encountered in reduce$"):
+            compute_baseline(_series(small_domain, [1.5e308] * 12))
+
+    def test_anomaly_from_an_opposite_baseline(self, small_domain):
+        baseline = MonthlyBaseline(small_domain,
+                                   np.full((12,) + small_domain.shape, 1e308))
+        with pytest.raises(NumericalError,
+                           match="^overflow encountered in subtract$"):
+            anomaly(_series(small_domain, [-1.5e308] * 12), baseline)
+
+    def test_threshold_of_huge_deviations(self):
+        with pytest.raises(NumericalError,
+                           match="^overflow encountered in reduce$"):
+            default_threshold(_scalar([1.5e308] * 252), (2001, 2021))
 
 
 class TestShockProperties:

@@ -10,6 +10,7 @@ and the walker rejects; it has its own test.
 
 import copy
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -294,3 +295,25 @@ def test_k_and_a_permutation_null_exclude_each_other(
     assert capsys.readouterr().err == (
         f"config error: config keys {section}.k and {section}.permutation "
         f"exclude each other\n")
+
+
+def _key_paths(schema, prefix=""):
+    """Every key path SCHEMA accepts: ``a.b`` for a property, ``a[].b``
+    for a property of an array's items, through anyOf branches."""
+    for key, sub in schema.get("properties", {}).items():
+        path = f"{prefix}.{key}" if prefix else key
+        yield path
+        yield from _key_paths(sub, path)
+    if "items" in schema:
+        yield from _key_paths(schema["items"], f"{prefix}[]")
+    for branch in schema.get("anyOf", ()):
+        yield from _key_paths(branch, prefix)
+
+
+def test_readme_names_every_config_key():
+    """README lists each accepted key, in backticks, with its default."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    paths = list(_key_paths(SCHEMA))
+    assert "fira.shocks[].profile" in paths and "lp.ci_level" in paths
+    assert [p for p in paths if f"`{p}`" not in readme] == []

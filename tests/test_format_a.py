@@ -85,15 +85,15 @@ def _reference_load(path, variable=None, step=None, weighting="coslat"):
             f"non-finite number in row ({lats[k]}, {lons[k]}, {vals[k]}); "
             "a missing cell is an absent row", path=path, line=line_of(k))
 
-    axis = months.check_monthly(np.unique(times), "gridded file")
+    axis = months.check_monthly(np.unique(times), f"gridded file {path}")
     step_lat = step_lon = None
     if step is not None:
         step_lat, step_lon = (step, step) if np.isscalar(step) else step
     ulat, ulon = np.unique(lats), np.unique(lons)
     lat_min, lat_max, step_lat, n_lat = ingest._infer_axis(
-        ulat, "latitude", step_lat)
+        path, ulat, "latitude", step_lat)
     lon_min, lon_max, step_lon, n_lon = ingest._infer_axis(
-        ulon, "longitude", step_lon)
+        path, ulon, "longitude", step_lon)
     n_pairs = np.unique(np.searchsorted(ulat, lats) * len(ulon)
                         + np.searchsorted(ulon, lons)).size
     limit = ingest._LATTICE_CELLS_PER_PAIR
@@ -124,7 +124,7 @@ def _reference_load(path, variable=None, step=None, weighting="coslat"):
 
     kwargs = dict(bounds=(lat_min, lat_max, lon_min, lon_max),
                   step=(step_lat, step_lon))
-    return ingest._finish_series(kwargs, axis, cube, name, weighting)
+    return ingest._finish_series(path, kwargs, axis, cube, name, weighting)
 
 
 def _reference_write(series, path):

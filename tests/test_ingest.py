@@ -123,8 +123,9 @@ class TestGriddedRoundTrip:
             "2001-01,50.5,8.5,1\n2001-01,50.5,9.5,1\n"
             "2001-03,50.5,8.5,1\n2001-03,50.5,9.5,1\n"
         )
-        with pytest.raises(IrregularCalendar):
+        with pytest.raises(IrregularCalendar) as err:
             load_gridded(path)
+        assert str(err.value) == f"gridded file {path} has 1 missing month(s)"
 
     def test_every_cell_gapped_somewhere_is_all_masked(self, tmp_path):
         path = tmp_path / "doomed.csv"
@@ -133,8 +134,10 @@ class TestGriddedRoundTrip:
             "2001-01,50.5,8.5,1\n2001-01,51.5,9.5,1\n"
             "2001-02,50.5,9.5,1\n2001-02,51.5,8.5,1\n"
         )
-        with pytest.raises(AllMasked):
+        with pytest.raises(AllMasked) as err:
             load_gridded(path)
+        assert str(err.value) == (f"no cell of {path} has complete coverage "
+                                  f"across all months")
 
     def test_binary_truncation_is_a_parse_error(self, tmp_path, rng):
         series = _demo_series(rng)
@@ -155,8 +158,10 @@ class TestGriddedRoundTrip:
         (day,) = struct.unpack_from("<i", blob, header_size)
         struct.pack_into("<i", blob, header_size, day + 10)  # not month start
         path.write_bytes(bytes(blob))
-        with pytest.raises(IrregularCalendar):
+        with pytest.raises(IrregularCalendar) as err:
             load_gridded(path)
+        assert str(err.value) == (f"gridded file {path} has a timestamp that "
+                                  f"is not the first day of a month")
 
 
     @pytest.mark.parametrize("case,message,offset", [
@@ -385,6 +390,54 @@ class TestSectorPanel:
         with pytest.raises(ParseError) as err:
             loader(path, transform="none")
         assert str(err.value) == f"{message} ({path}, line 1)"
+
+
+def _cut_frame(path):
+    """Drop the second frame of a format B file, header count included."""
+    blob = bytearray(path.read_bytes())
+    header = struct.calcsize("<4s6dI")
+    (n_frames,) = struct.unpack_from("<I", blob, header - 4)
+    frame = (len(blob) - header) // n_frames
+    struct.pack_into("<I", blob, header - 4, n_frames - 1)
+    path.write_bytes(bytes(blob[:header + frame] + blob[header + 2 * frame:]))
+
+
+class TestErrorsNameTheFile:
+    """Each calendar and lattice error names the file it read, so a run
+    with several inputs says which one is at fault."""
+
+    @pytest.mark.parametrize("rows,step,expected", [
+        ("2001-01,50.5,8.5,1\n2001-02,50.5,8.5,1\n", None,
+         "cannot infer latitude step from a single distinct coordinate; "
+         "pass step explicitly"),
+        ("2001-01,50.5,8.5,1\n2001-01,51.5,8.5,1\n", 5e-324,
+         "latitude step 5e-324 is too small to index"),
+        ("2001-01,50.5,8.5,1\n2001-01,50.5,9.5,1\n2001-01,50.5,9.8,1\n"
+         "2001-01,51.5,8.5,1\n", None,
+         "longitude coordinates do not sit on a regular lattice"),
+    ], ids=["single latitude", "step too small", "off the lattice"])
+    def test_a_lattice_error(self, tmp_path, rows, step, expected):
+        path = tmp_path / "grid.csv"
+        path.write_text("time,lat,lon,value\n" + rows)
+        with pytest.raises(ParseError) as err:
+            load_gridded(path, step=step)
+        assert str(err.value) == f"{expected} ({path})"
+
+    def test_a_format_b_frame_cut_out(self, tmp_path, rng):
+        path = tmp_path / "grid.sgf"
+        write_gridded_binary(_demo_series(rng), path)
+        _cut_frame(path)
+        with pytest.raises(IrregularCalendar) as err:
+            load_gridded(path)
+        assert str(err.value) == f"gridded file {path} has 1 missing month(s)"
+
+    @pytest.mark.parametrize("loader", [load_sector_panel, load_control_panel])
+    def test_a_repeated_panel_month(self, tmp_path, loader):
+        path = tmp_path / "panel.csv"
+        path.write_text("time,A\n2001-01,1.0\n2001-02,2.0\n2001-02,3.0\n")
+        with pytest.raises(IrregularCalendar) as err:
+            loader(path, transform="none")
+        assert str(err.value) == f"panel {path} is not strictly increasing"
 
 
 def _scalar(start, end):

@@ -15,6 +15,7 @@ from climfact.errors import (
 )
 from climfact.ingest import SectorPanel
 from climfact.localproj import (
+    BatteryResult,
     LpSpec,
     fit_horizon,
     irf,
@@ -34,10 +35,10 @@ def _shock_series(values, start="2001-01", name="shock"):
                        ShockConditioning(), name)
 
 
-def _panel(values, start="2001-01"):
+def _panel(values, start="2001-01", prefix="S"):
     values = np.atleast_2d(values.T).T
     times = np.datetime64(start, "M") + np.arange(values.shape[0])
-    ids = tuple(f"S{j}" for j in range(values.shape[1]))
+    ids = tuple(f"{prefix}{j}" for j in range(values.shape[1]))
     return SectorPanel(times, ids, values)
 
 
@@ -518,7 +519,8 @@ def _battery_case(r, contemporaneous):
         np.datetime64("2001-01", "M") + T - 14), name="short")
     spec = LpSpec(h_max=6, p_max=4, l_max=3, r=r,
                   contemporaneous_controls=contemporaneous)
-    extra = _panel(np.cumsum(rng.normal(size=T))[:, None] * 0.1)
+    # an id that names no sector: every sector's block takes the series
+    extra = _panel(np.cumsum(rng.normal(size=T))[:, None] * 0.1, prefix="E")
     return _panel(y), shocks, extra, _panel(z), spec
 
 
@@ -592,6 +594,92 @@ class TestStackedBattery:
         assert search == ([7] + [6] * (spec.p_max - 1)) * 3
         assert len(fits) == len(battery.results)
         assert set(fits) == {spec.h_max + 1}
+
+
+def _block(extra, ids):
+    """The columns of extra named by ids, in that order."""
+    return SectorPanel(extra.times, ids, extra.values[
+        :, [extra.sector_ids.index(i) for i in ids]])
+
+
+def _by_sector(panel, shocks, spec, blocks, controls):
+    """One battery per sector, each given its own endogenous block."""
+    results, failures = {}, []
+    for sector in panel.sector_ids:
+        one = run_battery(panel, shocks, spec, extra_endogenous=blocks[sector],
+                          controls=controls, sectors=(sector,))
+        results.update(one.results)
+        failures.extend(one.failures)
+    return BatteryResult(results, tuple(failures))
+
+
+def _assert_same_cell(got, want):
+    assert (got.p, got.l) == (want.p, want.l)
+    for name in ("horizons", "estimate", "se", "lo", "hi", "nobs",
+                 "resid_sd"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def _assert_same_battery(got, want):
+    assert got.failures == want.failures
+    assert list(got.results) == list(want.results)
+    for key, cell in want.results.items():
+        _assert_same_cell(got.results[key], cell)
+
+
+class TestCounterparts:
+    """An extra endogenous column whose id names a sector enters only that
+    sector's block; any other column enters every block."""
+
+    def test_battery_and_irf_equal_one_battery_per_sector_block(self):
+        panel, shocks, extra, controls, spec = _battery_case(1, True)
+        noise = np.random.default_rng(31).normal(size=(len(extra), 2))
+        # S1's counterpart, a shared series and S2's counterpart; S0 has none
+        extra = SectorPanel(extra.times, ("S1", "E0", "S2"), np.column_stack(
+            [noise[:, 0], extra.values[:, 0], noise[:, 1]]))
+        battery = run_battery(panel, shocks, spec, extra_endogenous=extra,
+                              controls=controls)
+        # the blocks a caller had to build by hand: the sector's own
+        # column and every column whose id is not a sector
+        blocks = {"S0": _block(extra, ("E0",)),
+                  "S1": _block(extra, ("S1", "E0")),
+                  "S2": _block(extra, ("E0", "S2"))}
+        _assert_same_battery(
+            battery, _by_sector(panel, shocks, spec, blocks, controls))
+        for (sector, variant), cell in battery.results.items():
+            _assert_same_cell(irf(sector, panel, shocks[variant], spec,
+                                  extra_endogenous=extra, controls=controls),
+                              cell)
+
+    def test_a_dropped_sectors_column_enters_no_block(self):
+        panel, shocks, extra, controls, spec = _battery_case(0, False)
+        # S2 had a gap, so the loader dropped it; its column still names it
+        panel = SectorPanel(panel.times, ("S0", "S1"), panel.values[:, :2],
+                            dropped=("S2",))
+        noise = np.random.default_rng(37).normal(size=(len(extra), 2))
+        extra = SectorPanel(extra.times, ("S0", "S2", "Z"), np.column_stack(
+            [noise[:, 0], noise[:, 1], extra.values[:, 0]]))
+        battery = run_battery(panel, shocks, spec, extra_endogenous=extra,
+                              controls=controls)
+        blocks = {"S0": _block(extra, ("S0", "Z")), "S1": _block(extra, ("Z",))}
+        _assert_same_battery(
+            battery, _by_sector(panel, shocks, spec, blocks, controls))
+
+    def test_a_sector_with_no_column_aligns_without_the_panel(self):
+        # the extra panel starts a year late; S1's block has none of its
+        # columns, so S1's window is not cut to it
+        panel, shocks, extra, controls, spec = _battery_case(0, False)
+        late = SectorPanel(extra.times[12:], ("S0",), extra.values[12:])
+        _assert_same_battery(
+            run_battery(panel, shocks, spec, extra_endogenous=late,
+                        controls=controls, sectors=("S1",)),
+            run_battery(panel, shocks, spec, controls=controls,
+                        sectors=("S1",)))
+        fixed = LpSpec(h_max=2, p_max=2, l_max=1, lag_selection="fixed")
+        s0, s1 = (irf(sector, panel, shocks["all"], fixed,
+                      extra_endogenous=late, controls=controls)
+                  for sector in ("S0", "S1"))
+        assert s0.nobs[0] == s1.nobs[0] - 12
 
 
 class TestFailureRecording:
