@@ -41,7 +41,8 @@ from . import climatology as cl
 from . import config as cfg
 from . import ingest
 from .entry import one_blas_thread
-from .errors import ClimfactError, ConfigError, DataError, NumericalError
+from .errors import (ClimfactError, ConfigError, DataError, NumericalError,
+                     no_overflow)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -241,15 +242,14 @@ def cmd_baseline(args, ctx, out):
 def cmd_anomaly(args, ctx, out):
     section = ctx.config.get("anomaly", {})
     names = section.get("variables") or [e["name"] for e in ctx.config["grids"]]
-    grids = {name: ctx.grid(name) for name in names}
-    for name, series in grids.items():
+    for name in names:
         anomalies = ctx.anomalies(name)
         if section.get("write_grids", False):
             ingest.write_gridded_csv(anomalies, out / f"anomaly_{name}.csv")
-        for region_name, region in ctx.regions(series.domain).items():
+        for region_name, region in ctx.regions(anomalies.domain).items():
             cl.write_shock_csv(cl.regional_mean(anomalies, region),
                                out / f"anomaly_mean_{name}_{region_name}.csv")
-    _say(args, f"anomaly: {len(grids)} variable(s) -> {out}")
+    _say(args, f"anomaly: {len(names)} variable(s) -> {out}")
 
 
 def cmd_shocks(args, ctx, out):
@@ -474,9 +474,7 @@ def main(argv=None):
         with _named("--config", args.config):
             config = cfg.load_config(args.config)
         command, needs = COMMANDS[args.command]
-        # an input value so large that arithmetic on it overflows fails
-        # the command, rather than warning and going on with inf
-        with np.errstate(over="raise"):
+        with no_overflow():
             command(args, Context(config), _out_dir(args, config, needs))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -486,7 +484,7 @@ def main(argv=None):
         print(f"config error: cannot write {str(exc.filename)!r} "
               f"({exc.strerror})", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalError, FloatingPointError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ClimfactError as exc:

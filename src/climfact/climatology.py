@@ -7,7 +7,6 @@ clears a threshold and the sign/season/extreme filters; every other
 period is an exact zero so regression designs keep a full time axis.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ from .errors import (
     EmptyRegion,
     InsufficientHistory,
     NonConformable,
-    NumericalError,
+    no_overflow,
 )
 from .grid import SurfaceSeries
 from .ingest import format_float, write_csv
@@ -97,20 +96,7 @@ class ShockSeries(months.MonthlySeries):
 # -- operations ----------------------------------------------------------
 
 
-def _no_overflow(operation):
-    """operation raising NumericalError where its arithmetic passes the
-    float range, rather than warning and going on with infinities."""
-    @functools.wraps(operation)
-    def checked(*args, **kwargs):
-        with np.errstate(over="raise"):
-            try:
-                return operation(*args, **kwargs)
-            except FloatingPointError as exc:
-                raise NumericalError(str(exc)) from None
-    return checked
-
-
-@_no_overflow
+@no_overflow()
 def compute_baseline(series, window=DEFAULT_REFERENCE_WINDOW):
     """Cellwise mean per calendar month over the reference window."""
     year = months.years(series.times)
@@ -131,7 +117,7 @@ def compute_baseline(series, window=DEFAULT_REFERENCE_WINDOW):
     return MonthlyBaseline(series.domain, means, tuple(window))
 
 
-@_no_overflow
+@no_overflow()
 def anomaly(series, baseline):
     """Deviation of each frame from its calendar-month baseline."""
     if series.domain is not baseline.domain:
@@ -172,7 +158,7 @@ def regional_mean(series, region_mask=None):
                         f"{series.name}_regional_mean")
 
 
-@_no_overflow
+@no_overflow()
 def default_threshold(anomaly_series, window=DEFAULT_THRESHOLD_WINDOW):
     """Window mean anomaly, the base shock threshold; DataError if <= 0."""
     year = months.years(anomaly_series.times)

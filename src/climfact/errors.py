@@ -4,7 +4,10 @@ stops being UTF-8.
 Three branches matter to the batch front-end: ConfigError (exit 2),
 DataError (exit 3) and NumericalError (exit 4). Library code raises the
 most specific class available; the CLI maps the branch to an exit code.
+no_overflow() owns the rule that an overflow is a NumericalError.
 """
+
+import contextlib
 
 
 class ClimfactError(Exception):
@@ -20,7 +23,23 @@ class DataError(ClimfactError):
 
 
 class NumericalError(ClimfactError):
-    """Estimation failed for numerical reasons (rank, conditioning)."""
+    """Estimation failed numerically (rank, conditioning, overflow)."""
+
+
+@contextlib.contextmanager
+def no_overflow():
+    """Raise arithmetic past the float range as NumericalError, as
+    ``@no_overflow()`` or ``with no_overflow():``. Under an over="raise"
+    already in force the body runs as it is: the outermost guard converts."""
+    import numpy as np  # here, so config loads this module without numpy
+    if np.geterr()["over"] == "raise":
+        yield
+        return
+    with np.errstate(over="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise NumericalError(str(exc)) from None
 
 
 # -- data errors --------------------------------------------------------

@@ -32,9 +32,9 @@ import numpy as np
 
 from .errors import (
     InsufficientSample,
-    NumericalError,
     SingularFactorCovariance,
     ZeroCrossCovariance,
+    no_overflow,
 )
 from .grid import Surface
 from .ingest import align
@@ -134,6 +134,7 @@ def _inv_sqrt_psd(s, what):
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 
+@no_overflow()
 def canonical_correlations(ytil, xtil):
     """Conventional CCA between two K-dimensional series.
 
@@ -155,7 +156,7 @@ def canonical_correlations(ytil, xtil):
     return s, u, v
 
 
-def gram_eigensystem(gc, max_components=None):
+def gram_eigensystem(gc):
     """Eigenvalues and scores of the sample surface covariance operator.
 
     gc is the T x T Gram matrix of the centered hat frames. Returns (lam,
@@ -167,8 +168,6 @@ def gram_eigensystem(gc, max_components=None):
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     keep = vals > 1e-12 * max(vals[0], np.finfo(float).tiny)
-    if max_components is not None:
-        keep[max_components:] = False
     vals, vecs = vals[keep], vecs[:, keep]
     lam = vals / (T - 1)
     scores = vecs * np.sqrt(vals)
@@ -549,19 +548,10 @@ def _frame(panel, series):
     (panel, series), _ = align(panel, series)
     x = hat_matrix(series)
     xc, _ = center_columns(x)
-    return panel, series, x, _gram(xc)
+    return panel, series, x, xc @ xc.T
 
 
-def _gram(rows):
-    """rows @ rows.T; a product past the float range raises NumericalError
-    rather than warning and going on with infinities."""
-    with np.errstate(over="raise"):
-        try:
-            return rows @ rows.T
-        except FloatingPointError as exc:
-            raise NumericalError(str(exc)) from None
-
-
+@no_overflow()
 def estimate_covariances(panel, series):
     """Sample covariance operators of an aligned panel/surface pair."""
     (panel, series), _ = align(panel, series)
@@ -577,6 +567,7 @@ def estimate_covariances(panel, series):
     )
 
 
+@no_overflow()
 def svd_cross(operators, tol=0.1, k=None):
     """Singular triplets of the cross operator, cutoff at tol * r_1."""
     xc = operators.xc_hat
@@ -622,6 +613,7 @@ def fit_factors(panel, v, gram, domain, *, tol, k, permutation, rng):
     )
 
 
+@no_overflow()
 def associated_factors(panel, series, tol=0.1, k=None, permutation=None,
                        rng=None):
     """Full two-stage pipeline: cross SVD, projection, CCA on factors.
@@ -662,23 +654,24 @@ class RegularityReport:
         return len(self.eigenvalues)
 
 
-def regularity_diagnostic(panel, series, max_components=None):
+@no_overflow()
+def regularity_diagnostic(panel, series):
     """Probe whether the cross loadings decay fast enough relative to
     the surface spectrum; diagnostic only. It reads the frame that
     associated_factors fits under the same panel rule: constant sectors
     dropped, and the same errors for a window too short or a panel all
     constant."""
     panel, _, _, gram = _frame(panel, series)
-    return _regularity(_fit_panel(panel).values, gram, max_components)
+    return _regularity(_fit_panel(panel).values, gram)
 
 
-def _regularity(y, gram, max_components=None):
+def _regularity(y, gram):
     """The diagnostic of panel rows y against the rows whose Gram is
     gram, double-centered here (H @ gram @ H) as in two_stage."""
     yc, _ = center_columns(y)
     T = yc.shape[0]
     gc, _ = center_columns(center_columns(gram)[0].T)
-    lam, scores = gram_eigensystem(gc, max_components=max_components)
+    lam, scores = gram_eigensystem(gc)
     _, psi = np.linalg.eigh(yc.T @ yc / (T - 1))
     psi = psi[:, ::-1]
     yproj = yc @ psi

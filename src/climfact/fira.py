@@ -24,6 +24,7 @@ from .errors import (
     EmptyFootprint,
     InsufficientSample,
     NonConformable,
+    no_overflow,
 )
 from .grid import EARTH_RADIUS_KM, Surface, SurfaceSeries
 from .ingest import SectorPanel, align
@@ -62,6 +63,7 @@ class LaggedDesign:
         return len(self.times)
 
 
+@no_overflow()
 def build_design(x, y=None, z=None, lags=(0, 0, 0), standardize=False):
     """Assemble the lagged composite design from a surface series and panels.
 
@@ -130,6 +132,7 @@ class FiraResult:
     y_sd: np.ndarray
 
 
+@no_overflow()
 def fit_fira(design, panel, h_max=12, tol=0.1, k=None, permutation=None,
              rng=None):
     """Associated factors between the panel and the lagged design per horizon.
@@ -140,7 +143,8 @@ def fit_fira(design, panel, h_max=12, tol=0.1, k=None, permutation=None,
     calibrates the retained count per horizon against shuffled nulls.
     Failures at individual horizons (a ClimfactError such as no
     detectable association, or a LinAlgError) are recorded and leave a
-    gap; they never abort the fit. Any other exception is a fault and
+    gap; they never abort the fit. An overflow at any horizon ends the
+    call with NumericalError, and any other exception is a fault and
     propagates. An h_max past the horizon at which the design's first
     month passes the panel's last month raises InsufficientSample before
     any fit.
@@ -164,7 +168,7 @@ def fit_fira(design, panel, h_max=12, tol=0.1, k=None, permutation=None,
     # one Gram over every design row a horizon reads; each takes a block
     lo = max(0, shift - h_max)
     window = design.matrix[lo:min(t_d, none_left)]
-    gram = af._gram(window)
+    gram = window @ window.T
     per_h = []
     failures = []
     for h in range(h_max + 1):
@@ -284,6 +288,7 @@ class ResponseResult:
     shock: ShockSurface
 
 
+@no_overflow()
 def respond(fira, shock):
     """Evaluate response = sum_k rho_k <b_k|x0, shock> a_k per horizon."""
     if shock.surface.domain is not fira.domain:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import months
-from .errors import EmptyDomain, NonConformable, NonConformableMask
+from .errors import (EmptyDomain, NonConformable, NonConformableMask,
+                     no_overflow)
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -176,6 +177,7 @@ def _require_conformable(f, g):
         raise NonConformable("surfaces live on different grid domains")
 
 
+@no_overflow()
 def inner_product(f, g):
     """Weighted inner product sum_c w_c f_c g_c over valid cells."""
     _require_conformable(f, g)
@@ -183,6 +185,7 @@ def inner_product(f, g):
     return float(np.sum(w * f.valid_values * g.valid_values))
 
 
+@no_overflow()
 def norm(f):
     """Norm induced by the weighted inner product."""
     w = f.domain.valid_weights

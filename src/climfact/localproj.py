@@ -58,6 +58,7 @@ from .errors import (
     InsufficientSample,
     NonConformable,
     RankDeficientDesign,
+    no_overflow,
 )
 from .ingest import align
 
@@ -258,6 +259,7 @@ def _stack_fit(X, target, hs, spec, names):
     return np.array([est, se, est - z * se, est + z * se, resid_sd])
 
 
+@no_overflow()
 def fit_horizon(y, x, endo, controls, h, spec, p, l):
     """Estimate one horizon; returns the contemporaneous-shock coefficient.
 
@@ -290,6 +292,7 @@ def _aic(n, ssr, k):
     return n * logs.reshape(ratio.shape) + 2 * k
 
 
+@no_overflow()
 def select_lags(y, x, endo, controls, spec):
     """Minimize the Akaike criterion over the (p, l) candidate grid.
 
@@ -443,6 +446,7 @@ def _sector_cells(sector, panel, shocks, spec, extra_endogenous, controls):
     return cells
 
 
+@no_overflow()
 def irf(sector, panel, shock, spec=None, extra_endogenous=None, controls=None):
     """Full impulse-response path of one sector to one shock series.
 
@@ -471,6 +475,7 @@ class BatteryResult:
     failures: tuple
 
 
+@no_overflow()
 def run_battery(panel, shocks, spec=None, extra_endogenous=None,
                 controls=None, sectors=None):
     """irf over sectors x shock variants; a failing cell never aborts it.
@@ -479,7 +484,8 @@ def run_battery(panel, shocks, spec=None, extra_endogenous=None,
     order then variant insertion order, so output is deterministic. Each
     sector's endogenous block follows irf's counterpart rule, and its lag
     search runs once for all variants on one time axis. A
-    cell's ClimfactError is recorded in failures; any other exception is
+    cell's ClimfactError is recorded in failures; an overflow in any
+    cell ends the call with NumericalError, and any other exception is
     a fault and propagates. Unknown sector ids raise NonConformable
     before any cell runs.
     """

@@ -97,6 +97,16 @@ def _spoil_line(path, line):
     Path(path).write_bytes(b"\n".join(lines))
 
 
+def _huge_panel(data, tmp_path):
+    """A copy of data/sectors.csv whose last sector reads 1e200, finite but
+    past the float range once squared, in its 30th month."""
+    lines = (data / "sectors.csv").read_text().split("\n")
+    lines[30] = lines[30].rsplit(",", 1)[0] + ",1e200"
+    path = tmp_path / "sectors.csv"
+    path.write_text("\n".join(lines))
+    return path
+
+
 def _grid_entries(root):
     return [
         {"name": name, "path": str(root / "data" / f"{name}.csv")}
@@ -788,6 +798,33 @@ class TestAnomaly:
         assert abs(np.mean(recent) - 1.3) < 1e-9
         assert (out / "anomaly_temperature.csv").exists()
 
+    def test_each_raw_grid_is_let_go_once_its_anomalies_exist(
+            self, normals_fixture, tmp_path, monkeypatch):
+        # the command holds each variable's anomalies, never its raw grid
+        from climfact import climatology, ingest
+
+        grids, alive = [], []
+
+        def load_gridded(*args, _real=ingest.load_gridded, **kwargs):
+            series = _real(*args, **kwargs)
+            grids.append(weakref.ref(series))
+            return series
+
+        def regional_mean(*args, _real=climatology.regional_mean, **kwargs):
+            alive.append(sum(grid() is not None for grid in grids))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(ingest, "load_gridded", load_gridded)
+        monkeypatch.setattr(climatology, "regional_mean", regional_mean)
+        config = _write_config(tmp_path, {
+            "grids": _grid_entries(normals_fixture),
+            "regions": [{"name": "EA", "cells": "all"}],
+        })
+        assert cli.main(["anomaly", "--config", config,
+                         "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert len(grids) == len(alive) == 4
+        assert max(alive) <= 1
+
 
     def test_unknown_variable_is_config_error(self, normals_fixture,
                                               tmp_path, capsys):
@@ -1406,6 +1443,23 @@ class TestLp:
                 r"\(need >= (\d+)\)", row["detail"]).groups())
             assert (n, need) == (9 + k, 10 + k)
 
+    def test_a_panel_value_that_overflows_is_a_numerical_failure(
+            self, planted, tmp_path, capsys):
+        # the lag search squares it: the command fails, not one cell
+        config = _write_config(tmp_path, {
+            "grids": [{"name": "temperature",
+                       "path": str(planted / "data" / "temperature.csv")}],
+            "panels": {"sectors": {
+                "path": str(_huge_panel(planted / "data", tmp_path)),
+                "transform": "none"}},
+            "shocks": {"variable": "temperature"},
+            "lp": {"h_max": 2, "p_max": 2, "l_max": 1, "figures": False},
+        })
+        assert cli.main(["lp", "--config", config,
+                         "--out", str(tmp_path / "out"), "--quiet"]) == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: overflow encountered in square\n")
+
 
 @pytest.fixture(scope="module")
 def demo(tmp_path_factory):
@@ -1791,6 +1845,23 @@ class TestFactorsAndFira:
         assert "Traceback" not in proc.stderr
         assert re.search(r"h_max 1000000000 is past horizon \d+",
                          proc.stderr)
+
+    def test_a_panel_value_that_overflows_is_a_numerical_failure(
+            self, demo, tmp_path, capsys):
+        # an overflow at any horizon fails the command, not the horizon
+        doc = self._base_config(demo)
+        doc["panels"]["sectors"]["path"] = str(
+            _huge_panel(demo / "data", tmp_path))
+        doc["fira"] = {
+            "variable": "temperature_anomaly", "use_anomalies": False,
+            "h_max": 2, "shocks": [{"magnitude": 1.0, "center": [53.0, 11.5],
+                                    "radius_km": 150.0}],
+        }
+        config = _write_config(tmp_path, doc)
+        assert cli.main(["fira", "--config", config,
+                         "--out", str(tmp_path / "out"), "--quiet"]) == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: overflow encountered in matmul\n")
 
 
 

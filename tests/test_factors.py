@@ -873,7 +873,7 @@ class TestRegularityDiagnostic:
         cube = np.full((T,) + domain.shape, np.nan)
         cube[:, domain.mask] = xhat / sqrt_w
         series = SurfaceSeries(domain, MONTH0 + np.arange(T), cube)
-        report = regularity_diagnostic(_panel(y), series, max_components=8)
+        report = regularity_diagnostic(_panel(y), series)
         sums = report.partial_sums_sq[:, 0]
         assert sums[-1] - sums[0] < 0.2 * sums[-1]
         assert not report.flagged[0]
@@ -881,12 +881,12 @@ class TestRegularityDiagnostic:
     def test_fast_decay_plateaus_slow_decay_flagged(self, rng):
         panel, series = self._spectrum_instance(rng, decay=2.0,
                                                 c_exponent=-2.0)
-        report = regularity_diagnostic(panel, series, max_components=12)
+        report = regularity_diagnostic(panel, series)
         assert not report.flagged[0]
 
         panel, series = self._spectrum_instance(rng, decay=2.0,
                                                 c_exponent=-1.0)
-        report = regularity_diagnostic(panel, series, max_components=12)
+        report = regularity_diagnostic(panel, series)
         assert report.flagged[0]
 
     def test_independent_data_terms_shrink_with_sample(self, rng):
@@ -895,7 +895,7 @@ class TestRegularityDiagnostic:
         for T in (150, 1500):
             panel = _panel(rng.normal(size=(T, 2)))
             series = _series(domain, rng.normal(size=(T,) + domain.shape))
-            report = regularity_diagnostic(panel, series, max_components=6)
+            report = regularity_diagnostic(panel, series)
             sums[T] = report.partial_sums_sq[-1].mean()
         assert sums[1500] < sums[150]
 
@@ -908,7 +908,7 @@ class TestRegularityDiagnostic:
         assert report.flagged.shape == (2,)
 
 
-def reference_regularity(panel, series, max_components=None):
+def reference_regularity(panel, series):
     """The diagnostic before it read the factor fit's frame: its own
     alignment, hat embedding and Gram of the centered hat frames, with
     every sector kept, constant ones too."""
@@ -916,7 +916,7 @@ def reference_regularity(panel, series, max_components=None):
     yc, _ = center_columns(panel.values)
     xc, _ = center_columns(hat_matrix(series))
     T = yc.shape[0]
-    lam, scores = gram_eigensystem(xc @ xc.T, max_components=max_components)
+    lam, scores = gram_eigensystem(xc @ xc.T)
     _, psi = np.linalg.eigh(yc.T @ yc / (T - 1))
     psi = psi[:, ::-1]
     yproj = yc @ psi
