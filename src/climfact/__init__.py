@@ -50,7 +50,6 @@ _EXPORTS = {
         "norm",
     ),
     "ingest": (
-        "ControlPanel",
         "SectorPanel",
         "align",
         "load_gridded",

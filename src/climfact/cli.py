@@ -173,10 +173,9 @@ class Context:
         entry = self.config.get("panels", {}).get(key)
         if entry is None:
             return None
-        loader = (ingest.load_sector_panel if key == "sectors"
-                  else ingest.load_control_panel)
         with _named(f"config key panels.{key}.path", entry["path"]):
-            return loader(entry["path"], **_present(entry, "transform"))
+            return ingest.load_sector_panel(entry["path"],
+                                            **_present(entry, "transform"))
 
     @_once
     def shocks(self):

@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and where a text input
-stops being UTF-8.
+stops being UTF-8, on a line counted as the csv reader counts it.
 
 Three branches matter to the batch front-end: ConfigError (exit 2),
 DataError (exit 3) and NumericalError (exit 4). Library code raises the
@@ -135,10 +135,12 @@ class SingularFactorCovariance(NumericalError):
 
 def first_non_utf8(path):
     """(value, 1-based line) of the first byte of path that is not UTF-8;
-    called once a text read of path has failed to decode."""
+    called once a text read of path has failed to decode. A line ends at
+    CR LF, CR or LF, as the csv reader counts lines."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        return raw[exc.start], raw.count(b"\n", 0, exc.start) + 1
+        head = raw[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        return raw[exc.start], head.count(b"\n") + 1

@@ -179,8 +179,8 @@ class _KrylovBlock:
 
     Shuffle s of the block scores A_s = yc[perm_s].T @ gc @ yc[perm_s],
     applied to one vector per shuffle by three gemms over the shuffles
-    still open (yc @ X, a gather by the permutations, gc @ Z, the inverse
-    gather, yc.T @ V); neither A_s nor the T x (m p) shuffled panel is
+    still open (yc @ X, a gather by the permutations, gc @ Z, the scatter
+    back, yc.T @ V); neither A_s nor the T x (m p) shuffled panel is
     formed. Every shuffle starts from the same fixed vector, keeps its own
     depth, and every step reorthogonalizes against its whole basis twice.
     A Ritz value theta_i of the k-step tridiagonal has converged when its
@@ -215,9 +215,6 @@ class _KrylovBlock:
         self.perm = np.empty((T, m), dtype=np.intp)
         for s in range(m):
             self.perm[:, s] = draws.permutation(T)
-        self.inv = np.empty_like(self.perm)
-        np.put_along_axis(self.inv, self.perm, np.arange(T)[:, None], axis=0)
-        self.gathers = None  # (shuffles, flat indices) of the last step
         # basis[s, j] = q_j of shuffle s; rows past its depth stay zero
         self.basis = np.zeros((m, p, p))
         # the fixed start, a pseudo-random unit vector: generic, so no
@@ -233,16 +230,14 @@ class _KrylovBlock:
     def _step(self, sel):
         """One Lanczos step on each shuffle of sel short of depth p."""
         sel = sel[self.k[sel] < self.p]
-        if self.gathers is None or not np.array_equal(self.gathers[0], sel):
-            # flat indices into (T, n) arrays, z[t, i] = y[perm[t], i] and
-            # its inverse u[perm[t], i] = w[t, i], for shuffle sel[i]
-            cols = np.arange(len(sel))
-            self.gathers = (sel, self.perm[:, sel] * len(sel) + cols,
-                            self.inv[:, sel] * len(sel) + cols)
-        _, fwd, inv = self.gathers
+        # flat index into (T, n) arrays: the gather z[t, i] = y[perm[t], i]
+        # and the scatter back u[perm[t], i] = w[t, i], for shuffle sel[i]
+        at = self.perm[:, sel] * len(sel) + np.arange(len(sel))
         j = self.k[sel]
         q = self.basis[sel, j]
-        w = np.take(self.gc @ np.take(self.yc @ q.T, fwd), inv).T @ self.yc
+        u = np.empty(at.size)
+        u[at] = self.gc @ np.take(self.yc @ q.T, at)
+        w = u.reshape(at.shape).T @ self.yc
         self.alpha[sel, j] = np.einsum("sp,sp->s", w, q)
         self.k[sel] = k = j + 1
         go = k < self.p

@@ -17,15 +17,19 @@ A cell that is missing in any month is masked in every month; nothing is
 ever imputed. Panels follow the same rule column-wise: a sector with any
 gap in the loaded window is dropped, never filled. The dropped ids are
 reported in ``SectorPanel.dropped``; on the CLI only the error for an
-``lp.sectors`` entry that names one reports them.
+``lp.sectors`` entry that names one reports them. Sectors, controls and
+extra endogenous series are one panel type, ``SectorPanel``, loaded by
+one function, ``load_sector_panel``; ``load_control_panel`` is the same
+function under its older name.
 
 A valid format A file is parsed in one C-level ``np.loadtxt`` pass. A
 file that pass cannot take as it stands (a malformed row, a quoted
 field, a number only Python's ``float`` spells) is read again row by row,
 and both give the same series wherever both succeed. That row reader,
 the panel reader and the region reader (a ``lat,lon`` header, then one
-cell center per row) share ``_csv_rows``: each reads UTF-8 and words
-every error with its file and the physical line its row starts on, blank
+cell center per row) share ``_csv_rows``: each reads UTF-8, skipping a
+leading byte-order mark, and words every error with its file and the
+physical line its row starts on (a line ends at CR LF, CR or LF), blank
 lines and the line breaks inside quoted fields counted. A panel header
 names each column once. One writer, ``write_long_csv``, owns format
 A's layout: a grid, a static surface and a baseline's months all use it.
@@ -72,6 +76,7 @@ from .errors import (
     NonConformableMask,
     ParseError,
     first_non_utf8,
+    no_overflow,
 )
 from .grid import SurfaceSeries, _cell_counts, build_domain
 
@@ -109,7 +114,7 @@ def _csv_rows(path, check_header):
     module cannot split (on the line the row starts) and no data row (on
     the line after the header) are ParseErrors too."""
     line = 1
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -147,7 +152,8 @@ def _csv_rows(path, check_header):
 
 @dataclass(frozen=True, eq=False)
 class SectorPanel(months.MonthlySeries):
-    """Monthly matrix of sectoral price changes, one column per sector."""
+    """Monthly matrix of series, one column per id: sectoral price
+    changes, controls or extra endogenous series alike."""
 
     times: np.ndarray
     sector_ids: tuple
@@ -165,11 +171,6 @@ class SectorPanel(months.MonthlySeries):
 
     def column(self, sector_id):
         return self.values[:, self.sector_ids.index(sector_id)]
-
-
-@dataclass(frozen=True, eq=False)
-class ControlPanel(SectorPanel):
-    """Monthly matrix of control series; same completeness rule as sectors."""
 
 
 # -- gridded input -------------------------------------------------------
@@ -600,7 +601,10 @@ def _read_panel_rows(path):
     return np.array(times, dtype="datetime64[M]"), ids, np.array(values)
 
 
-def _load_panel(path, transform, cls):
+@no_overflow()
+def load_sector_panel(path, transform="yoy"):
+    """Load a panel of sectors, controls or extra endogenous series; gap
+    columns are dropped, listed in ``dropped``."""
     times, ids, values = _read_panel_rows(path)
     order = np.argsort(times)
     times, values = times[order], values[order]
@@ -626,18 +630,11 @@ def _load_panel(path, transform, cls):
         raise NoSectorsRemain(
             f"all {len(ids)} columns are dropped in {path}: {reasons}")
     kept = tuple(i for i, ok in zip(ids, complete) if ok)
-    return cls(times, kept, values[:, complete], dropped)
+    return SectorPanel(times, kept, values[:, complete], dropped)
 
 
-def load_sector_panel(path, transform="yoy"):
-    """Load a sector price panel; gap columns are dropped, listed in
-    ``dropped``."""
-    return _load_panel(path, transform, SectorPanel)
-
-
-def load_control_panel(path, transform="yoy"):
-    """Load a control panel with the sector completeness rule."""
-    return _load_panel(path, transform, ControlPanel)
+# a public name, kept: a control panel loads by the same rule
+load_control_panel = load_sector_panel
 
 
 def write_panel_csv(panel, path):

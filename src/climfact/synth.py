@@ -335,6 +335,11 @@ def check(section):
         raise ConfigError(f"config key synth.sectors is {keys['sectors']}, "
                           f"but synth kind 'fira-demo' plants its signal in "
                           f"sector CP002, so it needs at least 3")
+    outside = [year for year in keys.get("years", ()) if not 0 <= year <= 9999]
+    if outside:
+        # a month stamp, and so format A's reader, holds four-digit years
+        raise ConfigError(f"config key synth.years holds {outside[0]}, but a "
+                          f"month stamp holds a year from 0 to 9999")
     w0, w1 = cl.DEFAULT_THRESHOLD_WINDOW
     shock_months = 12 * (w1 - w0 + 1)
     if kind == "planted-lp" and keys["months"] > shock_months:

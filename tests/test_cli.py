@@ -28,7 +28,6 @@ from climfact.errors import ConfigError, RankDeficientDesign
 from climfact.factors import two_stage
 from climfact.grid import SurfaceSeries, build_domain
 from climfact.ingest import (
-    ControlPanel,
     SectorPanel,
     format_float,
     load_control_panel,
@@ -330,6 +329,27 @@ class TestBaseline:
         }.get(case)
         if expected:
             assert code == expected[0] and expected[1] in err
+
+    @pytest.mark.parametrize("kind", ["config", "grid", "region"])
+    def test_a_byte_order_mark_reads_as_no_mark(self, tmp_path, kind):
+        # spreadsheet exports start a UTF-8 file with one
+        _, grid = _tiny_grid(tmp_path)
+        region = tmp_path / "region.csv"
+        region.write_text("lat,lon\n50.25,10.25\n")
+        config = _write_config(tmp_path, {
+            "grids": [grid], "baseline": {"reference_window": [2001, 2002]},
+            "regions": [{"name": "R", "path": str(region)}]})
+
+        def run(out):
+            assert cli.main(["baseline", "--config", config,
+                             "--out", str(out), "--quiet"]) == 0
+            return _tree_digest(out)
+
+        plain = run(tmp_path / "plain")
+        path = Path({"config": config, "grid": grid["path"],
+                     "region": region}[kind])
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(tmp_path / "marked") == plain
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = _write_config(tmp_path, {"grids": [], "bogus": 1})
@@ -686,6 +706,16 @@ class TestConfigRules:
          "config key synth.months is 300, but synth kind 'planted-lp' "
          "builds its panel on the 252 months of its shock, 2001-2021, so it "
          "takes at most 252"),
+        ("synth years past a four-digit stamp",
+         {"synth": {"kind": "normals", "snr": None, "step": 4.0,
+                    "years": [9990, 10010]}},
+         "config key synth.years holds 10010, but a month stamp holds a year "
+         "from 0 to 9999"),
+        ("synth years before year 0",
+         {"synth": {"kind": "normals", "snr": None, "format": "binary",
+                    "years": [-6000000, -5999999]}},
+         "config key synth.years holds -6000000, but a month stamp holds a "
+         "year from 0 to 9999"),
     ])
     def test_a_broken_rule_fails_every_command_first(self, tmp_path, capsys,
                                                      rule, edit, message):
@@ -708,6 +738,7 @@ class TestConfigRules:
     @pytest.mark.parametrize("edit", [
         {"synth": {"kind": "fira-demo", "sectors": 3}},
         {"synth": {"kind": "normals", "years": [1970, 1970]}},
+        {"synth": {"kind": "normals", "years": [0, 9999]}},
         {"baseline": {"reference_window": [1980, 1980]},
          "shocks": {"variable": "t", "threshold_window": [2001, 2001]}},
         {"synth": {"kind": "normals", "warming": 1.0}},
@@ -1186,7 +1217,7 @@ class TestLp:
         spec = LpSpec(h_max=3, p_max=2, l_max=1)
         for sector in order:
             ids = ("CP000", "IPX") if sector == "CP000" else ("IPX",)
-            subset = ControlPanel(
+            subset = SectorPanel(
                 extra.times, ids,
                 extra.values[:, [extra.sector_ids.index(i) for i in ids]])
             r = irf(sector, panel, shocks["all"], spec,
@@ -1242,7 +1273,7 @@ class TestLp:
                                variants=("all",))["all"]
         extra = load_control_panel(extra_csv, transform="none")
         for sector, ids in (("CP000", ("CP000", "Z")), ("CP001", ("Z",))):
-            subset = ControlPanel(
+            subset = SectorPanel(
                 extra.times, ids,
                 extra.values[:, [extra.sector_ids.index(i) for i in ids]])
             r = irf(sector, panel, shock, LpSpec(h_max=3, p_max=2, l_max=1),
@@ -1972,11 +2003,11 @@ def test_no_command_imports_scipy():
     assert not [m for m in loaded if m.startswith(("scipy", "jsonschema"))
                 or m in lazy]
     assert exported == [
-        "AssociatedFactorSet", "BatteryResult", "ControlPanel",
-        "CovarianceOperators", "FiraResult", "GridDomain", "IrfResult",
-        "LaggedDesign", "LpSpec", "MonthlyBaseline", "ResponseResult",
-        "ScalarSeries", "SectorPanel", "ShockConditioning", "ShockSeries",
-        "ShockSurface", "SpectralDecomposition", "Surface", "SurfaceSeries",
+        "AssociatedFactorSet", "BatteryResult", "CovarianceOperators",
+        "FiraResult", "GridDomain", "IrfResult", "LaggedDesign", "LpSpec",
+        "MonthlyBaseline", "ResponseResult", "ScalarSeries", "SectorPanel",
+        "ShockConditioning", "ShockSeries", "ShockSurface",
+        "SpectralDecomposition", "Surface", "SurfaceSeries",
         "align", "anomaly", "associated_factors", "build_design",
         "build_domain", "canonical_correlations", "climatology",
         "compute_baseline", "default_threshold", "errors",

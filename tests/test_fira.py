@@ -20,7 +20,7 @@ from climfact.fira import (
     respond,
 )
 from climfact.grid import SurfaceSeries, build_domain
-from climfact.ingest import ControlPanel, SectorPanel
+from climfact.ingest import SectorPanel
 from climfact.synth import de_domain, unit_bump_surface
 
 MONTH0 = np.datetime64("2001-01", "M")
@@ -31,10 +31,10 @@ def _series(domain, cube, name="x"):
     return SurfaceSeries(domain, MONTH0 + np.arange(cube.shape[0]), cube, name)
 
 
-def _panel(values, cls=SectorPanel, prefix="S"):
+def _panel(values, prefix="S"):
     T, p = values.shape
-    return cls(MONTH0 + np.arange(T),
-               tuple(f"{prefix}{j}" for j in range(p)), values)
+    return SectorPanel(MONTH0 + np.arange(T),
+                       tuple(f"{prefix}{j}" for j in range(p)), values)
 
 
 @pytest.fixture
@@ -57,7 +57,7 @@ class TestBuildDesign:
         series = _series(coarse_domain,
                          rng.normal(size=(T,) + coarse_domain.shape))
         panel = _panel(rng.normal(size=(T, 3)))
-        controls = _panel(rng.normal(size=(T, 2)), cls=ControlPanel, prefix="Z")
+        controls = _panel(rng.normal(size=(T, 2)), prefix="Z")
         design = build_design(series, y=panel, z=controls, lags=(1, 2, 1))
         xhat = hat_matrix(series)
         for row in (0, 5, len(design) - 1):

@@ -328,6 +328,29 @@ class TestSectorPanel:
         with pytest.raises(ParseError, match=r"byte 0xff.*panel\.csv, line 3"):
             load_sector_panel(path, transform="none")
 
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+    def test_invalid_utf8_counts_lines_as_the_csv_reader(self, tmp_path, end):
+        rows = [b"time,A"] + [f"2001-{m:02d},{m}.0".encode()
+                              for m in range(1, 8)]
+        rows[5] += b"\xff"     # line 6
+        path = tmp_path / "panel.csv"
+        path.write_bytes(end.join(rows) + end)
+        with pytest.raises(ParseError,
+                           match=r"byte 0xff.*panel\.csv, line 6\)$"):
+            load_sector_panel(path, transform="none")
+
+    def test_a_byte_order_mark_reads_as_no_mark(self, tmp_path):
+        times = np.arange(np.datetime64("2001-01", "M"),
+                          np.datetime64("2002-03", "M"))
+        path = self._write(tmp_path, "time,A", [f"{t},{k + 1.0!r}"
+                                                 for k, t in enumerate(times)])
+        plain = load_sector_panel(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        marked = load_sector_panel(path)
+        assert marked.sector_ids == plain.sector_ids == ("A",)
+        np.testing.assert_array_equal(marked.times, plain.times)
+        np.testing.assert_array_equal(marked.values, plain.values)
+
     def test_no_transform_keeps_levels(self, tmp_path):
         times = np.arange(np.datetime64("2001-01", "M"),
                           np.datetime64("2001-04", "M"))
@@ -373,7 +396,8 @@ class TestSectorPanel:
         assert str(err.value) == f"{message} ({where})"
         assert (err.value.path, err.value.line) == (path, line)
 
-    @pytest.mark.parametrize("loader", [load_sector_panel, load_control_panel])
+    @pytest.mark.parametrize("loader", [load_sector_panel, load_control_panel],
+                             ids=["load_sector_panel", "load_control_panel"])
     @pytest.mark.parametrize("header,message", [
         ("time,A,A,B", "id 'A' in column 3 repeats column 2"),
         ("time,A,B, A ", "id 'A' in column 4 repeats column 2"),
@@ -431,7 +455,8 @@ class TestErrorsNameTheFile:
             load_gridded(path)
         assert str(err.value) == f"gridded file {path} has 1 missing month(s)"
 
-    @pytest.mark.parametrize("loader", [load_sector_panel, load_control_panel])
+    @pytest.mark.parametrize("loader", [load_sector_panel, load_control_panel],
+                             ids=["load_sector_panel", "load_control_panel"])
     def test_a_repeated_panel_month(self, tmp_path, loader):
         path = tmp_path / "panel.csv"
         path.write_text("time,A\n2001-01,1.0\n2001-02,2.0\n2001-02,3.0\n")
@@ -490,7 +515,7 @@ def _window_cases():
     """One instance of each monthly series type, 24 months from 2001-01,
     with every field off the time axis set away from its default."""
     from climfact.climatology import ScalarSeries, ShockConditioning, ShockSeries
-    from climfact.ingest import ControlPanel, SectorPanel
+    from climfact.ingest import SectorPanel
 
     times = np.datetime64("2001-01", "M") + np.arange(24)
     values = np.arange(24.0)
@@ -507,14 +532,11 @@ def _window_cases():
          {"threshold": 1.5, "conditioning": cond, "name": "summer"}),
         (SectorPanel(times, ["A", "B"], panel, ["C"]),
          {"sector_ids": ("A", "B"), "dropped": ("C",)}),
-        (ControlPanel(times, ["Z1", "Z2"], panel, ["Z3"]),
-         {"sector_ids": ("Z1", "Z2"), "dropped": ("Z3",)}),
     ]
 
 
 @pytest.mark.parametrize("series,fields", _window_cases(), ids=[
-    "SurfaceSeries", "ScalarSeries", "ShockSeries", "SectorPanel",
-    "ControlPanel"])
+    "SurfaceSeries", "ScalarSeries", "ShockSeries", "SectorPanel"])
 def test_windowing_keeps_type_and_every_field_off_the_time_axis(series,
                                                                  fields):
     start, end = np.datetime64("2001-04", "M"), np.datetime64("2001-09", "M")

@@ -3,6 +3,7 @@ raises NumericalError, never a RuntimeWarning (warnings are errors here),
 and errors.no_overflow is the only code that states the rule."""
 
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from climfact.factors import (
 )
 from climfact.fira import build_design, fit_fira, make_shock_surface, respond
 from climfact.grid import Surface, SurfaceSeries, inner_product, norm
-from climfact.ingest import SectorPanel
+from climfact.ingest import SectorPanel, load_sector_panel, write_panel_csv
 from climfact.localproj import (
     LpSpec,
     fit_horizon,
@@ -55,6 +56,17 @@ def _huge_rows(rng):
     rows = rng.normal(size=(T, 2))
     rows[6, 0] = HUGE
     return rows
+
+
+def _level_jump(rng):
+    """Load, under the default yoy transform, a panel file whose one
+    level goes from 1e-300 to 1e300 a year later."""
+    levels = 1.0 + rng.uniform(size=(T, 2))
+    levels[0, 1], levels[12, 1] = 1e-300, 1e300
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "levels.csv"
+        write_panel_csv(SectorPanel(MONTHS, ("S0", "S1"), levels), path)
+        return load_sector_panel(path)
 
 
 def _respond(domain, rng):
@@ -98,6 +110,7 @@ CALLS = {
     "fit_horizon": ("multiply", lambda d, rng: fit_horizon(
         _huge_rows(rng)[:, 0], rng.normal(size=T), rng.normal(size=(T, 1)),
         None, 1, LpSpec(h_max=3, p_max=2), 1, 0)),
+    "load_sector_panel": ("divide", lambda d, rng: _level_jump(rng)),
     "norm": ("square", lambda d, rng: norm(
         Surface(d, np.where(np.eye(3, dtype=bool), HUGE, 1.0)))),
     "inner_product": ("multiply", lambda d, rng: inner_product(

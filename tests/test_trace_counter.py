@@ -74,7 +74,7 @@ def test_every_counter_binds_its_function(traced, tmp_path):
                            rng.normal(size=(T,) + domain.shape), "t")
     panel = ingest.SectorPanel(times, ("S0", "S1", "S2"),
                                rng.normal(size=(T, p)))
-    controls = ingest.ControlPanel(times, ("Z0",), rng.normal(size=(T, 1)))
+    controls = ingest.SectorPanel(times, ("Z0",), rng.normal(size=(T, 1)))
     shock = ShockSeries(times, np.where(rng.random(T) < 0.3, 1.0, 0.0), 0.5,
                         ShockConditioning(), "all")
 
